@@ -13,11 +13,11 @@
 /// block until the entire cascade they trigger has drained - the pattern
 /// behind the graph-traversal example in the paper's appendix.
 ///
-/// Any LVar data structure exposing
-///   using DeltaType = ...;
-///   void addHandlerRaw(std::function<void(const DeltaType&)>, Task*);
-/// plugs into \c addHandler below; this is the "general data-structure /
-/// scheduler interface" role that \c ParLVar plays in Section 4's
+/// Any LVar deriving from \c HandledLVar<Delta> (src/core/LVarBase.h) -
+/// which supplies \c DeltaType and \c addHandlerRaw, and asks the
+/// structure only for its replay of the current contents - plugs into
+/// \c addHandler below; this is the "general data-structure / scheduler
+/// interface" role that \c ParLVar plays in Section 4's
 /// independent-extensibility discussion.
 ///
 /// Delta batching (DESIGN.md Section 13): handlers whose effect level

@@ -34,17 +34,13 @@ public:
   /// Lub write: empty -> full(V). Full(V) -> full(V) is a no-op; a
   /// conflicting value is a deterministic error (lattice top).
   void putValue(const T &V, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "IVar put");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
+    enterPut(Writer, check::FxPut, "IVar put");
     {
       std::lock_guard<std::mutex> Lock(WaitMutex);
-      if (Full) {
+      if (Slot) {
         if constexpr (std::equality_comparable<T>) {
           if (*Slot == V) {
-            obs::count(obs::Event::NoOpJoins);
-            obs::count(obs::Event::NotifySkips);
+            noOpPut();
             return; // Idempotent repeat of the same write.
           }
         }
@@ -56,7 +52,6 @@ public:
       if (isFrozen())
         putAfterFreezeError(Writer, this);
       Slot.emplace(V);
-      Full = true;
     }
     // State and every parked waiter live under WaitMutex (Bucket0.Mu), so
     // the mutex alone orders this notify's probe - no fence needed.
@@ -67,39 +62,20 @@ public:
   /// after a freeze or at session quiescence.
   std::optional<T> peek() const {
     std::lock_guard<std::mutex> Lock(WaitMutex);
-    return Full ? Slot : std::nullopt;
+    return Slot;
   }
 
-  /// Blocking threshold read: unblocks once full.
-  class GetAwaiter {
-  public:
-    GetAwaiter(IVar &V, Task *Reader) : Var(V), Tsk(Reader) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Var.parkGet(Tsk, H, this);
-    }
-    T await_resume() { return std::move(*Out); }
-
-    /// Called under WaitMutex by parkGet/notifyWaiters.
-    bool tryCapture() {
-      if (!Var.Full)
-        return false;
-      Out = Var.Slot; // Copy: many readers may capture the same value.
-      return true;
-    }
-
-  private:
-    IVar &Var;
-    Task *Tsk;
-    std::optional<T> Out;
-  };
+  /// Blocking threshold read: unblocks once full, yielding a copy of the
+  /// value (many readers may capture the same value).
+  auto awaitFull(Task *Reader) {
+    // The probe runs under WaitMutex: read Slot directly, never peek().
+    return ThresholdAwaiter(*this, Reader, WaitSlot::dflt(),
+                            [this] { return Slot; });
+  }
 
 private:
-  friend class GetAwaiter;
-  // State guarded by WaitMutex (an IVar transitions at most once, so the
-  // mutex is uncontended in steady state).
-  bool Full = false;
+  // Guarded by WaitMutex (an IVar transitions at most once, so the mutex
+  // is uncontended in steady state).
   std::optional<T> Slot;
 };
 
@@ -129,8 +105,8 @@ void put(ParCtx<E> Ctx, IVar<T> &IV, const T &Value) {
 /// `get :: HasGet e => IVar s a -> Par e s a` - awaitable.
 template <EffectSet E, typename T>
   requires(hasGet(E))
-typename IVar<T>::GetAwaiter get(ParCtx<E> Ctx, IVar<T> &IV) {
-  return typename IVar<T>::GetAwaiter(IV, Ctx.task());
+auto get(ParCtx<E> Ctx, IVar<T> &IV) {
+  return IV.awaitFull(Ctx.task());
 }
 
 /// Freezes an IVar mid-computation (quasi-deterministic; requires the
@@ -138,9 +114,7 @@ typename IVar<T>::GetAwaiter get(ParCtx<E> Ctx, IVar<T> &IV) {
 template <EffectSet E, typename T>
   requires(hasFreeze(E))
 std::optional<T> freezeIVar(ParCtx<E> Ctx, IVar<T> &IV) {
-  IV.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "IVar freeze");
-  IV.markFrozen();
+  IV.freezeFor(Ctx.task(), "IVar freeze");
   return IV.peek();
 }
 

@@ -6,11 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime substrate shared by every LVar data structure: the sharded
-/// waiter table for blocked threshold reads, the freeze bit for
-/// quasi-deterministic exact reads, the session id standing in for the
-/// paper's `s` parameter, and the asymmetric put/handler-registration gate
-/// of footnote 6.
+/// The one LVar core every data structure is built on (DESIGN.md Section
+/// 13): a structure supplies only its lattice state and its join, and
+/// inherits the rest from here, written once -
+///  * the put prologue (\c enterPut: session check, effect audit, the
+///    LVISH_FAULTS put poll, the Puts count) and \c noOpPut for joins that
+///    change nothing;
+///  * \c freezeFor, the prologue of every freeze* entry point;
+///  * the handler list (\c HandledLVar), guarded by the footnote-6
+///    asymmetric put/registration gate alone;
+///  * the blocking threshold read (\c ThresholdAwaiter), parked in the
+///    sharded waiter table below;
+///  * the freeze bit and the session id standing in for the paper's `s`
+///    parameter.
 ///
 /// Waiter sharding (DESIGN.md Section 13): a blocked threshold read parks
 /// in the bucket named by its \c WaitSlot -
@@ -44,6 +52,7 @@
 #define LVISH_CORE_LVARBASE_H
 
 #include "src/check/EffectAuditor.h"
+#include "src/core/Par.h"
 #include "src/fault/FaultInject.h"
 #include "src/obs/Telemetry.h"
 #include "src/sched/FaultSignal.h"
@@ -54,10 +63,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <coroutine>
 #include <cstdio>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -107,6 +120,8 @@ struct WaitSlot {
     return WaitSlot{Kind::Size, Threshold};
   }
 };
+
+template <typename ProbeT> class ThresholdAwaiter;
 
 /// Base class of every LVar; see file comment.
 class LVarBase : public ParkSite {
@@ -195,7 +210,40 @@ public:
     (void)T;
   }
 
+  /// The prologue of every freeze* entry point: session check, Freeze
+  /// effect audit, freeze bit. Callers whose puts check the bit under a
+  /// state lock call this under that lock (Stream::freezeNow).
+  void freezeFor(Task *Caller, const char *Op) {
+    checkSession(Caller);
+    check::auditEffect(Caller, check::FxFreeze, Op);
+    markFrozen();
+  }
+
 protected:
+  template <typename ProbeT> friend class ThresholdAwaiter;
+
+  /// The prologue of every state-changing entry point, run before the
+  /// state is touched: session check, effect audit (\p Fx is FxPut or
+  /// FxBump), the LVISH_FAULTS put poll (a doomed writer fails here, so
+  /// its write never lands), and the Puts count. \p Counted = false
+  /// leaves the count to the caller, for an entry point whose fast path
+  /// is not a put (IMap::modifyKey finding its key bound).
+  void enterPut(Task *Writer, uint8_t Fx, const char *Op,
+                bool Counted = true) {
+    checkSession(Writer);
+    check::auditEffect(Writer, Fx, Op);
+    fault::injectPoint(fault::Point::Put, Writer);
+    if (Counted)
+      obs::count(obs::Event::Puts);
+  }
+
+  /// Accounts a put that changed nothing (duplicate insert, equal re-put,
+  /// non-improving join, zero bump): no delta to deliver, nothing to wake.
+  static void noOpPut() {
+    obs::count(obs::Event::NoOpJoins);
+    obs::count(obs::Event::NotifySkips);
+  }
+
   /// One blocked threshold read. \c TryCapture re-checks the threshold
   /// against the current state and, when satisfied, stores the read result
   /// into the awaiter (which lives in the parked coroutine's frame).
@@ -541,6 +589,121 @@ private:
                             "put changed the state of a frozen LVar "
                             "(quasi-determinism violation)",
                             LV ? LV->debugName() : nullptr);
+}
+
+/// An LVar with latent event handlers over deltas of type \p Delta: the
+/// handler half of the one core. A put that changed the state calls
+/// \c deliver inside its gate fast section; \c addHandlerRaw appends on
+/// the slow side and replays the current contents through the structure's
+/// \c replayTo. HandlerPool's addHandler plugs into any such LVar.
+template <typename Delta> class HandledLVar : public LVarBase {
+public:
+  using DeltaType = Delta;
+  using Handler = std::function<void(const Delta &)>;
+
+  using LVarBase::LVarBase;
+
+  /// Registers \p H and delivers every state already present to it once;
+  /// every later change then reaches it through \c deliver. Exactly-once:
+  /// no put is between its state change and its delivery while this runs.
+  void addHandlerRaw(Handler H, Task *Registrar) {
+    checkSession(Registrar);
+    AsymmetricGate::SlowGuard Gate(HandlerGate);
+    Handlers.push_back(std::move(H));
+    replayTo(Handlers.back());
+  }
+
+protected:
+  /// Delivers the current contents to a newly registered handler. Runs on
+  /// the gate's slow side, so no put is in flight.
+  virtual void replayTo(const Handler &H) = 0;
+
+  /// Lets a put skip building a delta nobody receives.
+  bool hasHandlers() const { return !Handlers.empty(); }
+
+  /// Hands \p D to every registered handler. Call only between the put's
+  /// \c AsymmetricGate::FastGuard and its release.
+  void deliver(const Delta &D) const {
+    for (const Handler &H : Handlers)
+      H(D);
+  }
+
+private:
+  /// Guarded by HandlerGate alone: written only on the slow side, read
+  /// only on the fast side, and the gate excludes the two. The ordering
+  /// behind that: \c exitSlow's release store of the slow flag pairs with
+  /// the seq_cst flag load in \c enterFast, so a put entering after a
+  /// registration sees the appended handler; \c exitFast's release
+  /// decrement pairs with the seq_cst slot scan in \c enterSlow, so a
+  /// registration appends only after every earlier put's reads of the
+  /// list are done.
+  std::vector<Handler> Handlers;
+};
+
+/// The one blocking threshold read. \p ProbeT is a callable evaluating the
+/// threshold against the LVar's current state: it returns \c bool (the
+/// read yields nothing) or \c std::optional<R> (the read yields the R it
+/// captured). It is a template parameter, not a std::function, because
+/// parks sit on hot paths (one per blocked get).
+///
+/// The probe runs under the lock of the waiter bucket the read parks in
+/// (parkGet's re-check and every notify's scan). For the default bucket
+/// that lock is WaitMutex - the state lock of IVar and PureLVar - so their
+/// probes read the state directly and must never call a method that takes
+/// WaitMutex (their peek() would self-deadlock). A size-slot probe must be
+/// exactly "current size >= N" (see WaitSlot::size).
+template <typename ProbeT> class ThresholdAwaiter {
+  using ProbeResult = std::invoke_result_t<ProbeT &>;
+  static constexpr bool YieldsNothing = std::is_same_v<ProbeResult, bool>;
+  struct Nothing {};
+
+public:
+  ThresholdAwaiter(LVarBase &LV, Task *Reader, WaitSlot Slot, ProbeT Probe)
+      : Var(LV), Tsk(Reader), Slot(Slot), Probe(std::move(Probe)) {}
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> H) {
+    return Var.parkGet(Tsk, H, this, Slot);
+  }
+  auto await_resume() {
+    if constexpr (!YieldsNothing)
+      return std::move(*Out);
+  }
+
+  /// Called under the bucket lock by parkGet and the notify scans.
+  bool tryCapture() {
+    if constexpr (YieldsNothing) {
+      return Probe();
+    } else {
+      Out = Probe();
+      return Out.has_value();
+    }
+  }
+
+private:
+  LVarBase &Var;
+  Task *Tsk;
+  WaitSlot Slot;
+  ProbeT Probe;
+  [[no_unique_address]] std::conditional_t<YieldsNothing, Nothing,
+                                           ProbeResult> Out;
+};
+
+/// An LVar whose key count is a monotone, lock-free threshold surface
+/// (ISet, IMap, MinMap).
+template <typename LVarT>
+concept SizedLVar = std::derived_from<LVarT, LVarBase> &&
+                    requires(const LVarT &LV) {
+                      { LV.sizeNow() } -> std::convertible_to<size_t>;
+                    };
+
+/// Blocks until \p LV holds at least \p N elements; returns nothing (the
+/// exact size is not observable).
+template <EffectSet E, SizedLVar LVarT>
+  requires(hasGet(E))
+auto waitSize(ParCtx<E> Ctx, LVarT &LV, size_t N) {
+  return ThresholdAwaiter(LV, Ctx.task(), WaitSlot::size(N),
+                          [&LV, N] { return LV.sizeNow() >= N; });
 }
 
 } // namespace lvish

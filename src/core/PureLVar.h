@@ -30,10 +30,8 @@
 #include "src/core/Par.h"
 
 #include <concepts>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 namespace lvish {
@@ -46,33 +44,29 @@ namespace lvish {
 /// this for lattices with a designated top.
 template <typename D> using ThresholdSets = std::vector<std::vector<D>>;
 
-/// LVar holding one pure lattice value; see file comment.
+/// LVar holding one pure lattice value; see file comment. Handlers
+/// observe whole new states (the "delta" of a pure LVar is the state
+/// itself).
 template <typename L>
   requires Lattice<L>
-class PureLVar : public LVarBase {
+class PureLVar : public HandledLVar<typename L::ValueType> {
+  using Base = HandledLVar<typename L::ValueType>;
+  using Base::WaitMutex;
+
 public:
   using D = typename L::ValueType;
-  /// Handlers observe whole new states (the "delta" of a pure LVar is the
-  /// state itself).
-  using DeltaType = D;
-  using Handler = std::function<void(const D &)>;
+  using typename Base::Handler;
 
   PureLVar(uint64_t SessionId, D Initial)
-      : LVarBase(SessionId), State(std::move(Initial)) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+      : Base(SessionId), State(std::move(Initial)) {}
 
   explicit PureLVar(uint64_t SessionId) : PureLVar(SessionId, L::bottom()) {}
 
   /// Lub write. Top-valued results are a deterministic error when the
   /// lattice designates a top; state changes on a frozen LVar likewise.
   void putValue(const D &V, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "PureLVar put");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
-    bool Changed = false;
+    this->enterPut(Writer, check::FxPut, "PureLVar put");
+    AsymmetricGate::FastGuard Gate(this->HandlerGate);
     D NewState{L::bottom()};
     {
       std::lock_guard<std::mutex> Lock(WaitMutex);
@@ -82,54 +76,28 @@ public:
         check::checkJoinLaws<L>(State, V);
 #endif
       D Joined = L::join(State, V);
-      if (!(Joined == State)) {
-        if (isFrozen())
-          putAfterFreezeError(Writer, this);
-        if constexpr (LatticeWithTop<L>) {
-          if (L::isTop(Joined))
-            detail::raiseSessionFault(Writer, FaultCode::LatticeTop,
-                                      "PureLVar put reached lattice top "
-                                      "(conflicting writes)",
-                                      debugName());
-        }
-        State = Joined;
-        Changed = true;
-        NewState = State;
+      if (Joined == State) {
+        this->noOpPut();
+        return;
       }
-    }
-    if (!Changed) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
-      return;
+      if (this->isFrozen())
+        putAfterFreezeError(Writer, this);
+      if constexpr (LatticeWithTop<L>) {
+        if (L::isTop(Joined))
+          detail::raiseSessionFault(Writer, FaultCode::LatticeTop,
+                                    "PureLVar put reached lattice top "
+                                    "(conflicting writes)",
+                                    this->debugName());
+      }
+      State = Joined;
+      NewState = std::move(Joined);
     }
     // Deliver the new state to handlers while still inside the gate's fast
-    // section, then re-check blocked threshold reads.
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    for (const Handler &H : *Snapshot)
-      H(NewState);
-    // State and every parked waiter live under WaitMutex (Bucket0.Mu), so
-    // the mutex alone orders this notify's probe - no fence needed.
-    notifyWaiters(Writer, NotifyOrder::MutexGuarded);
-  }
-
-  /// Registers a change handler and delivers the current state to it once.
-  /// Runs on the slow side of the footnote-6 gate: no put can be in flight
-  /// while the handler list is swapped, so delivery is exactly-once.
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    D Current;
-    {
-      std::lock_guard<std::mutex> Lock(WaitMutex);
-      Current = State;
-    }
-    if (!(Current == L::bottom()))
-      H(Current);
+    // section, then re-check blocked threshold reads. State and every
+    // parked waiter live under WaitMutex (Bucket0.Mu), so the mutex alone
+    // orders this notify's probe - no fence needed.
+    this->deliver(NewState);
+    this->notifyWaiters(Writer, NotifyOrder::MutexGuarded);
   }
 
   /// Exact read of the current state; deterministic only after freezing or
@@ -163,78 +131,47 @@ public:
 #endif
   }
 
+  /// Blocking threshold read; see ThresholdSets. Yields the index of the
+  /// trigger set the state rose above.
+  auto awaitTriggers(Task *Reader, ThresholdSets<D> Triggers) {
+#ifndef NDEBUG
+    checkPairwiseIncompatible(Triggers);
+#endif
+    // The probes run under WaitMutex: read State directly, never peek().
+    return ThresholdAwaiter(
+        *this, Reader, WaitSlot::dflt(),
+        [this, Triggers = std::move(Triggers)]() -> std::optional<size_t> {
+          for (size_t I = 0, E = Triggers.size(); I != E; ++I)
+            for (const D &Trig : Triggers[I])
+              if (latticeLeq<L>(Trig, State))
+                return I;
+          return std::nullopt;
+        });
+  }
+
   /// Blocking read against a *general monotone threshold function*
   /// (footnote 5 of the paper: "in practice, we allow ourselves to use
-  /// more general monotonic threshold functions" than trigger sets). The
-  /// function must be monotone: once it returns a value for some state,
-  /// it must return the SAME value for every state above it - that is
-  /// the author's proof obligation, checked only by the determinism
-  /// sweeps in tests.
-  template <typename R> class GetWithAwaiter {
-  public:
-    using ThresholdFn = std::function<std::optional<R>(const D &)>;
-
-    GetWithAwaiter(PureLVar &V, Task *T, ThresholdFn Fn)
-        : Var(V), Tsk(T), Fn(std::move(Fn)) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Var.parkGet(Tsk, H, this);
-    }
-    R await_resume() { return std::move(*Out); }
-
-    bool tryCapture() {
-      Out = Fn(Var.State);
-      return Out.has_value();
-    }
-
-  private:
-    PureLVar &Var;
-    Task *Tsk;
-    ThresholdFn Fn;
-    std::optional<R> Out;
-  };
-
-  /// Blocking threshold read; see ThresholdSets.
-  class GetAwaiter {
-  public:
-    GetAwaiter(PureLVar &V, Task *T, ThresholdSets<D> Sets)
-        : Var(V), Tsk(T), Triggers(std::move(Sets)) {
-#ifndef NDEBUG
-      checkPairwiseIncompatible(Triggers);
-#endif
-    }
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Var.parkGet(Tsk, H, this);
-    }
-    size_t await_resume() const { return *Out; }
-
-    /// Under WaitMutex: activated iff the state is above some element of
-    /// some trigger set.
-    bool tryCapture() {
-      for (size_t I = 0, E = Triggers.size(); I != E; ++I)
-        for (const D &Trig : Triggers[I])
-          if (latticeLeq<L>(Trig, Var.State)) {
-            Out = I;
-            return true;
-          }
-      return false;
-    }
-
-  private:
-    PureLVar &Var;
-    Task *Tsk;
-    ThresholdSets<D> Triggers;
-    std::optional<size_t> Out;
-  };
+  /// more general monotonic threshold functions" than trigger sets):
+  /// unblocks once \p Fn returns an engaged optional, and yields its
+  /// value. The function must be monotone: once it returns a value for
+  /// some state, it must return the SAME value for every state above it -
+  /// that is the author's proof obligation, checked only by the
+  /// determinism sweeps in tests.
+  template <typename FnT> auto awaitWith(Task *Reader, FnT Fn) {
+    return ThresholdAwaiter(*this, Reader, WaitSlot::dflt(),
+                            [this, Fn = std::move(Fn)]() mutable {
+                              return Fn(State);
+                            });
+  }
 
 private:
-  friend class GetAwaiter;
-  template <typename R> friend class GetWithAwaiter;
+  void replayTo(const Handler &H) override {
+    D Current = peek();
+    if (!(Current == L::bottom()))
+      H(Current);
+  }
+
   D State; ///< Guarded by WaitMutex.
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
 };
 
 /// Allocates a PureLVar at its lattice bottom.
@@ -264,11 +201,9 @@ void putPureLVar(ParCtx<E> Ctx, PureLVar<L> &LV,
 /// spelling of the paper's `getPureLVar`.
 template <EffectSet E, typename L>
   requires(hasGet(E) && Lattice<L>)
-typename PureLVar<L>::GetAwaiter
-get(ParCtx<E> Ctx, PureLVar<L> &LV,
-    ThresholdSets<typename L::ValueType> Triggers) {
-  return typename PureLVar<L>::GetAwaiter(LV, Ctx.task(),
-                                          std::move(Triggers));
+auto get(ParCtx<E> Ctx, PureLVar<L> &LV,
+         ThresholdSets<typename L::ValueType> Triggers) {
+  return LV.awaitTriggers(Ctx.task(), std::move(Triggers));
 }
 
 /// General monotone-threshold read (footnote 5): blocks until \p Fn
@@ -279,19 +214,14 @@ template <EffectSet E, typename L, typename FnT>
   requires(hasGet(E) && Lattice<L> &&
            std::invocable<FnT &, const typename L::ValueType &>)
 auto get(ParCtx<E> Ctx, PureLVar<L> &LV, FnT Fn) {
-  using OptR = std::invoke_result_t<FnT &, const typename L::ValueType &>;
-  using R = typename OptR::value_type;
-  return typename PureLVar<L>::template GetWithAwaiter<R>(LV, Ctx.task(),
-                                                          std::move(Fn));
+  return LV.awaitWith(Ctx.task(), std::move(Fn));
 }
 
 /// Freezes and returns the exact state (requires HasFreeze).
 template <EffectSet E, typename L>
   requires(hasFreeze(E) && Lattice<L>)
 typename L::ValueType freezePureLVar(ParCtx<E> Ctx, PureLVar<L> &LV) {
-  LV.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "PureLVar freeze");
-  LV.markFrozen();
+  LV.freezeFor(Ctx.task(), "PureLVar freeze");
   return LV.peek();
 }
 

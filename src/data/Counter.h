@@ -50,12 +50,9 @@ public:
 
   /// Inflationary, commutative, non-idempotent update (exactly-once RMW).
   void bump(uint64_t Amount, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxBump, "Counter bump");
-    obs::count(obs::Event::Puts);
+    enterPut(Writer, check::FxBump, "Counter bump");
     if (Amount == 0) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      noOpPut();
       return;
     }
     if (isFrozen())
@@ -75,29 +72,6 @@ public:
 
   /// Exact value; deterministic only when frozen or quiescent.
   uint64_t peek() const { return Value.load(std::memory_order_acquire); }
-
-  /// Threshold read: unblocks once the counter reaches \p N; returns only
-  /// the threshold itself (the exact value is not observable).
-  class WaitThresholdAwaiter {
-  public:
-    WaitThresholdAwaiter(Counter &C, Task *Reader, uint64_t N)
-        : Ctr(C), Tsk(Reader), Threshold(N) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Ctr.parkGet(Tsk, H, this);
-    }
-    uint64_t await_resume() const { return Threshold; }
-
-    bool tryCapture() {
-      return Ctr.Value.load(std::memory_order_acquire) >= Threshold;
-    }
-
-  private:
-    Counter &Ctr;
-    Task *Tsk;
-    uint64_t Threshold;
-  };
 
 private:
   std::atomic<uint64_t> Value;
@@ -119,17 +93,19 @@ void incrCounter(ParCtx<E> Ctx, Counter &C, uint64_t Amount = 1) {
 /// spelling; returns the threshold itself.
 template <EffectSet E>
   requires(hasGet(E))
-Counter::WaitThresholdAwaiter get(ParCtx<E> Ctx, Counter &C, uint64_t N) {
-  return Counter::WaitThresholdAwaiter(C, Ctx.task(), N);
+auto get(ParCtx<E> Ctx, Counter &C, uint64_t N) {
+  return ThresholdAwaiter(C, Ctx.task(), WaitSlot::dflt(),
+                          [&C, N]() -> std::optional<uint64_t> {
+                            return C.peek() >= N ? std::optional(N)
+                                                 : std::nullopt;
+                          });
 }
 
 /// Freezes and reads the exact value.
 template <EffectSet E>
   requires(hasFreeze(E))
 uint64_t freezeCounter(ParCtx<E> Ctx, Counter &C) {
-  C.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "Counter freeze");
-  C.markFrozen();
+  C.freezeFor(Ctx.task(), "Counter freeze");
   return C.peek();
 }
 
@@ -149,13 +125,10 @@ public:
   size_t size() const { return Cells.size(); }
 
   void bumpAt(size_t I, uint64_t Amount, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxBump, "CounterVec bump");
+    enterPut(Writer, check::FxBump, "CounterVec bump");
     assert(I < Cells.size() && "CounterVec index out of range");
-    obs::count(obs::Event::Puts);
     if (Amount == 0) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      noOpPut();
       return;
     }
     if (isFrozen())
@@ -206,9 +179,7 @@ void incrCounterAt(ParCtx<E> Ctx, CounterVec &C, size_t I,
 template <EffectSet E>
   requires(hasFreeze(E))
 std::vector<uint64_t> freezeCounterVec(ParCtx<E> Ctx, CounterVec &C) {
-  C.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "CounterVec freeze");
-  C.markFrozen();
+  C.freezeFor(Ctx.task(), "CounterVec freeze");
   return C.snapshot();
 }
 

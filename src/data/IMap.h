@@ -27,7 +27,6 @@
 #include "src/core/Par.h"
 #include "src/data/MonotoneHashMap.h"
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -37,47 +36,35 @@ namespace lvish {
 
 /// Monotone map LVar; construct via \c newEmptyMap.
 template <typename K, typename V, typename HashT = DefaultHash<K>>
-class IMap : public LVarBase {
-public:
-  using DeltaType = std::pair<K, V>;
-  using Handler = std::function<void(const DeltaType &)>;
+class IMap : public HandledLVar<std::pair<K, V>> {
+  using Base = HandledLVar<std::pair<K, V>>;
 
-  explicit IMap(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+public:
+  using typename Base::DeltaType;
+  using typename Base::Handler;
+
+  explicit IMap(uint64_t SessionId) : Base(SessionId) {}
 
   /// Lub write: binds \p Key to \p Val. Re-inserting an equal value is a
   /// no-op; a conflicting value for an existing key is a deterministic
   /// error.
   void insertKV(const K &Key, const V &Val, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "IMap insert");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
+    this->enterPut(Writer, check::FxPut, "IMap insert");
+    AsymmetricGate::FastGuard Gate(this->HandlerGate);
     auto [Stored, Inserted] = Table.insert(Key, Val);
     if (!Inserted) {
       if constexpr (std::equality_comparable<V>) {
         if (*Stored == Val) {
-          obs::count(obs::Event::NoOpJoins);
-          obs::count(obs::Event::NotifySkips);
+          this->noOpPut();
           return; // Idempotent repeat: no delta, nothing to wake.
         }
       }
       detail::raiseSessionFault(Writer, FaultCode::ConflictingInsert,
                                 "conflicting insert for an existing IMap key "
                                 "(per-key lattice top reached)",
-                                debugName());
+                                this->debugName());
     }
-    if (isFrozen())
-      putAfterFreezeError(Writer, this);
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    if (!Snapshot->empty()) {
-      DeltaType Delta(Key, Val);
-      for (const Handler &H : *Snapshot)
-        H(Delta);
-    }
-    notifyDelta(Writer, HashT{}(Key), Table.size());
+    bound(Key, Val, Writer);
   }
 
   /// Non-blocking probe (deterministic only for keys known to be present,
@@ -91,108 +78,56 @@ public:
   /// "a map of sets" in the PhyBin parallelization (Section 7.1).
   template <typename FactoryT>
   const V &modifyKey(const K &Key, FactoryT Factory, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "IMap modifyKey");
-    fault::injectPoint(fault::Point::Put, Writer);
+    // Finding the key bound is a read, not a put: count only past it.
+    this->enterPut(Writer, check::FxPut, "IMap modifyKey",
+                   /*Counted=*/false);
     if (const V *Existing = Table.find(Key))
       return *Existing;
     obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
+    AsymmetricGate::FastGuard Gate(this->HandlerGate);
     auto [Stored, Inserted] = Table.insert(Key, Factory());
     if (!Inserted) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      this->noOpPut();
       return *Stored; // Lost the race; the winner's value is canonical.
     }
-    if (isFrozen())
-      putAfterFreezeError(Writer, this);
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    if (!Snapshot->empty()) {
-      DeltaType Delta(Key, *Stored);
-      for (const Handler &H : *Snapshot)
-        H(Delta);
-    }
-    notifyDelta(Writer, HashT{}(Key), Table.size());
+    bound(Key, *Stored, Writer);
     return *Stored;
   }
 
   size_t sizeNow() const { return Table.size(); }
 
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    Table.forEach([&H](const K &Key, const V &Val) {
-      H(DeltaType(Key, Val));
-    });
-  }
-
   /// Sorted snapshot; call after freezing for deterministic iteration.
   std::vector<std::pair<K, V>> toSortedVector() const {
-    assert(isFrozen() && "iterating an unfrozen IMap is nondeterministic");
+    assert(this->isFrozen() &&
+           "iterating an unfrozen IMap is nondeterministic");
     return Table.snapshotSorted();
   }
 
   /// Unordered traversal (post-freeze or at quiescence).
   template <typename FnT> void forEachFrozen(FnT &&Fn) const {
-    assert(isFrozen() && "iterating an unfrozen IMap is nondeterministic");
+    assert(this->isFrozen() &&
+           "iterating an unfrozen IMap is nondeterministic");
     Table.forEach(Fn);
   }
 
-  /// Threshold read: unblocks once \p Key is bound; returns its value.
-  class GetKeyAwaiter {
-  public:
-    GetKeyAwaiter(IMap &M, Task *Reader, K Key)
-        : Map(M), Tsk(Reader), Target(std::move(Key)) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::key(HashT{}(Target)));
-    }
-    V await_resume() { return std::move(*Out); }
-
-    bool tryCapture() {
-      const V *P = Map.Table.find(Target);
-      if (!P)
-        return false;
-      Out = *P;
-      return true;
-    }
-
-  private:
-    IMap &Map;
-    Task *Tsk;
-    K Target;
-    std::optional<V> Out;
-  };
-
-  /// Threshold read on cardinality.
-  class WaitSizeAwaiter {
-  public:
-    WaitSizeAwaiter(IMap &M, Task *Reader, size_t N)
-        : Map(M), Tsk(Reader), Threshold(N) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::size(Threshold));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Map.Table.size() >= Threshold; }
-
-  private:
-    IMap &Map;
-    Task *Tsk;
-    size_t Threshold;
-  };
-
 private:
+  /// The tail of a put that bound a fresh key, inside the gate's fast
+  /// section: freeze check, handler delivery, targeted wake.
+  void bound(const K &Key, const V &Val, Task *Writer) {
+    if (this->isFrozen())
+      putAfterFreezeError(Writer, this);
+    if (this->hasHandlers())
+      this->deliver(DeltaType(Key, Val));
+    this->notifyDelta(Writer, HashT{}(Key), Table.size());
+  }
+
+  void replayTo(const Handler &H) override {
+    Table.forEach([&H](const K &Key, const V &Val) {
+      H(DeltaType(Key, Val));
+    });
+  }
+
   MonotoneHashMap<K, V, HashT> Table;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
 };
 
 /// Allocates an empty map for the current session.
@@ -214,19 +149,14 @@ void insert(ParCtx<E> Ctx, IMap<K, V, HashT> &Map, const K &Key,
 /// value.
 template <EffectSet E, typename K, typename V, typename HashT>
   requires(hasGet(E))
-typename IMap<K, V, HashT>::GetKeyAwaiter get(ParCtx<E> Ctx,
-                                              IMap<K, V, HashT> &Map,
-                                              K Key) {
-  return typename IMap<K, V, HashT>::GetKeyAwaiter(Map, Ctx.task(),
-                                                   std::move(Key));
-}
-
-/// Blocks until the map has at least \p N bindings.
-template <EffectSet E, typename K, typename V, typename HashT>
-  requires(hasGet(E))
-typename IMap<K, V, HashT>::WaitSizeAwaiter
-waitSize(ParCtx<E> Ctx, IMap<K, V, HashT> &Map, size_t N) {
-  return typename IMap<K, V, HashT>::WaitSizeAwaiter(Map, Ctx.task(), N);
+auto get(ParCtx<E> Ctx, IMap<K, V, HashT> &Map, K Key) {
+  const uint64_t Hash = HashT{}(Key);
+  return ThresholdAwaiter(
+      Map, Ctx.task(), WaitSlot::key(Hash),
+      [&Map, Key = std::move(Key)]() -> std::optional<V> {
+        const V *P = Map.lookupNow(Key);
+        return P ? std::optional<V>(*P) : std::nullopt;
+      });
 }
 
 /// Freezes mid-computation (quasi-deterministic) and returns the sorted
@@ -235,9 +165,7 @@ template <EffectSet E, typename K, typename V, typename HashT>
   requires(hasFreeze(E))
 std::vector<std::pair<K, V>> freezeMap(ParCtx<E> Ctx,
                                        IMap<K, V, HashT> &Map) {
-  Map.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "IMap freeze");
-  Map.markFrozen();
+  Map.freezeFor(Ctx.task(), "IMap freeze");
   return Map.toSortedVector();
 }
 

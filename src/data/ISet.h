@@ -13,9 +13,9 @@
 ///  * \c lvish::get(Ctx, Set, Elem) (the paper's `waitElem`) - threshold
 ///    read that unblocks once a given element is present (the returned
 ///    information, "x is in the set", is stable);
-///  * \c waitSize - unblocks once the cardinality reaches N (cardinality is
-///    monotone, and the read returns only the threshold N, not the exact
-///    size);
+///  * \c waitSize (src/core/LVarBase.h) - unblocks once the cardinality
+///    reaches N (cardinality is monotone, and the read returns only the
+///    threshold N, not the exact size);
 ///  * handlers - run for each element exactly once (current and future);
 ///  * freezing - exact contents, quasi-deterministic unless performed at
 ///    session quiescence (runParThenFreeze).
@@ -32,7 +32,6 @@
 #include "src/core/Par.h"
 #include "src/data/MonotoneHashMap.h"
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -41,36 +40,26 @@ namespace lvish {
 
 /// Monotone set LVar; construct via \c newISet.
 template <typename T, typename HashT = DefaultHash<T>>
-class ISet : public LVarBase {
+class ISet : public HandledLVar<T> {
   struct Unit {};
 
 public:
-  using DeltaType = T;
-  using Handler = std::function<void(const T &)>;
+  using typename HandledLVar<T>::Handler;
 
-  explicit ISet(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+  explicit ISet(uint64_t SessionId) : HandledLVar<T>(SessionId) {}
 
   /// Lub write: adds \p Elem. No-op if already present (idempotent).
   void insertElem(const T &Elem, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "ISet insert");
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
-    auto [Ptr, Inserted] = Table.insert(Elem, Unit{});
-    (void)Ptr;
-    if (!Inserted) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+    this->enterPut(Writer, check::FxPut, "ISet insert");
+    AsymmetricGate::FastGuard Gate(this->HandlerGate);
+    if (!Table.insert(Elem, Unit{}).second) {
+      this->noOpPut();
       return; // Idempotent repeat: no delta, nothing to wake.
     }
-    if (isFrozen())
+    if (this->isFrozen())
       putAfterFreezeError(Writer, this);
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    for (const Handler &H : *Snapshot)
-      H(Elem);
-    notifyDelta(Writer, HashT{}(Elem), Table.size());
+    this->deliver(Elem);
+    this->notifyDelta(Writer, HashT{}(Elem), Table.size());
   }
 
   bool containsElem(const T &Elem) const { return Table.contains(Elem); }
@@ -78,74 +67,26 @@ public:
   /// Exact cardinality; deterministic only when frozen/quiescent.
   size_t sizeNow() const { return Table.size(); }
 
-  /// Registers a handler; delivers every existing element, then every
-  /// future one, exactly once (footnote-6 gate).
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    Table.forEach([&H](const T &Elem, const Unit &) { H(Elem); });
-  }
-
   /// Sorted snapshot; call after freezing for deterministic iteration.
   std::vector<T> toSortedVector() const {
-    assert(isFrozen() && "iterating an unfrozen ISet is nondeterministic");
+    assert(this->isFrozen() &&
+           "iterating an unfrozen ISet is nondeterministic");
     return Table.snapshotSortedKeys();
   }
 
   /// Unordered traversal (post-freeze or at quiescence).
   template <typename FnT> void forEachFrozen(FnT &&Fn) const {
-    assert(isFrozen() && "iterating an unfrozen ISet is nondeterministic");
+    assert(this->isFrozen() &&
+           "iterating an unfrozen ISet is nondeterministic");
     Table.forEach([&Fn](const T &Elem, const Unit &) { Fn(Elem); });
   }
 
-  /// Threshold read: unblocks once \p Elem is present.
-  class WaitElemAwaiter {
-  public:
-    WaitElemAwaiter(ISet &S, Task *Reader, T Elem)
-        : Set(S), Tsk(Reader), Target(std::move(Elem)) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Set.parkGet(Tsk, H, this, WaitSlot::key(HashT{}(Target)));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Set.Table.contains(Target); }
-
-  private:
-    ISet &Set;
-    Task *Tsk;
-    T Target;
-  };
-
-  /// Threshold read: unblocks once |set| >= N.
-  class WaitSizeAwaiter {
-  public:
-    WaitSizeAwaiter(ISet &S, Task *Reader, size_t N)
-        : Set(S), Tsk(Reader), Threshold(N) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Set.parkGet(Tsk, H, this, WaitSlot::size(Threshold));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Set.Table.size() >= Threshold; }
-
-  private:
-    ISet &Set;
-    Task *Tsk;
-    size_t Threshold;
-  };
-
 private:
+  void replayTo(const Handler &H) override {
+    Table.forEach([&H](const T &Elem, const Unit &) { H(Elem); });
+  }
+
   MonotoneHashMap<T, Unit, HashT> Table;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
 };
 
 /// Allocates an empty set for the current session.
@@ -165,19 +106,11 @@ void insert(ParCtx<E> Ctx, ISet<T, HashT> &Set, const T &Elem) {
 /// (the paper's `waitElem`).
 template <EffectSet E, typename T, typename HashT>
   requires(hasGet(E))
-typename ISet<T, HashT>::WaitElemAwaiter get(ParCtx<E> Ctx,
-                                             ISet<T, HashT> &Set, T Elem) {
-  return typename ISet<T, HashT>::WaitElemAwaiter(Set, Ctx.task(),
-                                                  std::move(Elem));
-}
-
-/// Blocks until the set has at least \p N elements.
-template <EffectSet E, typename T, typename HashT>
-  requires(hasGet(E))
-typename ISet<T, HashT>::WaitSizeAwaiter waitSize(ParCtx<E> Ctx,
-                                                  ISet<T, HashT> &Set,
-                                                  size_t N) {
-  return typename ISet<T, HashT>::WaitSizeAwaiter(Set, Ctx.task(), N);
+auto get(ParCtx<E> Ctx, ISet<T, HashT> &Set, T Elem) {
+  const uint64_t Hash = HashT{}(Elem);
+  return ThresholdAwaiter(
+      Set, Ctx.task(), WaitSlot::key(Hash),
+      [&Set, Elem = std::move(Elem)] { return Set.containsElem(Elem); });
 }
 
 /// Freezes mid-computation (quasi-deterministic) and returns the sorted
@@ -185,9 +118,7 @@ typename ISet<T, HashT>::WaitSizeAwaiter waitSize(ParCtx<E> Ctx,
 template <EffectSet E, typename T, typename HashT>
   requires(hasFreeze(E))
 std::vector<T> freezeSet(ParCtx<E> Ctx, ISet<T, HashT> &Set) {
-  Set.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "ISet freeze");
-  Set.markFrozen();
+  Set.freezeFor(Ctx.task(), "ISet freeze");
   return Set.toSortedVector();
 }
 

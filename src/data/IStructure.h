@@ -59,8 +59,7 @@ void putIdx(ParCtx<E> Ctx, IStructure<T> &S, size_t I, const T &V) {
 /// Blocking read of slot \p I - the unified threshold-read spelling.
 template <EffectSet E, typename T>
   requires(hasGet(E))
-typename IVar<T>::GetAwaiter get(ParCtx<E> Ctx, IStructure<T> &S,
-                                 size_t I) {
+auto get(ParCtx<E> Ctx, IStructure<T> &S, size_t I) {
   return get(Ctx, S.slot(I));
 }
 

@@ -43,7 +43,6 @@
 #include "src/data/MonotoneHashMap.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -53,7 +52,8 @@ namespace lvish {
 
 /// Keyed min-label LVar; construct via \c newMinMap.
 template <typename K, typename HashT = DefaultHash<K>>
-class MinMap : public LVarBase {
+class MinMap : public HandledLVar<std::pair<K, uint64_t>> {
+  using Base = HandledLVar<std::pair<K, uint64_t>>;
   /// Cells are heap boxes because MonotoneHashMap::insert moves its value
   /// argument and std::atomic is immovable; the box indirection also keeps
   /// the CAS target stable forever (node-based buckets).
@@ -63,26 +63,21 @@ public:
   /// Bottom of MinUint64Lattice: "no label yet".
   static constexpr uint64_t Bottom = MinUint64Lattice::bottom();
 
-  using DeltaType = std::pair<K, uint64_t>;
-  using Handler = std::function<void(const DeltaType &)>;
+  using typename Base::DeltaType;
+  using typename Base::Handler;
 
-  explicit MinMap(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+  explicit MinMap(uint64_t SessionId) : Base(SessionId) {}
 
   /// Lub write: joins \p Label into the key's cell by min. Fires handlers
   /// with (Key, Label) exactly when this call strictly lowered the cell
   /// (first write included); repeats and non-improving labels are no-ops.
   void joinKey(const K &Key, uint64_t Label, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "MinMap put");
-    obs::count(obs::Event::Puts);
+    this->enterPut(Writer, check::FxPut, "MinMap put");
     if (Label == Bottom) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      this->noOpPut();
       return; // join(bottom, x) = x: nothing to record, nothing to wake.
     }
-    AsymmetricGate::FastGuard Gate(HandlerGate);
+    AsymmetricGate::FastGuard Gate(this->HandlerGate);
     // Insert the label directly so no reader ever observes a transient
     // bottom cell; on a lost race the CAS loop below joins into the
     // winner's cell.
@@ -93,24 +88,20 @@ public:
       uint64_t Cur = A.load(std::memory_order_acquire);
       for (;;) {
         if (Label >= Cur) {
-          obs::count(obs::Event::NoOpJoins);
-          obs::count(obs::Event::NotifySkips);
+          this->noOpPut();
           return; // Non-improving join.
         }
-        if (isFrozen())
+        if (this->isFrozen())
           putAfterFreezeError(Writer, this);
         if (A.compare_exchange_weak(Cur, Label, std::memory_order_acq_rel,
                                     std::memory_order_acquire))
           break;
       }
-    } else if (isFrozen()) {
+    } else if (this->isFrozen()) {
       putAfterFreezeError(Writer, this);
     }
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    DeltaType D{Key, Label};
-    for (const Handler &H : *Snapshot)
-      H(D);
-    notifyDelta(Writer, HashT{}(Key), Table.size());
+    this->deliver(DeltaType{Key, Label});
+    this->notifyDelta(Writer, HashT{}(Key), Table.size());
   }
 
   /// Current label, or nullopt if the key has never been written.
@@ -125,24 +116,10 @@ public:
   /// Number of keys carrying a label; monotone, so threshold-readable.
   size_t sizeNow() const { return Table.size(); }
 
-  /// Registers a handler; delivers the current label of every existing
-  /// key, then every future winning decrease (footnote-6 gate).
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    Table.forEach([&H](const K &Key, const Cell &C) {
-      H(DeltaType{Key, C->load(std::memory_order_acquire)});
-    });
-  }
-
   /// Sorted (key, label) snapshot; call after freezing.
   std::vector<std::pair<K, uint64_t>> toSortedVector() const {
-    assert(isFrozen() && "iterating an unfrozen MinMap is nondeterministic");
+    assert(this->isFrozen() &&
+           "iterating an unfrozen MinMap is nondeterministic");
     std::vector<std::pair<K, uint64_t>> Out;
     Out.reserve(Table.size());
     Table.forEach([&Out](const K &Key, const Cell &C) {
@@ -153,55 +130,15 @@ public:
     return Out;
   }
 
-  /// Threshold read: unblocks once label[Key] <= Bound. "Label dropped to
-  /// Bound or below" is a stable fact (labels only decrease), so the read
-  /// is deterministic; it returns only the bound, never the exact label.
-  class WaitLeqAwaiter {
-  public:
-    WaitLeqAwaiter(MinMap &M, Task *Reader, K Key, uint64_t Bound)
-        : Map(M), Tsk(Reader), Target(std::move(Key)), Threshold(Bound) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::key(HashT{}(Target)));
-    }
-    uint64_t await_resume() const { return Threshold; }
-
-    bool tryCapture() {
-      const Cell *C = Map.Table.find(Target);
-      return C && (*C)->load(std::memory_order_acquire) <= Threshold;
-    }
-
-  private:
-    MinMap &Map;
-    Task *Tsk;
-    K Target;
-    uint64_t Threshold;
-  };
-
-  /// Threshold read: unblocks once at least N keys carry a label.
-  class WaitSizeAwaiter {
-  public:
-    WaitSizeAwaiter(MinMap &M, Task *Reader, size_t N)
-        : Map(M), Tsk(Reader), Threshold(N) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::size(Threshold));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Map.Table.size() >= Threshold; }
-
-  private:
-    MinMap &Map;
-    Task *Tsk;
-    size_t Threshold;
-  };
-
 private:
+  /// Delivers the current label of every existing key.
+  void replayTo(const Handler &H) override {
+    Table.forEach([&H](const K &Key, const Cell &C) {
+      H(DeltaType{Key, C->load(std::memory_order_acquire)});
+    });
+  }
+
   MonotoneHashMap<K, Cell, HashT> Table;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
 };
 
 /// Allocates an empty min-map for the current session.
@@ -219,20 +156,20 @@ void putMin(ParCtx<E> Ctx, MinMap<K, HashT> &Map, const K &Key,
 }
 
 /// Blocks until label[Key] <= Bound - the unified threshold-read spelling.
+/// "Label dropped to Bound or below" is a stable fact (labels only
+/// decrease), so the read is deterministic; it returns only the bound,
+/// never the exact label.
 template <EffectSet E, typename K, typename HashT>
   requires(hasGet(E))
-typename MinMap<K, HashT>::WaitLeqAwaiter
-get(ParCtx<E> Ctx, MinMap<K, HashT> &Map, K Key, uint64_t Bound) {
-  return typename MinMap<K, HashT>::WaitLeqAwaiter(Map, Ctx.task(),
-                                                   std::move(Key), Bound);
-}
-
-/// Blocks until at least \p N keys carry a label.
-template <EffectSet E, typename K, typename HashT>
-  requires(hasGet(E))
-typename MinMap<K, HashT>::WaitSizeAwaiter
-waitSize(ParCtx<E> Ctx, MinMap<K, HashT> &Map, size_t N) {
-  return typename MinMap<K, HashT>::WaitSizeAwaiter(Map, Ctx.task(), N);
+auto get(ParCtx<E> Ctx, MinMap<K, HashT> &Map, K Key, uint64_t Bound) {
+  const uint64_t Hash = HashT{}(Key);
+  return ThresholdAwaiter(
+      Map, Ctx.task(), WaitSlot::key(Hash),
+      [&Map, Key = std::move(Key), Bound]() -> std::optional<uint64_t> {
+        std::optional<uint64_t> Label = Map.peekKey(Key);
+        return Label && *Label <= Bound ? std::optional(Bound)
+                                        : std::nullopt;
+      });
 }
 
 /// Freezes (quasi-deterministic mid-session; deterministic after quiesce)
@@ -241,9 +178,7 @@ template <EffectSet E, typename K, typename HashT>
   requires(hasFreeze(E))
 std::vector<std::pair<K, uint64_t>> freezeMinMap(ParCtx<E> Ctx,
                                                  MinMap<K, HashT> &Map) {
-  Map.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "MinMap freeze");
-  Map.markFrozen();
+  Map.freezeFor(Ctx.task(), "MinMap freeze");
   return Map.toSortedVector();
 }
 
@@ -265,15 +200,12 @@ public:
 
   /// Lub write: Cells[I] <- min(Cells[I], Label).
   void joinAt(size_t I, uint64_t Label, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "MinVec put");
+    enterPut(Writer, check::FxPut, "MinVec put");
     assert(I < Cells.size() && "MinVec index out of range");
-    obs::count(obs::Event::Puts);
     uint64_t Cur = Cells[I].V.load(std::memory_order_acquire);
     for (;;) {
       if (Label >= Cur) {
-        obs::count(obs::Event::NoOpJoins);
-        obs::count(obs::Event::NotifySkips);
+        noOpPut();
         return;
       }
       if (isFrozen())
@@ -320,9 +252,7 @@ void putMinAt(ParCtx<E> Ctx, MinVec &MV, size_t I, uint64_t Label) {
 template <EffectSet E>
   requires(hasFreeze(E))
 std::vector<uint64_t> freezeMinVec(ParCtx<E> Ctx, MinVec &MV) {
-  MV.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "MinVec freeze");
-  MV.markFrozen();
+  MV.freezeFor(Ctx.task(), "MinVec freeze");
   return MV.snapshot();
 }
 

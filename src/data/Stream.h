@@ -60,7 +60,6 @@
 #include "src/core/Par.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -77,33 +76,33 @@ template <typename T> struct StreamDelta {
 
 /// Prefix-ordered sequence LVar; construct via \c newStream. See file
 /// comment.
-template <typename T> class Stream : public LVarBase {
-public:
-  using DeltaType = StreamDelta<T>;
-  using Handler = std::function<void(const DeltaType &)>;
+template <typename T> class Stream : public HandledLVar<StreamDelta<T>> {
+  using Base = HandledLVar<StreamDelta<T>>;
 
-  explicit Stream(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+protected:
+  using Base::WaitMutex;
+  using typename Base::StateGuard;
+
+public:
+  using typename Base::DeltaType;
+  using typename Base::Handler;
+
+  explicit Stream(uint64_t SessionId) : Base(SessionId) {}
 
   /// Lub write: binds cell \p Idx to \p Val. Duplicate equal puts are
   /// no-ops; a conflicting value for a bound index is a deterministic
   /// error. Advances the filled prefix over any holes this put closes and
   /// wakes the prefix waiters it satisfies.
   void appendAt(uint64_t Idx, T Val, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "Stream put");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
+    this->enterPut(Writer, check::FxPut, "Stream put");
+    AsymmetricGate::FastGuard Gate(this->HandlerGate);
     uint64_t NewFilled;
     {
       StateGuard Lock(WaitMutex);
       if (Idx < Cells.size() && Cells[Idx].has_value()) {
         if constexpr (std::equality_comparable<T>) {
           if (*Cells[Idx] == Val) {
-            obs::count(obs::Event::NoOpJoins);
-            obs::count(obs::Event::NotifySkips);
+            this->noOpPut();
             return; // Idempotent repeat: no delta, nothing to wake.
           }
         }
@@ -111,11 +110,11 @@ public:
                                   "conflicting put for an already-bound "
                                   "Stream index (per-cell lattice top "
                                   "reached)",
-                                  debugName());
+                                  this->debugName());
       }
-      // Frozen check under the state lock (freezeStream also locks), so a
+      // Frozen check under the state lock (freezeNow also locks), so a
       // View handed out by freeze can never race a cell write.
-      if (isFrozen())
+      if (this->isFrozen())
         putAfterFreezeError(Writer, this);
       if (Idx >= Cells.size())
         Cells.resize(Idx + 1);
@@ -136,41 +135,15 @@ public:
     // Handler delivery outside the state lock (a handler may put back into
     // this stream); the FastGuard still excludes a concurrent registration
     // replay, so each cell is delivered exactly once.
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    if (!Snapshot->empty()) {
-      const DeltaType Delta{Idx, cellAt(Idx)};
-      for (const Handler &H : *Snapshot)
-        H(Delta);
-    }
-    notifyDelta(Writer, /*KeyHash=*/0, NewFilled);
+    if (this->hasHandlers())
+      this->deliver(DeltaType{Idx, cellAt(Idx)});
+    this->notifyDelta(Writer, /*KeyHash=*/0, NewFilled);
   }
 
   /// Length of the contiguous filled prefix right now; deterministic only
   /// when frozen or quiescent (it is a monotone watermark otherwise).
   uint64_t filledNow() const {
     return FilledAtomic.load(std::memory_order_acquire);
-  }
-
-  /// Registers a handler; delivers every already-filled cell (including
-  /// out-of-order cells beyond the current prefix), then every future one,
-  /// exactly once (footnote-6 gate).
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    std::vector<DeltaType> Replay;
-    {
-      StateGuard Lock(WaitMutex);
-      for (uint64_t I = 0; I < Cells.size(); ++I)
-        if (Cells[I].has_value())
-          Replay.push_back(DeltaType{I, *Cells[I]});
-    }
-    for (const DeltaType &D : Replay)
-      H(D);
   }
 
   /// Zero-copy snapshot of the final filled prefix, handed out by
@@ -195,20 +168,23 @@ public:
   };
 
   /// Closes the stream under the state lock and returns the final prefix
-  /// view. Called by \c freezeStream (which audits the Freeze effect).
-  View freezeNow() {
+  /// view. Called by \c freezeStream.
+  View freezeNow(Task *Caller) {
     StateGuard Lock(WaitMutex);
-    markFrozen();
+    this->freezeFor(Caller, "Stream freeze");
     return View(this, Filled);
   }
 
-  /// Threshold read: unblocks once the filled prefix reaches length
-  /// \p Threshold; returns a copy of element Threshold-1.
-  class GetPrefixAwaiter {
+  /// Threshold read on the filled prefix: unblocks once it reaches length
+  /// \p Threshold and, when \p WithElem, yields a copy of element
+  /// Threshold-1. Not a ThresholdAwaiter: a resume after a real park
+  /// counts PrefixWakeups.
+  template <bool WithElem> class PrefixAwaiter {
   public:
-    GetPrefixAwaiter(Stream &S, Task *Reader, uint64_t Threshold)
+    PrefixAwaiter(Stream &S, Task *Reader, uint64_t Threshold)
         : Str(S), Tsk(Reader), Threshold(Threshold) {
-      assert(Threshold >= 1 && "prefix threshold must be at least 1");
+      assert((!WithElem || Threshold >= 1) &&
+             "prefix threshold must be at least 1");
     }
 
     bool await_ready() const noexcept { return false; }
@@ -222,11 +198,11 @@ public:
       Parked = false;
       return false;
     }
-    T await_resume() {
+    auto await_resume() {
       if (Parked)
         obs::count(obs::Event::PrefixWakeups);
-      typename Stream<T>::StateGuard Lock(Str.WaitMutex);
-      return *Str.Cells[Threshold - 1];
+      if constexpr (WithElem)
+        return Str.cellAt(Threshold - 1);
     }
 
     // Size-heap contract: exactly "current size >= Threshold", against the
@@ -242,40 +218,10 @@ public:
     bool Parked = false;
   };
 
-  /// Threshold read on the prefix length alone (no element access).
-  class WaitPrefixAwaiter {
-  public:
-    WaitPrefixAwaiter(Stream &S, Task *Reader, uint64_t Threshold)
-        : Str(S), Tsk(Reader), Threshold(Threshold) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      Parked = true;
-      if (Str.parkGet(Tsk, H, this, WaitSlot::size(Threshold)))
-        return true;
-      Parked = false;
-      return false;
-    }
-    void await_resume() {
-      if (Parked)
-        obs::count(obs::Event::PrefixWakeups);
-    }
-
-    bool tryCapture() {
-      return Str.FilledAtomic.load(std::memory_order_acquire) >= Threshold;
-    }
-
-  private:
-    Stream &Str;
-    Task *Tsk;
-    uint64_t Threshold;
-    bool Parked = false;
-  };
-
 protected:
-  /// Locked read of a cell known to be bound (a bound cell never changes,
-  /// so the returned reference is stable after the lock drops).
-  const T &cellAt(uint64_t Idx) const {
+  /// Locked copy of a cell known to be bound. A copy, not a reference: a
+  /// concurrent put past the end may reallocate Cells once the lock drops.
+  T cellAt(uint64_t Idx) const {
     StateGuard Lock(WaitMutex);
     return *Cells[Idx];
   }
@@ -291,7 +237,21 @@ private:
   /// Length of the contiguous filled prefix, guarded by WaitMutex;
   /// FilledAtomic mirrors it for lock-free probes.
   uint64_t Filled = 0;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
+
+  /// Delivers every already-filled cell, including out-of-order cells
+  /// beyond the current prefix; copied out under the state lock, then
+  /// delivered outside it.
+  void replayTo(const Handler &H) override {
+    std::vector<DeltaType> Replay;
+    {
+      StateGuard Lock(WaitMutex);
+      for (uint64_t I = 0; I < Cells.size(); ++I)
+        if (Cells[I].has_value())
+          Replay.push_back(DeltaType{I, *Cells[I]});
+    }
+    for (const DeltaType &D : Replay)
+      H(D);
+  }
 };
 
 /// Bounded variant with deterministic backpressure; see file comment.
@@ -319,9 +279,7 @@ public:
   /// stale advance is a no-op, so racing consumers are deterministic) and
   /// grants the freed capacity to parked producers.
   void advanceTo(uint64_t UpTo, Task *Caller) {
-    this->checkSession(Caller);
-    check::auditEffect(Caller, check::FxPut, "BoundedStream advance");
-    obs::count(obs::Event::Puts);
+    this->enterPut(Caller, check::FxPut, "BoundedStream advance");
     uint64_t Old = Released.load(std::memory_order_relaxed);
     while (Old < UpTo &&
            !Released.compare_exchange_weak(Old, UpTo,
@@ -329,8 +287,7 @@ public:
                                            std::memory_order_relaxed)) {
     }
     if (Old >= UpTo) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      this->noOpPut();
       return; // Stale watermark: nothing newly released.
     }
 #if LVISH_CHECK
@@ -420,18 +377,18 @@ typename BoundedStream<T>::PutAwaiter put(ParCtx<E> Ctx, BoundedStream<T> &S,
 /// element N-1 - the unified threshold-read spelling.
 template <EffectSet E, typename T>
   requires(hasGet(E))
-typename Stream<T>::GetPrefixAwaiter get(ParCtx<E> Ctx, Stream<T> &S,
-                                         uint64_t N) {
-  return typename Stream<T>::GetPrefixAwaiter(S, Ctx.task(), N);
+typename Stream<T>::template PrefixAwaiter<true>
+get(ParCtx<E> Ctx, Stream<T> &S, uint64_t N) {
+  return typename Stream<T>::template PrefixAwaiter<true>(S, Ctx.task(), N);
 }
 
 /// Blocks until the filled prefix reaches length \p N; returns only the
 /// threshold (the element itself is not observed).
 template <EffectSet E, typename T>
   requires(hasGet(E))
-typename Stream<T>::WaitPrefixAwaiter waitSize(ParCtx<E> Ctx, Stream<T> &S,
-                                               uint64_t N) {
-  return typename Stream<T>::WaitPrefixAwaiter(S, Ctx.task(), N);
+typename Stream<T>::template PrefixAwaiter<false>
+waitSize(ParCtx<E> Ctx, Stream<T> &S, uint64_t N) {
+  return typename Stream<T>::template PrefixAwaiter<false>(S, Ctx.task(), N);
 }
 
 /// Consumer side of a BoundedStream: releases producer capacity up to
@@ -448,9 +405,7 @@ void advance(ParCtx<E> Ctx, BoundedStream<T> &S, uint64_t UpTo) {
 template <EffectSet E, typename T>
   requires(hasFreeze(E))
 typename Stream<T>::View freezeStream(ParCtx<E> Ctx, Stream<T> &S) {
-  S.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "Stream freeze");
-  return S.freezeNow();
+  return S.freezeNow(Ctx.task());
 }
 
 } // namespace lvish

@@ -137,22 +137,9 @@ TEST(Analyze, MultiLineShapesStillMatch) {
   auto Fs = analyzeFixture("multiline_violation.cpp");
   EXPECT_EQ(errorsOfRule(Fs, "raw-sync"), 1)
       << "std::mutex split across lines";
-  EXPECT_EQ(errorsOfRule(Fs, "deprecated-threshold-read"), 1)
-      << "deprecated call with ( on the next line";
+  EXPECT_EQ(errorsOfRule(Fs, "state-bypass"), 1)
+      << "direct putValue with the object on the previous line";
   EXPECT_EQ(totalErrors(Fs), 2);
-}
-
-TEST(Analyze, DeprecatedBorrowedSchedulerSeededViolations) {
-  auto Fs = analyzeFixture("borrowed_violation.cpp");
-  EXPECT_EQ(errorsOfRule(Fs, "deprecated-borrowed-scheduler"), 8)
-      << "field assignment x2, On() factory, and all five *On wrappers";
-  EXPECT_EQ(totalErrors(Fs), 8);
-}
-
-TEST(Analyze, DeprecatedBorrowedSchedulerCleanFixture) {
-  auto Fs = analyzeFixture("borrowed_clean.cpp");
-  EXPECT_EQ(totalErrors(Fs), 0)
-      << "Runtime::run/submit and the runParOnImpl funnel must not match";
 }
 
 TEST(Analyze, WallClockInCoreSeededViolations) {

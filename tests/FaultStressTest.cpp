@@ -13,6 +13,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/core/LVish.h"
+#include "src/data/Counter.h"
+#include "src/data/ISet.h"
+#include "src/data/MinMap.h"
+#include "src/data/Stream.h"
 #include "src/fault/FaultPlan.h"
 #include "src/obs/Telemetry.h"
 
@@ -71,6 +75,60 @@ ParOutcome<int> fanOut(SchedulerConfig C, int Kids) {
         for (int I = 0; I < Kids; ++I)
           Sum += co_await get(Ctx, *Slots[static_cast<size_t>(I)]);
         co_return Sum;
+      },
+      C);
+}
+
+/// Writes a doomed child can make without touching an IVar; each put entry
+/// point must poll the LVISH_FAULTS plan itself.
+enum class PollTarget { ISetAndCounter, MinMap, MinVec, CounterVec, Advance };
+
+/// fanOut's fork tree, but child i writes only through \p Target. For
+/// ISetAndCounter child i inserts i into an ISet and bumps a Counter by i,
+/// and the root waits for all \p Kids elements, then for the counter to
+/// reach sum(i), which it returns. For the other targets the root does not
+/// wait (session quiescence joins the children) and returns \p Kids.
+ParOutcome<int> pollFanOut(SchedulerConfig C, int Kids, PollTarget Target) {
+  constexpr EffectSet DB = Eff::DetBump;
+  return tryRunPar<DB>(
+      [Kids, Target](ParCtx<DB> Ctx) -> Par<int> {
+        auto Set = newISet<int>(Ctx);
+        auto Ctr = newCounter(Ctx);
+        auto Labels = newMinMap<int>(Ctx);
+        auto Cells = newMinVec(Ctx, static_cast<size_t>(Kids));
+        auto Bumps = newCounterVec(Ctx, static_cast<size_t>(Kids));
+        auto Window = newBoundedStream<int>(Ctx, 1);
+        for (int I = 0; I < Kids; ++I) {
+          auto Body = [Set, Ctr, Labels, Cells, Bumps, Window, Target,
+                       I](ParCtx<DB> C2) -> Par<void> {
+            const auto U = static_cast<uint64_t>(I);
+            switch (Target) {
+            case PollTarget::ISetAndCounter:
+              insert(C2, *Set, I);
+              incrCounter(C2, *Ctr, U);
+              break;
+            case PollTarget::MinMap:
+              putMin(C2, *Labels, I, U);
+              break;
+            case PollTarget::MinVec:
+              putMinAt(C2, *Cells, static_cast<size_t>(I), U);
+              break;
+            case PollTarget::CounterVec:
+              incrCounterAt(C2, *Bumps, static_cast<size_t>(I));
+              break;
+            case PollTarget::Advance:
+              advance(C2, *Window, U + 1);
+              break;
+            }
+            co_return;
+          };
+          fork(Ctx, Body);
+        }
+        if (Target != PollTarget::ISetAndCounter)
+          co_return Kids;
+        co_await waitSize(Ctx, *Set, static_cast<size_t>(Kids));
+        const auto Sum = static_cast<uint64_t>(Kids * (Kids - 1) / 2);
+        co_return static_cast<int>(co_await get(Ctx, *Ctr, Sum));
       },
       C);
 }
@@ -142,6 +200,37 @@ TEST(FaultStressTest, TargetedFailureIdenticalAcrossSeeds) {
         EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=RRL:lvar=")
             << "workers=" << W << " seed=" << S;
       }
+  }
+}
+
+TEST(FaultStressTest, DoomedWriterFailsAtEveryPutEntryPoint) {
+  if constexpr (!fault::InjectionEnabled) {
+    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
+  } else {
+    // Child #2 ("RRL") writes only to structures other than IVar; its
+    // first put must still poll the plan and fail, identically for every
+    // worker count and plan seed.
+    const PollTarget Targets[] = {PollTarget::ISetAndCounter,
+                                  PollTarget::MinMap, PollTarget::MinVec,
+                                  PollTarget::CounterVec,
+                                  PollTarget::Advance};
+    for (PollTarget Target : Targets) {
+      const int T = static_cast<int>(Target);
+      EXPECT_EQ(sig(pollFanOut(cfg(2, 1), 6, Target)),
+                Target == PollTarget::ISetAndCounter ? "ok:15" : "ok:6")
+          << "target=" << T << " without a plan";
+      for (unsigned W : WorkerCounts)
+        for (uint64_t S : PlanSeeds) {
+          fault::FaultPlan Plan;
+          Plan.Seed = S;
+          Plan.HaveFailPedigree = true;
+          Plan.FailPedigree = "RRL";
+          fault::PlanScope Scope(Plan);
+          ParOutcome<int> O = pollFanOut(cfg(W, S), 6, Target);
+          EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=RRL:lvar=")
+              << "target=" << T << " workers=" << W << " seed=" << S;
+        }
+    }
   }
 }
 

@@ -94,7 +94,7 @@ TEST_P(LatticeLawsP, MinUint64JoinLaws) {
   // The derived order is the REVERSE of the numeric one: a lower label is
   // "more information". Thresholds of the form "label <= T" are therefore
   // upward-closed - once they fire they can never unfire, the monotone
-  // read guarantee MinMap::WaitLeqAwaiter leans on.
+  // read guarantee MinMap's get(Ctx, Map, K, Bound) leans on.
   for (const auto &A : States)
     for (const auto &B : States) {
       EXPECT_EQ(latticeLeq<MinUint64Lattice>(A, B), A >= B);

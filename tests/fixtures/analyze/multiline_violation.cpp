@@ -1,8 +1,8 @@
 // lvish-analyze-fixture-path: src/sim/multiline_violation.cpp
 //
 // The retired per-line lint's false negatives, locked in as seeded
-// violations: a raw-sync declaration split across lines and a deprecated
-// threshold-read whose argument list opens on the next line. Scanned,
+// violations: a raw-sync declaration split across lines and a direct
+// state-changing call whose object sits on the previous line. Scanned,
 // never compiled.
 
 namespace lvish {
@@ -10,10 +10,9 @@ namespace lvish {
 std::
     mutex SplitAcrossLines; // raw-sync must still fire
 
-Par<int> wrappedDeprecatedCall(ParCtx<Eff::Det> Ctx, IMap<int, int> &M) {
-  int V = co_await getKey
-      (Ctx, M, 3); // deprecated-threshold-read must still fire
-  co_return V;
+void wrappedDirectPut(Task *T, IVar<int> &IV) {
+  IV
+      .putValue(3, T); // state-bypass must still fire
 }
 
 } // namespace lvish

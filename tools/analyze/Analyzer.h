@@ -11,7 +11,7 @@
 ///
 ///  * ported token rules - every rule of the retired per-line lvish-lint
 ///    (raw-sync, no-throw, ctx-forge, state-bypass, fatal, bench-harness,
-///    deprecated-threshold-read, explore-rng), re-expressed as token
+///    explore-rng), re-expressed as token
 ///    sequences over the stripped token stream so constructs split across
 ///    lines still match;
 ///  * effect-consistency - at every scope holding a concretely-resolvable

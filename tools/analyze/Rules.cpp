@@ -9,8 +9,9 @@
 /// Every rule of the retired per-line lvish-lint, re-expressed as token
 /// sequences over the stripped token stream. The move from line regexes to
 /// tokens is what fixes the multi-line false negatives: `std::mutex`
-/// declared with the `::` on the next line, or a deprecated threshold-read
-/// call whose `(` wraps, now match exactly like their one-line spellings.
+/// declared with the `::` on the next line, or a direct `.putValue` whose
+/// object sits on the previous line, now match exactly like their one-line
+/// spellings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,10 +55,7 @@ const std::vector<TokenRule> &tokenRules() {
   // The library-internal rules exempt tests/ and examples/ in addition to
   // the historical trusted layers: the retired lint never scanned those
   // trees, and tests/examples legitimately poke internals (wordcount's
-  // direct Table->modifyKey, test raw-thread scaffolding). The
-  // deprecated-threshold-read rule deliberately does NOT exempt them -
-  // it absorbs the ci.sh shell grep that existed precisely to cover
-  // tests/ and examples/.
+  // direct Table->modifyKey, test raw-thread scaffolding).
   static const std::vector<TokenRule> Rules = {
       {"raw-sync",
        seqsOf({"std::thread", "std::jthread", "std::mutex",
@@ -93,39 +91,14 @@ const std::vector<TokenRule> &tokenRules() {
       {"state-bypass",
        seqsOf({".putValue", "->putValue", ".insertElem", "->insertElem",
                ".insertKV", "->insertKV", ".bump", "->bump", ".bumpAt",
-               "->bumpAt", ".modifyKey", "->modifyKey", ".markFrozen",
-               "->markFrozen", ".addHandlerRaw", "->addHandlerRaw"}),
+               "->bumpAt", ".modifyKey", "->modifyKey", ".joinKey",
+               "->joinKey", ".joinAt", "->joinAt", ".appendAt", "->appendAt",
+               ".advanceTo", "->advanceTo", ".markFrozen", "->markFrozen",
+               ".freezeNow", "->freezeNow", ".freezeFor", "->freezeFor",
+               ".addHandlerRaw", "->addHandlerRaw"}),
        {"/core/", "/data/", "/service/", "tests/", "examples/"},
        "direct LVar state access skips the ParCtx effect requirements and "
        "session checks",
-       /*LimitDirs=*/{}},
-      {"deprecated-threshold-read",
-       // The `(` is part of each sequence (matching the semantics of the
-       // retired ci.sh grep); the token stream makes it match even when
-       // the paren lands on the next line. The aliases themselves were
-       // deleted (PR-5 generation retired), so there are no defining
-       // directories to exempt: any occurrence anywhere is a resurrected
-       // name that no longer exists.
-       seqsOf({"getKey(", "waitElem(", "waitMapSize(",
-               "waitCounterAtLeast(", "getPureLVar(", "getPureLVarWith(",
-               "getKeyPure(", "waitPureMapSize(", "getIdx("}),
-       {},
-       "the old per-structure threshold-read spellings were removed; use "
-       "the unified lvish::get / lvish::waitSize API",
-       /*LimitDirs=*/{}},
-      {"deprecated-borrowed-scheduler",
-       // Both the field spellings and the *On wrappers. `runParOn` is a
-       // full identifier token, so the internal `runParOnImpl` funnel
-       // (a distinct token) never matches. The shims were deleted (PR-7
-       // generation retired), so no directory is exempt anymore: any
-       // occurrence is a resurrected name that no longer exists.
-       seqsOf({"RunOptions::On", ".Borrowed", "->Borrowed", "runParOn",
-               "tryRunParOn", "runParIOOn", "tryRunParIOOn",
-               "runParThenFreezeOn"}),
-       {},
-       "the borrowed-Scheduler session surface was removed; hold a "
-       "service::Runtime and submit sessions through Runtime::run / "
-       "Runtime::submit instead",
        /*LimitDirs=*/{}},
       {"wall-clock-in-core",
        // All three standard clock spellings; the token stream matches the

@@ -84,6 +84,11 @@ int selfTest() {
          0, "ctx-forge allows transformers");
   Expect(Errors("src/sim/X.cpp", "IV.putValue(1, T);\n"), 1,
          "state-bypass fires on direct putValue");
+  Expect(Errors("src/pbbs/X.cpp",
+                "M->joinKey(K, 1, T);\nV.joinAt(0, 1, T);\n"
+                "S.appendAt(0, X, T);\nB->advanceTo(4, T);\n"
+                "auto View = S.freezeNow(T);\n"),
+         5, "state-bypass fires on the MinMap/MinVec/Stream entry points");
   Expect(Errors("src/sim/X.cpp", "put(Ctx, IV, 1);\n"), 0,
          "ParCtx wrapper put is clean");
   Expect(Errors("src/sim/X.cpp", "C.bumper();\n"), 0,
@@ -110,15 +115,8 @@ int selfTest() {
                 "// lvish-lint: allow(bench-harness)\n"
                 "int main() { return 0; }\n"),
          0, "bench-harness suppression works");
-  Expect(Errors("src/trans/X.h", "int V = co_await getKey(Ctx, *M, K);\n"),
-         1, "deprecated-threshold-read fires on an old spelling");
-  Expect(Errors("src/data/IMap.h", "auto getKey(ParCtx<E> Ctx);\n"), 1,
-         "deprecated-threshold-read has no defining-directory exemption "
-         "now that the aliases are deleted");
   Expect(Errors("src/trans/X.h", "int V = co_await get(Ctx, *M, K);\n"), 0,
          "unified get spelling is clean");
-  Expect(Errors("src/trans/X.h", "getKeyboard();\n"), 0,
-         "deprecated-threshold-read respects identifier boundaries");
   Expect(Errors("src/explore/X.cpp", "std::mt19937 G(Seed);\n"), 1,
          "explore-rng fires on raw RNG inside src/explore/");
   Expect(Errors("src/explore/X.cpp", "int V = rand();\n"), 1,
@@ -137,8 +135,6 @@ int selfTest() {
   // ---- Multi-line matches (the per-line regexes' false negatives). ----
   Expect(Errors("src/sim/X.cpp", "std::\n    mutex M;\n"), 1,
          "raw-sync matches a declaration split across lines");
-  Expect(Errors("src/trans/X.h", "int V = co_await getKey\n    (Ctx, K);\n"),
-         1, "deprecated-threshold-read matches a call with ( on next line");
   Expect(Errors("src/sim/X.cpp", "IV\n    .putValue(1, T);\n"), 1,
          "state-bypass matches member access split across lines");
 
@@ -147,10 +143,6 @@ int selfTest() {
          "raw-sync exempts tests/ (test scaffolding)");
   Expect(Errors("examples/x.cpp", "Table->modifyKey(K, F);\n"), 0,
          "state-bypass exempts examples/");
-  Expect(Errors("tests/X.cpp", "int V = co_await getKey(Ctx, K);\n"), 1,
-         "deprecated-threshold-read covers tests/ (absorbs the ci.sh grep)");
-  Expect(Errors("examples/x.cpp", "co_await waitElem(Ctx, S, 3);\n"), 1,
-         "deprecated-threshold-read covers examples/");
 
   // ---- effect-consistency. ----
   Expect(Errors("src/sim/X.cpp",

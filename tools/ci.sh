@@ -14,7 +14,13 @@
 #              is compiled out here to prove the LVISH_TELEMETRY=0 build
 #              stays healthy (empty snapshot struct, no-op counters).
 #              Re-runs ContentionStressTest standalone to stress the
-#              sharded waiter-table publish/probe protocol under TSan.
+#              sharded waiter-table publish/probe protocol under TSan,
+#              and HandlerRaceTest for handler registration racing puts
+#              (the gate-guarded handler list).
+#   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
+#              the first report. AddressSanitizer has no stage: an ASan
+#              build still overflows the stack in the batched handler
+#              flush (nested forkBody resumes, src/core/HandlerPool.h).
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints a non-fatal bench-report
@@ -64,18 +70,17 @@
 #              lvish-analyze over src/, bench/, examples/, and tests/
 #              against the committed tools/analyze/baseline.json, failing
 #              on any non-baselined finding. Subsumes the retired
-#              lvish-lint scan and the old deprecated-threshold-read
-#              grep. Reuses the release build.
+#              lvish-lint scan. Reuses the release build.
 #   coverage - Debug + LVISH_COVERAGE=ON (gcov instrumentation): runs the
 #              suite and writes a line-coverage summary artifact to
 #              build-ci-coverage/coverage-summary.txt. Not in the default
 #              stage list (instrumented builds are slow).
 #
 # Usage: tools/ci.sh
-#        [debug|release|tsan|bench|faults|explore|pbbs|streams|service|
-#         chaos|analyze|coverage]...
-#        (default: debug release tsan bench faults explore pbbs streams
-#         service chaos analyze)
+#        [debug|release|tsan|ubsan|bench|faults|explore|pbbs|streams|
+#         service|chaos|analyze|coverage]...
+#        (default: debug release tsan ubsan bench faults explore pbbs
+#         streams service chaos analyze)
 #
 #===------------------------------------------------------------------------===#
 
@@ -85,8 +90,8 @@ cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] && \
-  STAGES=(debug release tsan bench faults explore pbbs streams service \
-          chaos analyze)
+  STAGES=(debug release tsan ubsan bench faults explore pbbs streams \
+          service chaos analyze)
 
 run_stage() {
   local name=$1; shift
@@ -122,6 +127,15 @@ for stage in "${STAGES[@]}"; do
       # hunt: every put/bump/freeze path of the four PBBS ports runs
       # under TSan against the sequential references.
       ./build-ci-tsan/tests/PbbsGoldenTest
+      echo "==== [tsan] handler registration vs. live puts ===="
+      # The handler list is guarded by the footnote-6 gate alone; TSan
+      # checks the gate orders every append against every delivery.
+      ./build-ci-tsan/tests/HandlerRaceTest
+      ;;
+    ubsan)
+      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        run_stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DLVISH_SANITIZE=undefined
       ;;
     bench)
       # Reuse the release tree when it exists; otherwise build it.
@@ -403,9 +417,9 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     *)
-      echo "unknown stage '$stage' (expected debug, release, tsan, bench," \
-           "faults, explore, pbbs, streams, service, chaos, analyze, or" \
-           "coverage)" >&2
+      echo "unknown stage '$stage' (expected debug, release, tsan, ubsan," \
+           "bench, faults, explore, pbbs, streams, service, chaos, analyze," \
+           "or coverage)" >&2
       exit 2
       ;;
   esac
