@@ -1,10 +1,12 @@
 //===- bench_pbbs_components.cpp - PBBS connected components on LVars ------===//
 //
 // The PBBS connectivity port (src/pbbs/ConnectedComponents.h): BFS-sweep
-// sequential reference vs min-label propagation over a MinMap handler
-// fixpoint, swept over input sizes, both graph distributions, and worker
-// counts. The power-law instance is the stress case: its hub vertices
-// fan every label improvement out to thousands of neighbors.
+// sequential reference vs union-find on a partition LVar (`_lvar_w*`)
+// and vs min-label propagation over a MinMap handler fixpoint
+// (`_labelprop_w*`, the batched-flush handler stress case), swept over
+// input sizes, both graph distributions, and worker counts. The
+// power-law instance is the label-propagation stress case: its hub
+// vertices fan every label improvement out to thousands of neighbors.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +14,7 @@
 #include "src/pbbs/Pbbs.h"
 
 #include <string>
+#include <vector>
 
 using namespace lvish;
 using namespace lvish::pbbs;
@@ -27,7 +30,8 @@ int main(int argc, char **argv) {
                         bench::BenchConfig::fromArgs(argc, argv));
   // Smaller than the BFS sweep: min-label propagation pays a batched
   // handler delta per winning label decrease, a deliberately chatty
-  // idiom whose residual churn grows faster than the input.
+  // idiom whose residual churn grows faster than the input. Union-find
+  // makes one put per edge.
   const uint32_t BaseN = H.config().pick<uint32_t>(8'000, 800);
   const uint32_t AvgDegree = 6;
   constexpr uint64_t Seed = 42;
@@ -49,19 +53,26 @@ int main(int argc, char **argv) {
       });
       Seq.config("vertices", N);
       double SeqSec = Seq.medianSec();
-      for (unsigned W : {1u, 2u, 4u, 8u}) {
-        bench::Series &S = H.measure(Tag + "_lvar_w" + std::to_string(W), [&] {
-          SchedulerStats Stats;
-          RunOptions Opts = RunOptions::CollectStats(Stats);
-          Opts.Config.NumWorkers = W;
-          Sink = Sink + componentsLVar(G, Opts).size();
-          Total += Stats;
-        });
-        S.config("vertices", N);
-        S.config("workers", W);
-        if (S.medianSec() > 0)
-          S.metric("speedup_vs_seq", SeqSec / S.medianSec());
-      }
+      const struct {
+        const char *Suffix;
+        std::vector<uint32_t> (*Run)(const Graph &, const RunOptions &);
+      } Kernels[] = {{"_lvar_w", componentsLVar},
+                     {"_labelprop_w", componentsLabelProp}};
+      for (const auto &Kn : Kernels)
+        for (unsigned W : {1u, 2u, 4u, 8u}) {
+          std::string Name = Tag + Kn.Suffix + std::to_string(W);
+          bench::Series &S = H.measure(Name, [&] {
+            SchedulerStats Stats;
+            RunOptions Opts = RunOptions::CollectStats(Stats);
+            Opts.Config.NumWorkers = W;
+            Sink = Sink + Kn.Run(G, Opts).size();
+            Total += Stats;
+          });
+          S.config("vertices", N);
+          S.config("workers", W);
+          if (S.medianSec() > 0)
+            S.metric("speedup_vs_seq", SeqSec / S.medianSec());
+        }
     }
   }
   H.recordStats(Total);

@@ -99,6 +99,7 @@ inline constexpr StaticEffectOp StaticEffectOps[] = {
     {"putMin", FxPut},   // MinMap: lub (= min) write to a keyed label.
     {"putMinAt", FxPut}, // MinVec: lub (= min) write to a dense cell.
     {"advance", FxPut},  // BoundedStream: lub write to the release mark.
+    {"unite", FxPut},    // UnionFind: lub (= class merge) of a partition.
     // HasGet: blocking threshold reads (the unified spellings). Note the
     // analyzer resolves stream puts by the shared name `put` -> FxPut; the
     // bounded overload additionally requires Get (it blocks on the
@@ -122,6 +123,7 @@ inline constexpr StaticEffectOp StaticEffectOps[] = {
     {"freezeMinMap", FxFreeze},
     {"freezeMinVec", FxFreeze},
     {"freezeStream", FxFreeze},
+    {"freezeUnionFind", FxFreeze},
     // HasIO: arbitrary nondeterminism in the parent signature.
     {"forkCancelableND", FxIO},
     // HasST: disjoint destructive state (the paper's msplit/forkSTSplit).
@@ -149,7 +151,7 @@ inline constexpr const char *StaticNeutralOps[] = {
     "newISet",      "newIVar",     "newCounter",    "newAndLV",
     "newIStructure", "newPureLVar", "addHandler",    "addHandlerRef",
     "forkCancelable", "runParVec", "noteBytes",     "newMinMap",
-    "newMinVec",    "newStream",   "newBoundedStream",
+    "newMinVec",    "newStream",   "newBoundedStream", "newUnionFind",
 };
 
 /// A named effect level (the Eff:: namespace) and its mask; the analyzer

@@ -32,6 +32,12 @@
 /// keep the one-task-per-delta path: a parked handler would otherwise
 /// stall every delta queued behind it in the batch.
 ///
+/// Either way a handler task is forked from the putting task, so in a
+/// fixpoint (handlers putting into the LVar they watch) it inherits the
+/// pool's scope from its parent. \c Task::addScope then adds nothing: a
+/// task N handler generations deep carries the pool once, not N times,
+/// and each spawn costs O(distinct scopes), not O(chain depth).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LVISH_CORE_HANDLERPOOL_H
@@ -181,8 +187,12 @@ template <EffectSet E, typename LVarT, typename F>
           Task *T = detail::installTaskRoot(*Sched, std::move(Body), Spawner);
           check::declareTaskEffects(
               T, Pool->BatchFx.load(std::memory_order_relaxed));
-          T->Scopes.push_back(&Pool->Scope);
-          T->Keepalives.push_back(Pool); // Batches must outlive the task.
+          // The task takes over the count entered at arming (Batches must
+          // outlive it, hence the keepalive). A flush spawned from another
+          // task of this pool already inherited the scope and is counted
+          // through that entry instead.
+          T->addScope(&Pool->Scope, Pool);
+          Pool->Scope.exitOne();
           obs::count(obs::Event::HandlerBatchFlushes);
           Sched->schedule(T);
         },
@@ -202,9 +212,9 @@ template <EffectSet E, typename LVarT, typename F>
               });
           Task *T = detail::installTaskRoot(*Sched, std::move(Body), Spawner);
           check::declareTaskEffects(T, check::effectMask(E));
-          T->Scopes.push_back(&Pool->Scope);
-          T->Keepalives.push_back(Pool); // Scope must outlive the task.
-          Pool->Scope.enter();
+          // A handler spawned from another task of this pool (the
+          // fixpoint idiom) already inherited the scope.
+          T->addScope(&Pool->Scope, Pool); // Scope must outlive the task.
           Sched->schedule(T);
         },
         Ctx.task());

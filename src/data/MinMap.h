@@ -14,7 +14,7 @@
 ///    key), a MinMap key may be written many times; each write joins (takes
 ///    the minimum), and registered handlers fire once per *winning* strict
 ///    decrease with the (key, newLabel) delta. That monotone delta stream
-///    is what drives label-propagation fixpoints: connected components
+///    is what drives label-propagation fixpoints: \c componentsLabelProp
 ///    seeds label[v] = v and a handler relaxes each improvement across the
 ///    vertex's edges until quiescence.
 ///

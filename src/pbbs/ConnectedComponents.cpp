@@ -5,6 +5,7 @@
 #include "src/core/HandlerPool.h"
 #include "src/core/ParFor.h"
 #include "src/data/MinMap.h"
+#include "src/data/UnionFind.h"
 
 #include <deque>
 
@@ -40,6 +41,42 @@ std::vector<uint32_t> pbbs::componentsSeq(const Graph &G) {
 
 namespace {
 
+/// put (unite) and get (the parallelFor barrier); the partition is frozen
+/// on the way out of the session.
+constexpr EffectSet UfEff = Eff::Det;
+constexpr size_t UniteGrain = 128;
+
+} // namespace
+
+std::vector<uint32_t> pbbs::componentsLVar(const Graph &G,
+                                           const RunOptions &Opts) {
+  const Graph *GP = &G;
+  uint32_t N = G.NumVertices;
+  if (N == 0)
+    return {};
+  auto Parts = runParThenFreeze<UfEff>(
+      [GP, N](ParCtx<UfEff> Ctx) -> Par<std::shared_ptr<UnionFind>> {
+        auto UF = newUnionFind(Ctx, N);
+        UnionFind *UP = UF.get();
+        // Each undirected edge is united once, from its smaller endpoint.
+        auto Body = [UP, GP](ParCtx<UfEff> C, size_t V) -> Par<void> {
+          uint32_t U = static_cast<uint32_t>(V);
+          for (const uint32_t *W = GP->neighborsBegin(U),
+                              *End = GP->neighborsEnd(U);
+               W != End; ++W)
+            if (*W > U)
+              unite(C, *UP, U, *W);
+          co_return;
+        };
+        co_await parallelForPar(Ctx, 0, N, pickGrain(UniteGrain, N), Body);
+        co_return UF;
+      },
+      Opts);
+  return Parts->labels();
+}
+
+namespace {
+
 /// put (seeding + relaxation), get (parallelFor + quiesce), freeze (the
 /// final labeled snapshot after the fixpoint).
 constexpr EffectSet CcEff = Eff::QuasiDet;
@@ -54,8 +91,8 @@ constexpr size_t SeedGrain = 128;
 
 } // namespace
 
-std::vector<uint32_t> pbbs::componentsLVar(const Graph &G,
-                                           const RunOptions &Opts) {
+std::vector<uint32_t> pbbs::componentsLabelProp(const Graph &G,
+                                                const RunOptions &Opts) {
   const Graph *GP = &G;
   uint32_t N = G.NumVertices;
   if (N == 0)

@@ -6,14 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// PBBS connected components as a min-label propagation fixpoint on a
-/// \c MinMap (src/data/MinMap.h): every vertex is seeded with its own id,
-/// and a handler relaxes each winning label decrease across the vertex's
-/// edges (putMin to every neighbor). Labels only fall, min-joins commute,
-/// and \c quiesce detects the fixpoint - at which point label[v] is
-/// exactly the minimum vertex id of v's component, independent of
-/// schedule. The monotone-fixpoint cousin of BFS: same handler shape, a
-/// richer lattice than set-membership.
+/// PBBS connected components, two ways:
+///
+///  * \c componentsLVar - union-find, the shape PBBS itself uses: one
+///    \c parallelForPar over the vertices unites every edge once (from its
+///    smaller endpoint) into a \c UnionFind partition LVar
+///    (src/data/UnionFind.h), frozen on the way out of the session. Roots
+///    are class minima by construction, so label[v] is the smallest vertex
+///    id of v's component on every schedule. O(V + E) puts, no handlers.
+///
+///  * \c componentsLabelProp - min-label propagation, kept as the handler
+///    stress case: a \c MinMap (src/data/MinMap.h) seeded with each local
+///    minimum's own id, and a put-only handler that relaxes each winning
+///    label decrease across the vertex's edges through the HandlerPool's
+///    batched flush path. Labels only fall, min-joins commute, and
+///    \c quiesce detects the fixpoint, so it returns the same labels - at
+///    the cost of label-correcting churn that grows faster than the input.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +40,15 @@ namespace pbbs {
 /// Sequential reference: label[v] = min vertex id in v's component.
 std::vector<uint32_t> componentsSeq(const Graph &G);
 
-/// LVar min-label propagation; equals \c componentsSeq on every schedule.
+/// Union-find on a partition LVar; equals \c componentsSeq on every
+/// schedule.
 std::vector<uint32_t> componentsLVar(const Graph &G,
                                      const RunOptions &Opts = RunOptions());
+
+/// Min-label propagation through a handler fixpoint; equals
+/// \c componentsSeq on every schedule.
+std::vector<uint32_t> componentsLabelProp(const Graph &G,
+                                          const RunOptions &Opts = RunOptions());
 
 } // namespace pbbs
 } // namespace lvish

@@ -10,6 +10,15 @@ using namespace lvish;
 ParkSite::~ParkSite() = default;
 LayerState::~LayerState() = default;
 
+void Task::addScope(TaskScope *S, std::shared_ptr<void> Keepalive) {
+  for (TaskScope *Have : Scopes)
+    if (Have == S)
+      return;
+  Scopes.push_back(S);
+  Keepalives.push_back(std::move(Keepalive));
+  S->enter();
+}
+
 void Task::scopesOnPark() {
   for (TaskScope *S : Scopes)
     if (S->mode() == TaskScope::Mode::Runnable)
@@ -28,6 +37,13 @@ void Task::scopesOnCreate() {
 }
 
 void Task::scopesOnFinish() {
+  // Live-mode scopes first: a Runnable scope's drain wakes a waiter that
+  // may read a Live twin's count at once (DeadlockT's blocked-task
+  // report), and a finished task must no longer be counted there.
   for (TaskScope *S : Scopes)
-    S->exitOne();
+    if (S->mode() != TaskScope::Mode::Runnable)
+      S->exitOne();
+  for (TaskScope *S : Scopes)
+    if (S->mode() == TaskScope::Mode::Runnable)
+      S->exitOne();
 }

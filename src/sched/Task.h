@@ -90,8 +90,10 @@ public:
   /// the root task gets a fresh always-live node).
   std::shared_ptr<CancelNode> Cancel;
 
-  /// Scopes counting this task (handler pools, deadlock scopes). Small in
-  /// practice; copied to children on fork.
+  /// Scopes counting this task (handler pools, deadlock scopes), each at
+  /// most once (see addScope); copied to children on fork, so the list is
+  /// bounded by the number of distinct enclosing scopes, not by how many
+  /// handler generations deep the task runs.
   std::vector<TaskScope *> Scopes;
 
   /// Ownership anchors keeping the objects behind Scopes (and any other
@@ -172,6 +174,13 @@ public:
         return It->get();
     return nullptr;
   }
+
+  /// Makes \p S count this not-yet-scheduled task: appends \p S (and
+  /// \p Keepalive, which must own it) and enters it, unless the task
+  /// already inherited \p S from its parent - then it is already counted
+  /// once, and adding it again would only grow the list. Every spawn site
+  /// that puts a task under a scope goes through here.
+  void addScope(TaskScope *S, std::shared_ptr<void> Keepalive);
 
   /// Scope notifications (bodies in Task.cpp to keep TaskScope out of this
   /// header). Park/unpark only affect Runnable-mode scopes; create/finish

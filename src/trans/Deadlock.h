@@ -93,14 +93,10 @@ Par<DeadlockReport> forkWithDeadlockDetection(ParCtx<E> Ctx, F Body) {
   Task *Child = detail::installTaskRoot(*Ctx.sched(), std::move(Wrapper),
                                         Ctx.task());
   check::declareTaskEffects(Child, check::effectMask(E));
-  Child->Scopes.push_back(Runnable.get());
-  Child->Scopes.push_back(Live.get());
   // Blocked descendants may be retired long after this frame returns;
   // anchor the scopes to every task that references them.
-  Child->Keepalives.push_back(Runnable);
-  Child->Keepalives.push_back(Live);
-  Runnable->enter();
-  Live->enter();
+  Child->addScope(Runnable.get(), Runnable);
+  Child->addScope(Live.get(), Live);
   Ctx.sched()->schedule(Child);
 
   co_await detail::ScopeDrainAwaiter(Runnable, Ctx.task());

@@ -7,9 +7,11 @@
 #include "src/data/ISet.h"
 #include "src/data/IStructure.h"
 #include "src/data/MonotoneHashMap.h"
+#include "src/data/UnionFind.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -328,6 +330,74 @@ TEST(CounterVec, PerCellBumpsAndSnapshot) {
   ASSERT_EQ(Snap.size(), 16u);
   for (uint64_t V : Snap)
     EXPECT_EQ(V, 4u);
+}
+
+// -- UnionFind --------------------------------------------------------------
+
+TEST(UnionFind, UnionOrderDoesNotChangeLabels) {
+  // The partition join is commutative and idempotent: any order of the
+  // same unions, repeats included, freezes to the same labels - and each
+  // label is its class's minimum vertex.
+  using Edge = std::pair<uint32_t, uint32_t>;
+  const std::vector<Edge> Edges = {{9, 4}, {4, 7}, {1, 8}, {8, 3}, {6, 6},
+                                   {11, 2}, {2, 5}, {7, 11}, {3, 10}};
+  const std::vector<uint32_t> Want = {0, 1, 2, 1, 2, 2, 6, 2, 1, 2, 1, 2};
+  std::vector<std::vector<Edge>> Orders = {Edges, Edges, Edges};
+  std::reverse(Orders[1].begin(), Orders[1].end());
+  for (size_t I = 0; I < Edges.size(); ++I) // Swapped ends, each twice.
+    for (int Rep = 0; Rep < 2; ++Rep)
+      Orders[2].push_back({Edges[I].second, Edges[I].first});
+  for (unsigned W : {1u, 4u})
+    for (const std::vector<Edge> &Order : Orders) {
+      auto Frozen = runParThenFreeze<D>(
+          [&Order](ParCtx<D> Ctx) -> Par<std::shared_ptr<UnionFind>> {
+            auto UF = newUnionFind(Ctx, 12);
+            for (const Edge &E : Order)
+              fork(Ctx, [UF, E](ParCtx<D> C) -> Par<void> {
+                unite(C, *UF, E.first, E.second);
+                co_return;
+              });
+            co_return UF;
+          },
+          SchedulerConfig{W});
+      EXPECT_EQ(Frozen->labels(), Want) << "workers=" << W;
+    }
+}
+
+TEST(UnionFind, OnlyMergingUnionAfterFreezeFaults) {
+  for (unsigned W : {1u, 2u, 4u}) {
+    // {0,1} and {2} frozen: re-uniting 1 with 0 changes nothing.
+    auto Same = tryRunParIO<Eff::QuasiDet>(
+        [](ParCtx<Eff::QuasiDet> Ctx) -> Par<std::vector<uint32_t>> {
+          auto UF = newUnionFind(Ctx, 3);
+          unite(Ctx, *UF, 0, 1);
+          std::vector<uint32_t> Labels = freezeUnionFind(Ctx, *UF);
+          unite(Ctx, *UF, 1, 0);
+          co_return Labels;
+        },
+        SchedulerConfig{W});
+    ASSERT_TRUE(Same.ok()) << "workers=" << W;
+    EXPECT_EQ(Same.value(), (std::vector<uint32_t>{0, 0, 2}));
+    // Merging {2} into {0,1} after the freeze is a deterministic Fault,
+    // attributed to the forked writer whatever the schedule.
+    auto Merge = tryRunParIO<Eff::QuasiDet>(
+        [](ParCtx<Eff::QuasiDet> Ctx) -> Par<void> {
+          auto UF = newUnionFind(Ctx, 3);
+          auto Gate = newIVar<bool>(Ctx);
+          unite(Ctx, *UF, 0, 1);
+          fork(Ctx, [UF, Gate](ParCtx<Eff::QuasiDet> C) -> Par<void> {
+            co_await get(C, *Gate); // After the freeze...
+            unite(C, *UF, 2, 1);    // ...merge two frozen classes.
+          });
+          freezeUnionFind(Ctx, *UF);
+          put(Ctx, *Gate, true);
+          co_return;
+        },
+        SchedulerConfig{W});
+    ASSERT_FALSE(Merge.ok()) << "workers=" << W;
+    EXPECT_EQ(Merge.fault().Code, FaultCode::PutAfterFreeze);
+    EXPECT_EQ(Merge.fault().Pedigree, "L");
+  }
 }
 
 // -- IStructure -------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "src/data/ISet.h"
 #include "src/data/MinMap.h"
 #include "src/data/Stream.h"
+#include "src/data/UnionFind.h"
 #include "src/fault/FaultPlan.h"
 #include "src/obs/Telemetry.h"
 
@@ -81,7 +82,14 @@ ParOutcome<int> fanOut(SchedulerConfig C, int Kids) {
 
 /// Writes a doomed child can make without touching an IVar; each put entry
 /// point must poll the LVISH_FAULTS plan itself.
-enum class PollTarget { ISetAndCounter, MinMap, MinVec, CounterVec, Advance };
+enum class PollTarget {
+  ISetAndCounter,
+  MinMap,
+  MinVec,
+  CounterVec,
+  Advance,
+  UnionFind
+};
 
 /// fanOut's fork tree, but child i writes only through \p Target. For
 /// ISetAndCounter child i inserts i into an ISet and bumps a Counter by i,
@@ -98,8 +106,9 @@ ParOutcome<int> pollFanOut(SchedulerConfig C, int Kids, PollTarget Target) {
         auto Cells = newMinVec(Ctx, static_cast<size_t>(Kids));
         auto Bumps = newCounterVec(Ctx, static_cast<size_t>(Kids));
         auto Window = newBoundedStream<int>(Ctx, 1);
+        auto Parts = newUnionFind(Ctx, static_cast<uint32_t>(Kids));
         for (int I = 0; I < Kids; ++I) {
-          auto Body = [Set, Ctr, Labels, Cells, Bumps, Window, Target,
+          auto Body = [Set, Ctr, Labels, Cells, Bumps, Window, Parts, Target,
                        I](ParCtx<DB> C2) -> Par<void> {
             const auto U = static_cast<uint64_t>(I);
             switch (Target) {
@@ -118,6 +127,9 @@ ParOutcome<int> pollFanOut(SchedulerConfig C, int Kids, PollTarget Target) {
               break;
             case PollTarget::Advance:
               advance(C2, *Window, U + 1);
+              break;
+            case PollTarget::UnionFind:
+              unite(C2, *Parts, 0, static_cast<uint32_t>(I));
               break;
             }
             co_return;
@@ -213,7 +225,8 @@ TEST(FaultStressTest, DoomedWriterFailsAtEveryPutEntryPoint) {
     const PollTarget Targets[] = {PollTarget::ISetAndCounter,
                                   PollTarget::MinMap, PollTarget::MinVec,
                                   PollTarget::CounterVec,
-                                  PollTarget::Advance};
+                                  PollTarget::Advance,
+                                  PollTarget::UnionFind};
     for (PollTarget Target : Targets) {
       const int T = static_cast<int>(Target);
       EXPECT_EQ(sig(pollFanOut(cfg(2, 1), 6, Target)),

@@ -66,6 +66,10 @@ std::vector<uint32_t> runComponents(const RunOptions &O) {
   return componentsLVar(tinyPowerLaw(), O);
 }
 
+std::vector<uint32_t> runComponentsLabelProp(const RunOptions &O) {
+  return componentsLabelProp(tinyPowerLaw(), O);
+}
+
 std::vector<uint64_t> runHistogram(const RunOptions &O) {
   return histogramLVar(tinyKeys(), 8, O);
 }
@@ -113,6 +117,9 @@ template <typename F> void exploreSweep(const char *Name, F Program) {
 TEST(PbbsExplored, BfsLevels) { exploreSweep("bfs-levels", runBfsLevels); }
 TEST(PbbsExplored, BfsReach) { exploreSweep("bfs-reach", runBfsReach); }
 TEST(PbbsExplored, Components) { exploreSweep("components", runComponents); }
+TEST(PbbsExplored, ComponentsLabelProp) {
+  exploreSweep("components-labelprop", runComponentsLabelProp);
+}
 TEST(PbbsExplored, Histogram) { exploreSweep("histogram", runHistogram); }
 TEST(PbbsExplored, RemoveDuplicates) { exploreSweep("dedup", runDedup); }
 TEST(PbbsExplored, SpanningForest) { exploreSweep("forest", runForest); }
@@ -138,6 +145,9 @@ bool checkBfsReach(const RunOptions &O) {
 bool checkComponents(const RunOptions &O) {
   return runMatchesReference(runComponents, O);
 }
+bool checkComponentsLabelProp(const RunOptions &O) {
+  return runMatchesReference(runComponentsLabelProp, O);
+}
 bool checkHistogram(const RunOptions &O) {
   return runMatchesReference(runHistogram, O);
 }
@@ -161,6 +171,8 @@ const PinEntry Corpus[] = {
     {"bfs-reach", checkBfsReach,
      "lvx1:w2:h0c2b4e3c7506505d:0.0.0.0.0.0.0.0.0.0.0"},
     {"components", checkComponents,
+     "lvx1:w2:hb75cb1e8a33a9134:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1"},
+    {"components-labelprop", checkComponentsLabelProp,
      "lvx1:w2:hfc2b7a67945466e9:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1."
      "1.1.1"},
     {"histogram", checkHistogram,

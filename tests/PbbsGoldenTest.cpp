@@ -172,6 +172,19 @@ TEST(PbbsGolden, ConnectedComponentsMatchesSequential) {
   });
 }
 
+TEST(PbbsGolden, ComponentsLabelPropMatchesSequential) {
+  // The handler stress case: the batched-flush cascade must reach the
+  // same fixpoint as the union-find port and the sequential sweep.
+  forEachGraph([](const Graph &G) {
+    auto Ref = componentsSeq(G);
+    for (const SchedParam &P : Schedules) {
+      SCOPED_TRACE(::testing::Message() << "workers=" << P.Workers
+                                        << " steal=" << P.StealSeed);
+      EXPECT_EQ(componentsLabelProp(G, schedOptions(P)), Ref);
+    }
+  });
+}
+
 TEST(PbbsGolden, SpanningForestMatchesSequential) {
   forEachGraph([](const Graph &G) {
     EdgeList EL = toEdgeList(G);

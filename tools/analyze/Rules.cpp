@@ -95,7 +95,8 @@ const std::vector<TokenRule> &tokenRules() {
                "->joinKey", ".joinAt", "->joinAt", ".appendAt", "->appendAt",
                ".advanceTo", "->advanceTo", ".markFrozen", "->markFrozen",
                ".freezeNow", "->freezeNow", ".freezeFor", "->freezeFor",
-               ".addHandlerRaw", "->addHandlerRaw"}),
+               ".mergeClasses", "->mergeClasses", ".addHandlerRaw",
+               "->addHandlerRaw"}),
        {"/core/", "/data/", "/service/", "tests/", "examples/"},
        "direct LVar state access skips the ParCtx effect requirements and "
        "session checks",

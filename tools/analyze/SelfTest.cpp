@@ -89,6 +89,9 @@ int selfTest() {
                 "S.appendAt(0, X, T);\nB->advanceTo(4, T);\n"
                 "auto View = S.freezeNow(T);\n"),
          5, "state-bypass fires on the MinMap/MinVec/Stream entry points");
+  Expect(Errors("src/pbbs/X.cpp",
+                "UF->mergeClasses(0, 1, T);\nP.mergeClasses(2, 3, T);\n"),
+         2, "state-bypass fires on the raw UnionFind union");
   Expect(Errors("src/sim/X.cpp", "put(Ctx, IV, 1);\n"), 0,
          "ParCtx wrapper put is clean");
   Expect(Errors("src/sim/X.cpp", "C.bumper();\n"), 0,
