@@ -14,7 +14,11 @@
 ///    change nothing;
 ///  * \c freezeFor, the prologue of every freeze* entry point;
 ///  * the handler list (\c HandledLVar), guarded by the footnote-6
-///    asymmetric put/registration gate alone;
+///    asymmetric put/registration gate alone. The gate (8 KB of per-thread
+///    slots) lives in HandledLVar, not here: an LVar that can never hold
+///    a handler (IVar, Counter, CounterVec, MinVec, UnionFind) has no
+///    registration to order its puts against, so it stays a few hundred
+///    bytes;
 ///  * the blocking threshold read (\c ThresholdAwaiter), parked in the
 ///    sharded waiter table below;
 ///  * the freeze bit and the session id standing in for the paper's `s`
@@ -35,10 +39,12 @@
 ///    N), which is what lets the heap stop at the first unsatisfied
 ///    threshold.
 ///
-/// Park/wake protocol (no lost wakeups): the parker PUBLISHES its entry
-/// (bucket push + count/watermark update), issues a seq_cst fence, and
-/// only then re-checks the threshold, withdrawing the entry if it is
-/// already satisfied. A put applies its state change, issues a seq_cst
+/// Park/wake protocol (no lost wakeups): the parker first probes the
+/// threshold under the bucket lock and returns at once when it already
+/// holds - a satisfied read publishes nothing. Otherwise it PUBLISHES its
+/// entry (bucket push + count/watermark update), issues a seq_cst fence,
+/// and only then re-checks the threshold, withdrawing the entry if it is
+/// satisfied by now. A put applies its state change, issues a seq_cst
 /// fence, and then reads the bucket counts/watermark to decide whether to
 /// scan. This is the store-buffering (Dekker) pattern: the put missing the
 /// published entry AND the parker missing the state change cannot both
@@ -285,6 +291,9 @@ protected:
     if (Slot.K == WaitSlot::Kind::Size) {
       SizeWaiters &L = sizeList();
       std::lock_guard<std::mutex> Lock(L.Mu);
+      // Probe first: an already-satisfied read publishes nothing.
+      if (A->tryCapture())
+        return false;
       // Publish-then-recheck: entry and lowered watermark first, fence,
       // then the threshold probe (see file comment).
       L.Heap.push_back(SizeWaiter{Slot.Value, Entry});
@@ -316,6 +325,11 @@ protected:
       SlotIdx = Idx + 1;
     }
     std::lock_guard<std::mutex> Lock(B->Mu);
+    // Probe first: an already-satisfied read (the common get of a full
+    // IVar) does no waiter push or pop and no fence. Only a read that
+    // fails here publishes and re-checks.
+    if (A->tryCapture())
+      return false;
     B->Waiters.push_back(Entry);
     B->Count.fetch_add(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -454,10 +468,6 @@ protected:
   /// is still this base's, never a new one, which is exactly what the
   /// raw-sync analyzer rule is guarding.
   using StateGuard = std::lock_guard<std::mutex>;
-
-  /// Footnote-6 gate: puts take the fast side; handler registration takes
-  /// the slow side. See src/support/AsymmetricGate.h.
-  AsymmetricGate HandlerGate;
 
 private:
   /// Key-bucket fan-out; power of two. 16 shards keeps the per-LVar lazy
@@ -614,6 +624,10 @@ public:
   }
 
 protected:
+  /// Footnote-6 gate: puts take the fast side; handler registration takes
+  /// the slow side. See src/support/AsymmetricGate.h.
+  AsymmetricGate HandlerGate;
+
   /// Delivers the current contents to a newly registered handler. Runs on
   /// the gate's slow side, so no put is in flight.
   virtual void replayTo(const Handler &H) = 0;

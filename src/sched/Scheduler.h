@@ -144,12 +144,10 @@ public:
       std::shared_ptr<CancelNode> SessionRoot);
 
   /// Stamps a freshly installed session root (Task::Session /
-  /// Task::SessionId / Task::Cancel) under the task-registry lock.
-  /// createTask publishes the root into the registry before the driver
-  /// can stamp it, and finishSession scans the registry from other
-  /// threads reading Task::Session - so the stamp must synchronize with
-  /// that scan. Child tasks inherit these fields inside createTask and
-  /// never need this.
+  /// Task::SessionId / Task::Cancel) and links it into \p S's task
+  /// registry. createTask cannot register a root (it has no session yet);
+  /// child tasks inherit these fields and join their session's registry
+  /// inside createTask and never need this.
   void bindSessionRoot(Task *Root, std::shared_ptr<SessionState> S,
                        std::shared_ptr<CancelNode> Cancel);
 
@@ -184,9 +182,11 @@ public:
   /// Reaps every task of session \p S still registered (all are
   /// permanently parked at this point), unregisters the session from the
   /// table, and returns how many tasks were reaped. Requires the session
-  /// to be quiescent (Pending == 0). Sibling sessions are untouched:
-  /// LVars are session-local (LVarBase::checkSession), so reaping one
-  /// session's park sites can never wake another's waiters.
+  /// to be quiescent (Pending == 0). Walks only \p S's own registry, so
+  /// its cost is O(this session's leftovers) and sibling sessions are
+  /// neither visited nor touched: LVars are session-local
+  /// (LVarBase::checkSession), so reaping one session's park sites can
+  /// never wake another's waiters.
   size_t finishSession(SessionState &S);
 
   /// Records \p F as its session's fault - routed by F.SessionId through
@@ -258,17 +258,17 @@ private:
   Task *tryInjected();
   /// Enqueues \p T on its session's inject queue (round-robin drained).
   void pushInjected(Task *T);
-  /// Bumps the global pending count and \p T's session count.
+  /// Bumps \p T's session pending count (and, in explore mode only, the
+  /// global PendingWork).
   void addPending(Task *T);
-  /// Drops both counts for a still-live task (park path).
+  /// Drops the counts for a still-live task (park path).
   void removePending(Task *T);
-  /// Drops both counts when the task may already be destroyed (retire
+  /// Drops the counts when the task may already be destroyed (retire
   /// paths capture the shared session state first). Fires the session's
   /// quiescence CV/observer when its count hits zero.
   void removePendingFor(const std::shared_ptr<SessionState> &S);
+  /// Destroys \p T (scopes, registry, frame) and recycles its storage.
   void retire(Task *T);
-  void registryAdd(Task *T);
-  void registryRemove(Task *T);
   void sliceEnd(Task *T);
   void sliceBegin(Task *T);
   /// Ends the current slice and opens a new one (at fork and wake points);
@@ -283,9 +283,10 @@ private:
   std::vector<std::unique_ptr<Worker>> Workers;
   std::atomic<bool> Shutdown{false};
 
-  /// Tasks that are runnable or currently running, across ALL sessions.
-  /// Zero means full-pool quiescence; the explore driver loops on it.
-  /// Per-session quiescence is SessionState::Pending.
+  /// Explore mode only: tasks that are runnable or running, across ALL
+  /// sessions; the explore driver loops until it is zero. Threaded runs
+  /// never touch it, saving a shared RMW on every schedule and finish:
+  /// their quiescence is SessionState::Pending alone.
   std::atomic<int64_t> PendingWork{0};
 
   std::atomic<uint64_t> NextSessionId{1};
@@ -308,13 +309,10 @@ private:
   std::condition_variable IdleCV;
   std::atomic<int> SleeperCount{0};
 
-  // Live sessions, keyed by id (raiseFault routes through this).
+  // Live sessions, keyed by id (raiseFault routes through this). Each
+  // session keeps its own task registry (SessionState::TaskHead).
   mutable std::mutex SessionsMutex;
   std::unordered_map<uint64_t, std::shared_ptr<SessionState>> Sessions;
-
-  // Registry of all live tasks (intrusive list through Task::RegPrev/Next).
-  std::mutex RegistryMutex;
-  Task *RegistryHead = nullptr;
 };
 
 } // namespace lvish

@@ -39,6 +39,8 @@
 
 namespace lvish {
 
+class Task;
+
 /// Per-session scheduler state; see file comment. Fields are manipulated
 /// by the owning Scheduler only (callers go through the Scheduler's
 /// session API).
@@ -49,9 +51,20 @@ public:
 
   /// Tasks of THIS session that are runnable or running. Zero means the
   /// session is quiescent: nothing of this session can ever create work
-  /// again. The scheduler's global PendingWork counts all sessions (the
-  /// explore driver loops on it); this one scopes quiescence per session.
+  /// again. Threaded quiescence is this counter alone; the scheduler's
+  /// global PendingWork is kept only in explore mode, where the explore
+  /// driver loops on it.
   std::atomic<int64_t> Pending{0};
+
+  /// Guards TaskHead and the intrusive Task::RegPrev/RegNext links of
+  /// this session's tasks.
+  std::mutex TasksMutex;
+
+  /// The session's task registry: every live task of THIS session (an
+  /// intrusive list through Task::RegPrev/RegNext), so finishSession
+  /// reaps its leftovers without visiting any sibling session's tasks.
+  /// Children join at createTask; the root joins at bindSessionRoot.
+  Task *TaskHead = nullptr;
 
   /// The session root's cancellation node: what raiseFault cancels to
   /// contain a fault to this session.

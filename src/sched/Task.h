@@ -55,8 +55,10 @@ public:
   virtual const void *typeKey() const = 0;
 };
 
-/// The scheduler's unit of work; see file comment. Tasks are heap-allocated
-/// and owned by the scheduler from creation to retirement.
+/// The scheduler's unit of work; see file comment. Tasks are owned by the
+/// scheduler from creation to retirement; their storage is recycled
+/// through a small per-thread cache (Scheduler::createTask / retire), and
+/// every creation constructs a fresh Task in it.
 class alignas(64) Task {
 public:
   Task() = default;
@@ -120,7 +122,7 @@ public:
   uint64_t SliceStart = 0;  ///< Start timestamp of the open slice.
   uint64_t SliceBytes = 0;  ///< noteBytes accumulated in the open slice.
 
-  // -- Intrusive registry list (guarded by the scheduler's registry lock) -
+  // -- Intrusive registry list (guarded by SessionState::TasksMutex) ------
   Task *RegPrev = nullptr;
   Task *RegNext = nullptr;
 

@@ -6,8 +6,10 @@
 #include "src/data/IMap.h"
 #include "src/data/ISet.h"
 #include "src/data/IStructure.h"
+#include "src/data/MinMap.h"
 #include "src/data/MonotoneHashMap.h"
 #include "src/data/UnionFind.h"
+#include "src/support/AsymmetricGate.h"
 
 #include <gtest/gtest.h>
 
@@ -419,6 +421,26 @@ TEST(IStructure, DataflowArray) {
       },
       SchedulerConfig{4});
   EXPECT_EQ(Last, 64);
+}
+
+// -- Footprint: the handler gate stays out of handler-free LVars ---------
+
+// Every fork-join point allocates an IVar, so an LVar that can never hold
+// a handler must not carry the footnote-6 gate (128 per-thread slots,
+// about 8 KB); only HandledLVar does. A compile-time guard, so the gate
+// cannot creep back into LVarBase.
+constexpr size_t LeanLVarBytes = 512;
+static_assert(sizeof(IVar<uint64_t>) <= LeanLVarBytes);
+static_assert(sizeof(Counter) <= LeanLVarBytes);
+static_assert(sizeof(CounterVec) <= LeanLVarBytes);
+static_assert(sizeof(MinVec) <= LeanLVarBytes);
+static_assert(sizeof(UnionFind) <= LeanLVarBytes);
+
+TEST(LVarFootprint, OnlyHandledLVarsCarryTheGate) {
+  EXPECT_LT(sizeof(IVar<uint64_t>), sizeof(AsymmetricGate));
+  EXPECT_GT(sizeof(ISet<uint64_t>), sizeof(AsymmetricGate));
+  EXPECT_GT((sizeof(IMap<uint64_t, uint64_t>)), sizeof(AsymmetricGate));
+  EXPECT_GT(sizeof(MinMap<uint64_t>), sizeof(AsymmetricGate));
 }
 
 } // namespace

@@ -13,6 +13,10 @@
 /// neighbors finish untouched; explore-mode sessions either own the
 /// Runtime's scheduling outright or are rejected deterministically; and
 /// MaxActiveSessions really bounds concurrency with FIFO admission.
+/// Finishing a session reaps its leftovers from its own task registry
+/// without touching a sibling's tasks, and a pool whose Task storage was
+/// recycled through faulted, cancelled, and layered sessions runs the
+/// next session exactly like a fresh one.
 ///
 /// The ci.sh `service` stage reruns this binary under ThreadSanitizer -
 /// the cross-session code paths (shared waiter buckets, per-session
@@ -26,12 +30,18 @@
 #include "src/data/Stream.h"
 #include "src/explore/SchedulePlan.h"
 #include "src/service/Runtime.h"
+#include "src/trans/Cancel.h"
+#include "src/trans/Deadlock.h"
+#include "src/trans/ParST.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 using namespace lvish;
@@ -331,6 +341,225 @@ TEST(ServiceRuntime, PerSessionStatsDeltasOnSharedPool) {
   EXPECT_EQ(B.TasksCreated, 4u);
   EXPECT_EQ(RT.scheduler().stats().TasksCreated, 8u)
       << "pool cumulative stats keep the whole history";
+}
+
+TEST(ServiceRuntime, FinishReapsOnlyTheSessionsOwnTasks) {
+  // Session B keeps live tasks on the pool - spinning children and a root
+  // parked on waitSize - while sessions A1 and A2 finish with parked
+  // leftovers. Each finish walks only its own session's task registry:
+  // A1's leak report counts exactly A1's tasks, and B's tasks run on
+  // undisturbed afterwards.
+  constexpr int Spinners = 5;
+  constexpr int Blocked = 7;
+  service::Runtime RT({.Sched = {.NumWorkers = 2}});
+  std::atomic<bool> Release{false};
+  std::atomic<int> Started{0};
+  auto FB = RT.submitIO<IOE>(
+      [&Release, &Started](ParCtx<IOE> Ctx) -> Par<uint64_t> {
+        auto Done = newISet<int>(Ctx);
+        for (int I = 0; I < Spinners; ++I)
+          fork(Ctx, [&Release, &Started, Done, I](ParCtx<IOE> C) -> Par<void> {
+            Started.fetch_add(1, std::memory_order_acq_rel);
+            while (!Release.load(std::memory_order_acquire))
+              co_await yield(C);
+            insert(C, *Done, I);
+          });
+        co_await waitSize(Ctx, *Done, Spinners);
+        co_return Done->sizeNow();
+      });
+  while (Started.load(std::memory_order_acquire) < Spinners)
+    std::this_thread::yield();
+
+  // A1: the root and Blocked children all park forever on one IVar.
+  auto OA1 = RT.run<D>([](ParCtx<D> Ctx) -> Par<int> {
+    auto Never = newIVar<int>(Ctx);
+    for (int I = 0; I < Blocked; ++I)
+      fork(Ctx, [Never](ParCtx<D> C) -> Par<void> {
+        int V = co_await get(C, *Never);
+        (void)V;
+      });
+    co_return co_await get(Ctx, *Never);
+  });
+  ASSERT_FALSE(OA1.ok());
+  EXPECT_EQ(OA1.fault().Code, FaultCode::DeadlockLeakedTasks);
+  EXPECT_NE(OA1.fault().Message.find(std::to_string(Blocked) +
+                                     " other blocked task(s) leaked"),
+            std::string::npos)
+      << "the reap counted tasks outside the session: "
+      << OA1.fault().Message;
+
+  // A2: the root returns; its Blocked children are reaped silently.
+  auto OA2 = RT.run<D>([](ParCtx<D> Ctx) -> Par<int> {
+    auto Never = newIVar<int>(Ctx);
+    for (int I = 0; I < Blocked; ++I)
+      fork(Ctx, [Never](ParCtx<D> C) -> Par<void> {
+        int V = co_await get(C, *Never);
+        (void)V;
+      });
+    co_return 11;
+  });
+  ASSERT_TRUE(OA2.ok()) << OA2.fault().Message;
+  EXPECT_EQ(OA2.value(), 11);
+
+  EXPECT_FALSE(FB.ready()) << "a sibling's finish disturbed session B";
+  Release.store(true, std::memory_order_release);
+  auto OB = FB.get();
+  ASSERT_TRUE(OB.ok()) << OB.fault().Message;
+  EXPECT_EQ(OB.value(), static_cast<uint64_t>(Spinners));
+}
+
+/// Fork tree of depth \p Depth; leaf \p Slot records its task's pedigree.
+/// Left subtrees are forked and joined through an IVar, so at one worker
+/// every join parks and is woken.
+Par<uint64_t> pedigreeTree(ParCtx<D> Ctx, unsigned Depth, unsigned Slot,
+                           std::shared_ptr<std::vector<std::string>> Peds) {
+  if (Depth == 0) {
+    (*Peds)[Slot] = Ctx.task()->pedigreeString();
+    co_return Slot + 1;
+  }
+  auto Left = newIVar<uint64_t>(Ctx);
+  auto LeftBody = [Left, Depth, Slot, Peds](ParCtx<D> C) -> Par<void> {
+    uint64_t V = co_await pedigreeTree(C, Depth - 1, 2 * Slot, Peds);
+    put(C, *Left, V);
+  };
+  fork(Ctx, LeftBody);
+  uint64_t R = co_await pedigreeTree(Ctx, Depth - 1, 2 * Slot + 1, Peds);
+  uint64_t L = co_await get(Ctx, *Left);
+  co_return L + R;
+}
+
+struct PlainRun {
+  uint64_t Value = 0;
+  std::vector<std::string> Peds;
+  SchedulerStats Stats;
+};
+
+PlainRun runPlainSession(service::Runtime &RT) {
+  constexpr unsigned Depth = 4;
+  auto Peds = std::make_shared<std::vector<std::string>>(1u << Depth);
+  PlainRun Out;
+  service::SessionOptions Opts;
+  Opts.StatsOut = &Out.Stats;
+  auto O = RT.run<D>(
+      [Peds](ParCtx<D> Ctx) -> Par<uint64_t> {
+        co_return co_await pedigreeTree(Ctx, Depth, 0, Peds);
+      },
+      Opts);
+  EXPECT_TRUE(O.ok()) << O.fault().Message;
+  Out.Value = O.ok() ? O.value() : 0;
+  Out.Peds = *Peds;
+  return Out;
+}
+
+TEST(ServiceRuntime, RecycledTasksLeaveNoTrace) {
+  // Task storage is recycled through a per-thread cache. Dirty it with
+  // every retire path - a faulted session, a budget-cancelled one with a
+  // cancelled future, and one under a handler pool, a deadlock scope and
+  // a ParST layer, all leaving parked tasks to reap - then check that a
+  // plain session on that pool matches one on a fresh pool exactly.
+  PlainRun Fresh;
+  {
+    service::Runtime RT({.Sched = {.NumWorkers = 1}});
+    Fresh = runPlainSession(RT);
+  }
+  EXPECT_EQ(Fresh.Value, (16u * 17u) / 2u);
+
+  service::Runtime RT({.Sched = {.NumWorkers = 1}});
+  auto Faulted = RT.run<D>([](ParCtx<D> Ctx) -> Par<int> {
+    auto Never = newIVar<int>(Ctx);
+    for (int I = 0; I < 4; ++I)
+      fork(Ctx, [Never](ParCtx<D> C) -> Par<void> {
+        int V = co_await get(C, *Never);
+        (void)V;
+      });
+    auto IV = newIVar<int>(Ctx);
+    fork(Ctx, [IV](ParCtx<D> C) -> Par<void> {
+      put(C, *IV, 1);
+      co_return;
+    });
+    put(Ctx, *IV, 2);
+    co_return co_await get(Ctx, *IV);
+  });
+  ASSERT_FALSE(Faulted.ok());
+  EXPECT_EQ(Faulted.fault().Code, FaultCode::ConflictingPut);
+
+  service::SessionOptions Kill;
+  Kill.MaxSteps = 24;
+  auto Cancelled = RT.runIO<IOE>(
+      [](ParCtx<IOE> Ctx) -> Par<int> {
+        auto Fut = forkCancelable(Ctx, [](ParCtx<Eff::ReadOnly> C) -> Par<int> {
+          for (;;)
+            co_await yield(C);
+          co_return 0;
+        });
+        cancel(Ctx, Fut);
+        for (int I = 0; I < 4; ++I)
+          fork(Ctx, [](ParCtx<IOE> C) -> Par<void> {
+            for (;;)
+              co_await yield(C);
+          });
+        for (;;)
+          co_await yield(Ctx);
+        co_return -1;
+      },
+      Kill);
+  ASSERT_FALSE(Cancelled.ok());
+  EXPECT_EQ(Cancelled.fault().Code, FaultCode::BudgetExceeded);
+
+  auto Layered = RT.run<D>([](ParCtx<D> Ctx) -> Par<uint64_t> {
+    auto Body = [](ParCtx<D> C) -> Par<void> {
+      auto S = newISet<uint64_t>(C);
+      auto Pool = newPool(C);
+      [[maybe_unused]] HandlerHandle H = addHandlerRef(
+          C, Pool, *S,
+          [](ParCtx<D> HC, ISet<uint64_t> &Set, const uint64_t &X)
+              -> Par<void> {
+            if (X + 1 < 16)
+              insert(HC, Set, X + 1);
+            co_return;
+          });
+      insert(C, *S, uint64_t{0});
+      co_await quiesce(C, Pool);
+      auto Never = newIVar<int>(C);
+      fork(C, [Never](ParCtx<D> C2) -> Par<void> {
+        int V = co_await get(C2, *Never);
+        (void)V;
+      });
+    };
+    DeadlockReport Rep = co_await forkWithDeadlockDetection(Ctx, Body);
+    auto Split = [](ParCtx<Eff::DetST> C,
+                    VecView<uint64_t> V) -> Par<uint64_t> {
+      auto LeftB = [](ParCtx<Eff::DetST>, VecView<uint64_t> L) -> Par<void> {
+        L[0] = 10;
+        co_return;
+      };
+      auto RightB = [](ParCtx<Eff::DetST>, VecView<uint64_t> R) -> Par<void> {
+        R[0] = 20;
+        co_return;
+      };
+      co_await forkSTSplit(C, V, 4, LeftB, RightB);
+      uint64_t Sum = 0;
+      for (size_t I = 0; I < V.size(); ++I)
+        Sum += V[I];
+      co_return Sum;
+    };
+    uint64_t Sum = co_await runParVec(Ctx, 8, uint64_t{1}, Split);
+    co_return Rep.BlockedTasks * 1000 + Sum;
+  });
+  ASSERT_TRUE(Layered.ok()) << Layered.fault().Message;
+  EXPECT_EQ(Layered.value(), 1000u + 10u + 20u + 6u);
+
+  PlainRun Reused = runPlainSession(RT);
+  EXPECT_EQ(Reused.Value, Fresh.Value);
+  EXPECT_EQ(Reused.Peds, Fresh.Peds);
+  EXPECT_EQ(Reused.Stats.TasksCreated, Fresh.Stats.TasksCreated);
+  EXPECT_EQ(Reused.Stats.TasksExecuted, Fresh.Stats.TasksExecuted);
+  EXPECT_EQ(Reused.Stats.LocalPops, Fresh.Stats.LocalPops);
+  EXPECT_EQ(Reused.Stats.StealAttempts, Fresh.Stats.StealAttempts);
+  EXPECT_EQ(Reused.Stats.Steals, Fresh.Stats.Steals);
+  EXPECT_EQ(Reused.Stats.Parks, Fresh.Stats.Parks);
+  EXPECT_EQ(Reused.Stats.Wakes, Fresh.Stats.Wakes);
+  EXPECT_GT(Fresh.Stats.Parks, 0u) << "the plain session must park";
 }
 
 } // namespace

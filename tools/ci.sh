@@ -23,8 +23,9 @@
 #              flush (nested forkBody resumes, src/core/HandlerPool.h).
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
-#              tools/bench-report, then prints a non-fatal bench-report
-#              diff of the committed bench/baselines/ pre/post JSONs.
+#              tools/bench-report, then prints non-fatal bench-report
+#              diffs of the committed bench/baselines/ pre/post JSON
+#              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post}).
 #              Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
@@ -166,6 +167,12 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report diff \
         bench/baselines/micro_lvar_pre.json \
         bench/baselines/micro_lvar_post.json \
+        || echo "bench-report diff failed (non-fatal)"
+      # The lean fork-join pair: gate-free IVars, recycled tasks,
+      # probe-before-publish gets, per-session task registries.
+      ./build-ci-release/tools/bench-report diff \
+        bench/baselines/micro_lvar_lean_pre.json \
+        bench/baselines/micro_lvar_lean_post.json \
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
