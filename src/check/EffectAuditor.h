@@ -16,9 +16,9 @@
 /// about ("no effect typing; manual ... discipline error-prone").
 ///
 /// The auditor closes the loop dynamically. Each task carries
-///  * a *declared* effect mask, stamped at the spawn path (fork, runPar,
-///    forkCancelable, handler tasks, deadlock scopes) from the effect level
-///    the body was forked at;
+///  * a *declared* effect mask, stamped by the one spawn routine (for
+///    fork, runPar, forkCancelable, handler tasks, deadlock scopes) from
+///    the effect level the body was forked at;
 ///  * a *performed* mask, accumulated by the structure-level mutators and
 ///    parkGet - the chokepoints every effect funnels through regardless of
 ///    how its context was obtained.
@@ -49,8 +49,8 @@ namespace check {
 
 #if LVISH_CHECK
 
-/// Stamps \p T's declared effect mask; called on every task spawn path
-/// with the effect level the body was forked at.
+/// Stamps \p T's declared effect mask; called by detail::launchTask, the
+/// one spawn routine, with the effect level the body was forked at.
 inline void declareTaskEffects(Task *T, uint8_t Mask) {
   T->DeclaredFx = Mask;
 }

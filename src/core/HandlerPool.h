@@ -94,6 +94,29 @@ public:
   std::atomic<uint64_t> Registrations{0};
 };
 
+namespace detail {
+
+/// Root of a flush task: runs every thunk in \p B - and whatever lands in
+/// it meanwhile - then disarms the batch.
+inline Par<void> flushBatch(HandlerPool::WorkerBatch *B) {
+  std::vector<std::function<Par<void>()>> Local;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> Lock(B->Mu);
+      if (B->Pending.empty()) {
+        B->FlushArmed = false;
+        break;
+      }
+      Local.swap(B->Pending);
+    }
+    for (auto &Thunk : Local)
+      co_await Thunk();
+    Local.clear();
+  }
+}
+
+} // namespace detail
+
 /// Names one handler registration (which pool, which ordinal). Returned by
 /// \c addHandler so callers can tie a registration to its pool - e.g. to
 /// keep the pool alive or to quiesce the right pool later.
@@ -148,11 +171,11 @@ template <EffectSet E, typename LVarT, typename F>
           bool Spawn = false;
           {
             std::lock_guard<std::mutex> Lock(B.Mu);
+            // The thunk runs on the flush task, and its D and Callback
+            // live in the flush's Local until the callback completes.
             B.Pending.push_back([Callback, D]() -> Par<void> {
-              return detail::forkBody<E>(
-                  [Callback, D](ParCtx<E> C) -> Par<void> {
-                    co_await Callback(C, D);
-                  });
+              return Callback(
+                  detail::CtxAccess::make<E>(Scheduler::currentTask()), D);
             });
             if (!B.FlushArmed) {
               B.FlushArmed = true;
@@ -165,36 +188,16 @@ template <EffectSet E, typename LVarT, typename F>
           }
           if (!Spawn)
             return; // An armed flush task will pick the delta up.
-          Task *Spawner = Scheduler::currentTask();
-          HandlerPool::WorkerBatch *BP = &B;
-          Par<void> Body = detail::forkBody<E>(
-              [BP](ParCtx<E>) -> Par<void> {
-                std::vector<std::function<Par<void>()>> Local;
-                for (;;) {
-                  {
-                    std::lock_guard<std::mutex> Lock(BP->Mu);
-                    if (BP->Pending.empty()) {
-                      BP->FlushArmed = false;
-                      break;
-                    }
-                    Local.swap(BP->Pending);
-                  }
-                  for (auto &Thunk : Local)
-                    co_await Thunk();
-                  Local.clear();
-                }
-              });
-          Task *T = detail::installTaskRoot(*Sched, std::move(Body), Spawner);
-          check::declareTaskEffects(
-              T, Pool->BatchFx.load(std::memory_order_relaxed));
-          // The task takes over the count entered at arming (Batches must
-          // outlive it, hence the keepalive). A flush spawned from another
-          // task of this pool already inherited the scope and is counted
-          // through that entry instead.
-          T->addScope(&Pool->Scope, Pool);
+          // The scope entry pins the pool, and so B, for the flush task.
+          detail::launchTask(
+              *Sched, detail::flushBatch(&B), Scheduler::currentTask(),
+              Pool->BatchFx.load(std::memory_order_relaxed),
+              {std::shared_ptr<TaskScope>(Pool, &Pool->Scope)});
+          // The task now counts itself (a flush spawned from another task
+          // of this pool inherited the scope and counts through that
+          // entry): hand off the count entered at arming.
           Pool->Scope.exitOne();
           obs::count(obs::Event::HandlerBatchFlushes);
-          Sched->schedule(T);
         },
         Ctx.task());
   } else {
@@ -204,18 +207,18 @@ template <EffectSet E, typename LVarT, typename F>
         [Sched, Pool, Callback](const Delta &D) {
           // Runs synchronously inside the put (or registration); spawn the
           // user callback as its own task so the put does not block.
-          Task *Spawner = Scheduler::currentTask();
           obs::count(obs::Event::HandlerInvocations);
-          Par<void> Body = detail::forkBody<E>(
-              [Callback, D](ParCtx<E> C) -> Par<void> {
-                co_await Callback(C, D);
-              });
-          Task *T = detail::installTaskRoot(*Sched, std::move(Body), Spawner);
-          check::declareTaskEffects(T, check::effectMask(E));
+          // A plain adaptor, not a coroutine: forkBody's frame owns it, so
+          // Callback and D outlive the callback's own frame.
+          auto Invoke = [Callback, D](ParCtx<E> C) -> Par<void> {
+            return Callback(C, D);
+          };
           // A handler spawned from another task of this pool (the
           // fixpoint idiom) already inherited the scope.
-          T->addScope(&Pool->Scope, Pool); // Scope must outlive the task.
-          Sched->schedule(T);
+          detail::launchTask(
+              *Sched, detail::forkBody<E>(std::move(Invoke)),
+              Scheduler::currentTask(), check::effectMask(E),
+              {std::shared_ptr<TaskScope>(Pool, &Pool->Scope)});
         },
         Ctx.task());
   }

@@ -316,22 +316,27 @@ template <EffectSet E, typename F> Par<void> forkBody(F Body) {
   co_await Body(Ctx);
 }
 
-/// Installs \p P as the root coroutine of a new task under \p Parent
-/// (without scheduling it). Shared by fork, runPar, and the
-/// cancellation/deadlock transformers.
-inline Task *installTaskRoot(Scheduler &Sched, Par<void> P, Task *Parent) {
-  auto H = P.release();
-  assert(H && "installing an empty Par as a task");
-  Task *T = Sched.createTask(H, Parent);
+/// The one routine that spawns a task: creates it with \p Body as its
+/// root coroutine under \p Parent - or, when \p Parent is null, as the
+/// root of \p Session - declares its effect mask \p Fx, enters it into
+/// \p Scopes on top of the scopes it inherits, gives it \p FreshCancel
+/// instead of the inherited cancellation node when that is non-null, and
+/// schedules it. fork, both handler dispatch paths, forkCancelable,
+/// forkWithDeadlockDetection and the session launcher all come here;
+/// Scheduler::createTask is private to it. The task may run, and even
+/// retire, before this returns.
+inline void launchTask(
+    Scheduler &Sched, Par<void> Body, Task *Parent, uint8_t Fx,
+    std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
+    std::shared_ptr<CancelNode> FreshCancel,
+    std::shared_ptr<SessionState> Session) {
+  auto H = Body.release();
+  assert(H && "launching an empty Par as a task");
+  Task *T = Sched.createTask(H, Parent, Scopes, std::move(FreshCancel),
+                             std::move(Session));
   H.promise().OwnerTask = T;
-  return T;
-}
-
-/// Installs and immediately schedules a new task under \p Parent.
-inline Task *spawnTaskRoot(Scheduler &Sched, Par<void> P, Task *Parent) {
-  Task *T = installTaskRoot(Sched, std::move(P), Parent);
+  check::declareTaskEffects(T, Fx);
   Sched.schedule(T);
-  return T;
 }
 
 } // namespace detail
@@ -345,10 +350,8 @@ template <EffectSet E, typename F> void fork(ParCtx<E> Ctx, F Body) {
                 "fork body must be callable as Par<void>(ParCtx<E>)");
   // LVISH_FAULTS allocation-failure shim (no-op otherwise).
   fault::injectSpawn(Ctx.task());
-  Par<void> P = detail::forkBody<E>(std::move(Body));
-  Task *T = detail::installTaskRoot(*Ctx.sched(), std::move(P), Ctx.task());
-  check::declareTaskEffects(T, check::effectMask(E));
-  Ctx.sched()->schedule(T);
+  detail::launchTask(*Ctx.sched(), detail::forkBody<E>(std::move(Body)),
+                     Ctx.task(), check::effectMask(E));
 }
 
 /// Cooperative yield: reschedules the current task, letting siblings run.

@@ -3,7 +3,6 @@
 #include "src/obs/ChromeTrace.h"
 
 #include "src/obs/Json.h"
-#include "src/obs/Telemetry.h"
 #include "src/sched/Trace.h"
 
 #include <algorithm>
@@ -40,36 +39,27 @@ void emitEvent(JsonWriter &W, std::string_view Name, uint64_t StartNanos,
 } // namespace
 
 std::string obs::chromeTraceJson(const TraceRecorder *Rec) {
-  std::vector<SpanRecord> Spans = spanLog();
-
-  // Normalize to the earliest timestamp on either source. Slices recorded
-  // without a start timestamp (hand-built traces) are skipped: they have
-  // no place on a wall-clock timeline.
+  // Normalize to the earliest slice. Slices recorded without a start
+  // timestamp (hand-built traces) are skipped: they have no place on a
+  // wall-clock timeline.
   uint64_t Base = std::numeric_limits<uint64_t>::max();
-  for (const SpanRecord &S : Spans)
-    Base = std::min(Base, S.StartNanos);
   if (Rec)
     for (const TraceSlice &S : Rec->slices())
       if (S.StartNanos)
         Base = std::min(Base, S.StartNanos);
-  if (Base == std::numeric_limits<uint64_t>::max())
-    Base = 0;
 
   JsonWriter W;
   W.beginObject();
   W.key("traceEvents");
   W.beginArray();
-  for (const SpanRecord &S : Spans)
-    emitEvent(W, S.Name, S.StartNanos, S.DurationNanos, Base, /*Tid=*/0);
   if (Rec) {
     char Name[32];
     for (const TraceSlice &S : Rec->slices()) {
       if (!S.StartNanos)
         continue;
-      // Lane per task; +1 keeps task 0 off the span lane.
+      // One lane per task.
       std::snprintf(Name, sizeof(Name), "task %u", S.Task);
-      emitEvent(W, Name, S.StartNanos, S.DurationNanos, Base,
-                uint64_t(S.Task) + 1);
+      emitEvent(W, Name, S.StartNanos, S.DurationNanos, Base, S.Task);
     }
   }
   W.endArray();

@@ -7,15 +7,11 @@
 ///
 /// \file
 /// Exports scheduler activity as a Chrome trace-event JSON file (load it
-/// at chrome://tracing or https://ui.perfetto.dev). Two sources are
-/// merged into one timeline:
-///
-///   * TraceRecorder slices - every recorded execution slice becomes a
-///     complete ("ph":"X") event on a per-task lane, using the slice's
-///     wall-clock start timestamp (TraceSlice::StartNanos) and measured
-///     duration;
-///   * the obs::Span log - harness- or user-level scoped timers, on a
-///     dedicated "spans" lane (thread id 0).
+/// at chrome://tracing or https://ui.perfetto.dev). Every TraceRecorder
+/// slice becomes a complete ("ph":"X") event on its task's lane, using the
+/// slice's wall-clock start timestamp (TraceSlice::StartNanos) and
+/// measured duration. The recorder is the one trace channel: the
+/// parallelism simulator (src/sim) reads the same slices.
 ///
 /// Timestamps are normalized so the earliest event starts at t=0.
 ///
@@ -32,8 +28,8 @@ class TraceRecorder;
 
 namespace obs {
 
-/// Renders the merged trace as a JSON string. \p Rec may be null (spans
-/// only). Call after the traced run has quiesced.
+/// Renders \p Rec's slices as a JSON string. \p Rec may be null (an
+/// empty trace). Call after the traced run has quiesced.
 std::string chromeTraceJson(const TraceRecorder *Rec);
 
 /// Writes chromeTraceJson() to \p Path; false if the file cannot be

@@ -2,8 +2,6 @@
 
 #include "src/obs/Telemetry.h"
 
-#include <mutex>
-
 using namespace lvish;
 using namespace lvish::obs;
 
@@ -102,29 +100,6 @@ void obs::resetTelemetry() {
       Stripe.Counts[E].store(0, std::memory_order_relaxed);
   detail::QuiesceWaitNanosTotal.store(0, std::memory_order_relaxed);
   detail::SessionLatencyNanosTotal.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-// The span log is cold (one append per Span destruction, typically a
-// handful per bench series), so a plain mutex-protected vector is fine.
-std::mutex SpanMutex;
-std::vector<SpanRecord> Spans;
-} // namespace
-
-Span::~Span() {
-  SpanRecord R{Name, StartNanos, nowNanos() - StartNanos};
-  std::lock_guard<std::mutex> Lock(SpanMutex);
-  Spans.push_back(std::move(R));
-}
-
-std::vector<SpanRecord> obs::spanLog() {
-  std::lock_guard<std::mutex> Lock(SpanMutex);
-  return Spans;
-}
-
-void obs::clearSpans() {
-  std::lock_guard<std::mutex> Lock(SpanMutex);
-  Spans.clear();
 }
 
 #endif // LVISH_TELEMETRY

@@ -10,19 +10,14 @@
 /// default; -DLVISH_TELEMETRY=OFF compiles every hook down to an empty
 /// inline function and an empty snapshot struct).
 ///
-/// Two facilities:
-///
-///   * Event counters - process-wide counts of the semantic events the
-///     paper's effect zoo is made of: puts, no-op joins (a put that did
-///     not change the lattice value), threshold wakeups, handler
-///     invocations, quiescence waits (plus their summed latency),
-///     cancellations, and memo hits/misses. Counters are striped across
-///     cache-line-padded blocks indexed per thread, so the hot-path cost
-///     is one relaxed fetch_add with no cross-thread contention.
-///
-///   * Span - a scoped wall-clock timer whose begin/end records land in a
-///     process-wide span log, exportable together with TraceRecorder
-///     slices as a chrome://tracing file (src/obs/ChromeTrace.h).
+/// Event counters: process-wide counts of the semantic events the paper's
+/// effect zoo is made of: puts, no-op joins (a put that did not change
+/// the lattice value), threshold wakeups, handler invocations, quiescence
+/// waits (plus their summed latency), cancellations, and memo hits/misses.
+/// Counters are striped across cache-line-padded blocks indexed per
+/// thread, so the hot-path cost is one relaxed fetch_add with no
+/// cross-thread contention. Timelines come from the scheduler's
+/// TraceRecorder instead (src/obs/ChromeTrace.h exports them).
 ///
 /// Counting is process-wide rather than per-scheduler because the hooks
 /// fire inside LVar operations, which deliberately know nothing about the
@@ -33,12 +28,8 @@
 #ifndef LVISH_OBS_TELEMETRY_H
 #define LVISH_OBS_TELEMETRY_H
 
-#include "src/support/Timer.h"
-
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #ifndef LVISH_TELEMETRY
 #define LVISH_TELEMETRY 0
@@ -102,13 +93,6 @@ const char *eventName(Event E);
 /// outside a git checkout). Lives here so every BENCH_*.json is
 /// attributable to a revision even with telemetry compiled out.
 const char *gitRevision();
-
-/// One completed Span, for the chrome://tracing exporter.
-struct SpanRecord {
-  std::string Name;
-  uint64_t StartNanos = 0;
-  uint64_t DurationNanos = 0;
-};
 
 #if LVISH_TELEMETRY
 
@@ -180,26 +164,6 @@ TelemetrySnapshot telemetrySnapshot();
 /// counted work).
 void resetTelemetry();
 
-/// Scoped wall-clock timer: construction starts it, destruction appends a
-/// SpanRecord to the process-wide span log.
-class Span {
-public:
-  explicit Span(const char *Name) : Name(Name), StartNanos(nowNanos()) {}
-  ~Span();
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-
-private:
-  const char *Name;
-  uint64_t StartNanos;
-};
-
-/// Snapshot of every completed span so far (oldest first).
-std::vector<SpanRecord> spanLog();
-
-/// Empties the span log.
-void clearSpans();
-
 #else // !LVISH_TELEMETRY
 
 inline constexpr bool TelemetryEnabled = false;
@@ -213,16 +177,6 @@ inline void addQuiesceWaitNanos(uint64_t) {}
 inline void addSessionLatencyNanos(uint64_t) {}
 inline TelemetrySnapshot telemetrySnapshot() { return {}; }
 inline void resetTelemetry() {}
-
-class Span {
-public:
-  explicit Span(const char *) {}
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-};
-
-inline std::vector<SpanRecord> spanLog() { return {}; }
-inline void clearSpans() {}
 
 #endif // LVISH_TELEMETRY
 

@@ -97,12 +97,9 @@ void recycleTaskBlock(void *P) {
   C.Blocks[C.Count++] = P;
 }
 
-// Links T into / out of its session's task registry (a no-op for a task
-// with no session yet: a root joins at bindSessionRoot).
+// Links T into / out of its session's task registry.
 void registryAdd(Task *T) {
   SessionState *S = T->Session.get();
-  if (!S)
-    return;
   std::lock_guard<std::mutex> Lock(S->TasksMutex);
   T->RegPrev = nullptr;
   T->RegNext = S->TaskHead;
@@ -113,8 +110,6 @@ void registryAdd(Task *T) {
 
 void registryRemove(Task *T) {
   SessionState *S = T->Session.get();
-  if (!S)
-    return;
   std::lock_guard<std::mutex> Lock(S->TasksMutex);
   if (T->RegPrev)
     T->RegPrev->RegNext = T->RegNext;
@@ -178,7 +173,7 @@ void Scheduler::raiseFault(Fault F) {
 
 void Scheduler::chargeBudgetStep(Task *T) {
   SessionState *S = T->Session.get();
-  if (!S || S->StepBudget == 0)
+  if (S->StepBudget == 0)
     return;
   // Every pop of a session task - including reaps of already-cancelled
   // ones - is one scheduler decision. Exactly the charge that first
@@ -274,7 +269,11 @@ Scheduler::~Scheduler() {
 #endif
 }
 
-Task *Scheduler::createTask(std::coroutine_handle<> Root, Task *Parent) {
+Task *Scheduler::createTask(
+    std::coroutine_handle<> Root, Task *Parent,
+    std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
+    std::shared_ptr<CancelNode> FreshCancel,
+    std::shared_ptr<SessionState> Session) {
   Task *T = new (allocTaskBlock()) Task();
   LVISH_TRACE3("create task=%p root=%p parent=%p\n", (void *)T,
                Root.address(), (void *)Parent);
@@ -285,13 +284,8 @@ Task *Scheduler::createTask(std::coroutine_handle<> Root, Task *Parent) {
     assert(Parent->Sched == this && "cross-scheduler fork");
     T->SessionId = Parent->SessionId;
     T->Session = Parent->Session;
-    T->Cancel = Parent->Cancel;
-    // Effect-audit default: inherit the parent's declared level; spawn
-    // wrappers that know their body's exact effect level overwrite this
-    // before scheduling (see src/check/EffectAuditor.h).
-    T->DeclaredFx = Parent->DeclaredFx;
+    T->Cancel = FreshCancel ? std::move(FreshCancel) : Parent->Cancel;
     T->Scopes = Parent->Scopes;
-    T->Keepalives = Parent->Keepalives;
     T->Layers.reserve(Parent->Layers.size());
     for (auto &L : Parent->Layers)
       T->Layers.push_back(L->splitForChild());
@@ -302,12 +296,19 @@ Task *Scheduler::createTask(std::coroutine_handle<> Root, Task *Parent) {
     T->Ped = Parent->Ped;
     T->pedAppend(0);
     Parent->pedAppend(1);
+  } else {
+    assert(Session && "a session root needs its session");
+    T->SessionId = Session->Id;
+    T->Cancel = Session->CancelRoot;
+    T->Session = std::move(Session);
   }
   if constexpr (fault::InjectionEnabled) {
     if (fault::planActive())
       T->InjectDoomed = fault::shouldDoomTask(T->Ped);
   }
   T->scopesOnCreate();
+  for (const std::shared_ptr<TaskScope> &S : Scopes)
+    T->addScope(S);
   obs::WorkerCounters::bump(myCounters().TasksCreated);
   if (Tracing) {
     // A fork cuts the parent's slice: the child depends on the fork point,
@@ -568,8 +569,7 @@ size_t Scheduler::finishSession(SessionState &S) {
 void Scheduler::addPending(Task *T) {
   if (ExploreCtl)
     PendingWork.fetch_add(1, std::memory_order_acq_rel);
-  if (T->Session)
-    T->Session->Pending.fetch_add(1, std::memory_order_acq_rel);
+  T->Session->Pending.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void Scheduler::removePending(Task *T) { removePendingFor(T->Session); }
@@ -577,8 +577,6 @@ void Scheduler::removePending(Task *T) { removePendingFor(T->Session); }
 void Scheduler::removePendingFor(const std::shared_ptr<SessionState> &S) {
   if (ExploreCtl)
     PendingWork.fetch_sub(1, std::memory_order_acq_rel);
-  if (!S)
-    return;
   if (S->Pending.fetch_sub(1, std::memory_order_acq_rel) != 1)
     return;
   // This session just quiesced. Wake blocking waiters and fire the
@@ -599,15 +597,6 @@ void Scheduler::removePendingFor(const std::shared_ptr<SessionState> &S) {
   }
   if (Obs)
     Obs();
-}
-
-void Scheduler::bindSessionRoot(Task *Root, std::shared_ptr<SessionState> S,
-                                std::shared_ptr<CancelNode> Cancel) {
-  assert(!Root->Session && "session root bound twice");
-  Root->SessionId = S->Id;
-  Root->Session = std::move(S);
-  Root->Cancel = std::move(Cancel);
-  registryAdd(Root);
 }
 
 void Scheduler::sliceEnd(Task *T) {
@@ -637,7 +626,7 @@ uint32_t Scheduler::sliceCut(Task *T) {
 }
 
 void Scheduler::pushInjected(Task *T) {
-  uint64_t Sid = T->Session ? T->Session->Id : 0;
+  uint64_t Sid = T->SessionId;
   std::lock_guard<std::mutex> Lock(InjectMutex);
   std::deque<Task *> &Q = InjectBySession[Sid];
   if (Q.empty())

@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -64,6 +65,21 @@
 #include <vector>
 
 namespace lvish {
+
+class TaskScope;
+template <typename T> class Par;
+
+namespace detail {
+
+/// The one routine that spawns a task; see its definition in
+/// src/core/Par.h. The defaults live on this first declaration.
+inline void launchTask(
+    Scheduler &Sched, Par<void> Body, Task *Parent, uint8_t Fx,
+    std::initializer_list<std::shared_ptr<TaskScope>> Scopes = {},
+    std::shared_ptr<CancelNode> FreshCancel = nullptr,
+    std::shared_ptr<SessionState> Session = nullptr);
+
+} // namespace detail
 
 /// Scheduler construction parameters.
 struct SchedulerConfig {
@@ -105,11 +121,6 @@ public:
   /// HandlerPool to pick the delta batch of the worker running a put.
   unsigned callerBatchIndex() const;
 
-  /// Creates (but does not schedule) a task owning coroutine \p Root.
-  /// When \p Parent is non-null the child inherits session, cancellation
-  /// node, scopes, and a split of every transformer layer.
-  Task *createTask(std::coroutine_handle<> Root, Task *Parent);
-
   /// Makes \p T runnable for the first time, or again after a park.
   void schedule(Task *T);
 
@@ -137,19 +148,10 @@ public:
   /// Opens a new session: allocates an id, snapshots the stats baseline,
   /// and registers the state in the session table so raiseFault can route
   /// to it. \p SessionRoot is the root CancelNode a contained fault
-  /// cancels. Call BEFORE creating the session's root task so the root's
-  /// creation lands inside the session's stats delta; then stamp the root
-  /// (Task::Session / Task::SessionId / Task::Cancel) before scheduling.
+  /// cancels. Call BEFORE launching the session's root task so the root's
+  /// creation lands inside the session's stats delta.
   std::shared_ptr<SessionState> beginSession(
       std::shared_ptr<CancelNode> SessionRoot);
-
-  /// Stamps a freshly installed session root (Task::Session /
-  /// Task::SessionId / Task::Cancel) and links it into \p S's task
-  /// registry. createTask cannot register a root (it has no session yet);
-  /// child tasks inherit these fields and join their session's registry
-  /// inside createTask and never need this.
-  void bindSessionRoot(Task *Root, std::shared_ptr<SessionState> S,
-                       std::shared_ptr<CancelNode> Cancel);
 
   /// Installs \p OnQuiescent to fire exactly once when the session's
   /// pending count first reaches zero. Must be installed before the
@@ -227,6 +229,23 @@ public:
   SchedulerStats stats() const;
 
 private:
+  /// Only launchTask creates tasks: it also declares and schedules them.
+  friend void detail::launchTask(
+      Scheduler &, Par<void>, Task *, uint8_t,
+      std::initializer_list<std::shared_ptr<TaskScope>>,
+      std::shared_ptr<CancelNode>, std::shared_ptr<SessionState>);
+
+  /// Creates (but does not schedule) a task owning coroutine \p Root. A
+  /// child of \p Parent inherits its session, cancellation node (unless
+  /// \p FreshCancel replaces it), scopes and a split of every transformer
+  /// layer; a session root (null \p Parent) takes \p Session's id and
+  /// CancelRoot. The task then enters \p Scopes and joins its session's
+  /// registry.
+  Task *createTask(std::coroutine_handle<> Root, Task *Parent,
+                   std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
+                   std::shared_ptr<CancelNode> FreshCancel,
+                   std::shared_ptr<SessionState> Session);
+
   struct alignas(64) Worker {
     WorkStealingDeque<Task> Deque;
     SplitMix64 StealRng;

@@ -63,7 +63,7 @@ public:
   /// The session's task registry: every live task of THIS session (an
   /// intrusive list through Task::RegPrev/RegNext), so finishSession
   /// reaps its leftovers without visiting any sibling session's tasks.
-  /// Children join at createTask; the root joins at bindSessionRoot.
+  /// Every task, the root included, joins at createTask.
   Task *TaskHead = nullptr;
 
   /// The session root's cancellation node: what raiseFault cancels to

@@ -10,29 +10,28 @@ using namespace lvish;
 ParkSite::~ParkSite() = default;
 LayerState::~LayerState() = default;
 
-void Task::addScope(TaskScope *S, std::shared_ptr<void> Keepalive) {
-  for (TaskScope *Have : Scopes)
+void Task::addScope(const std::shared_ptr<TaskScope> &S) {
+  for (const std::shared_ptr<TaskScope> &Have : Scopes)
     if (Have == S)
       return;
   Scopes.push_back(S);
-  Keepalives.push_back(std::move(Keepalive));
   S->enter();
 }
 
 void Task::scopesOnPark() {
-  for (TaskScope *S : Scopes)
+  for (const std::shared_ptr<TaskScope> &S : Scopes)
     if (S->mode() == TaskScope::Mode::Runnable)
       S->exitOne();
 }
 
 void Task::scopesOnUnpark() {
-  for (TaskScope *S : Scopes)
+  for (const std::shared_ptr<TaskScope> &S : Scopes)
     if (S->mode() == TaskScope::Mode::Runnable)
       S->enter();
 }
 
 void Task::scopesOnCreate() {
-  for (TaskScope *S : Scopes)
+  for (const std::shared_ptr<TaskScope> &S : Scopes)
     S->enter();
 }
 
@@ -40,10 +39,10 @@ void Task::scopesOnFinish() {
   // Live-mode scopes first: a Runnable scope's drain wakes a waiter that
   // may read a Live twin's count at once (DeadlockT's blocked-task
   // report), and a finished task must no longer be counted there.
-  for (TaskScope *S : Scopes)
+  for (const std::shared_ptr<TaskScope> &S : Scopes)
     if (S->mode() != TaskScope::Mode::Runnable)
       S->exitOne();
-  for (TaskScope *S : Scopes)
+  for (const std::shared_ptr<TaskScope> &S : Scopes)
     if (S->mode() == TaskScope::Mode::Runnable)
       S->exitOne();
 }

@@ -82,27 +82,24 @@ public:
   uint64_t SessionId = 0;
 
   /// Shared per-session accounting (pending count, fault slot, quiescence
-  /// CV/observer). Stamped on the root by the session launcher before it
-  /// is scheduled; inherited by children on fork. Shared ownership keeps
-  /// the state alive through the retire-then-decrement ordering even when
-  /// the scheduler's session table entry is gone.
+  /// CV/observer). A session root is launched with it; children inherit
+  /// it on fork. Shared ownership keeps the state alive through the
+  /// retire-then-decrement ordering even when the scheduler's session
+  /// table entry is gone.
   std::shared_ptr<SessionState> Session;
 
   /// Cancellation-tree node (always non-null once attached to a scheduler;
-  /// the root task gets a fresh always-live node).
+  /// a session root gets its session's CancelRoot).
   std::shared_ptr<CancelNode> Cancel;
 
   /// Scopes counting this task (handler pools, deadlock scopes), each at
   /// most once (see addScope); copied to children on fork, so the list is
   /// bounded by the number of distinct enclosing scopes, not by how many
-  /// handler generations deep the task runs.
-  std::vector<TaskScope *> Scopes;
-
-  /// Ownership anchors keeping the objects behind Scopes (and any other
-  /// borrowed infrastructure) alive at least as long as this task - a
-  /// parked task may be retired long after the scope's creator returned.
-  /// Copied to children on fork.
-  std::vector<std::shared_ptr<void>> Keepalives;
+  /// handler generations deep the task runs. Each entry owns its scope (a
+  /// pool's entry aliases the pool), keeping it alive as long as this
+  /// task - a parked task may be retired long after the scope's creator
+  /// returned.
+  std::vector<std::shared_ptr<TaskScope>> Scopes;
 
   /// Transformer layer stack; split per-layer on fork.
   std::vector<std::unique_ptr<LayerState>> Layers;
@@ -177,12 +174,11 @@ public:
     return nullptr;
   }
 
-  /// Makes \p S count this not-yet-scheduled task: appends \p S (and
-  /// \p Keepalive, which must own it) and enters it, unless the task
-  /// already inherited \p S from its parent - then it is already counted
-  /// once, and adding it again would only grow the list. Every spawn site
-  /// that puts a task under a scope goes through here.
-  void addScope(TaskScope *S, std::shared_ptr<void> Keepalive);
+  /// Makes \p S count this not-yet-scheduled task: appends \p S and
+  /// enters it, unless the task already inherited \p S from its parent -
+  /// then it is already counted once, and adding it again would only grow
+  /// the list. Called by Scheduler::createTask for TaskLaunch::Scopes.
+  void addScope(const std::shared_ptr<TaskScope> &S);
 
   /// Scope notifications (bodies in Task.cpp to keep TaskScope out of this
   /// header). Park/unpark only affect Runnable-mode scopes; create/finish

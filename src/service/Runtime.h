@@ -277,14 +277,15 @@ void completeChannel(SessionChannel<R> &Ch, ParOutcome<R> Out) {
 /// observer to install (or an empty function for blocking drivers that
 /// wait on the session CV instead). Ordering matters: beginSession
 /// snapshots the stats baseline BEFORE the root task is created, so the
-/// root's own creation lands inside the session's delta.
+/// root's own creation lands inside the session's delta, and the observer
+/// is installed before the root is scheduled.
 template <EffectSet E, typename R, typename F, typename MakeObs>
 std::shared_ptr<SessionState> launchSession(Scheduler &Sched, F Body,
                                             SessionChannel<R> &Ch,
                                             MakeObs MakeObserver,
                                             uint64_t StepBudget = 0) {
-  auto Cancel = std::make_shared<CancelNode>();
-  std::shared_ptr<SessionState> S = Sched.beginSession(Cancel);
+  std::shared_ptr<SessionState> S =
+      Sched.beginSession(std::make_shared<CancelNode>());
   // Written before the root is scheduled: workers see the budget via the
   // schedule() handoff, never a torn value.
   S->StepBudget = StepBudget;
@@ -292,21 +293,18 @@ std::shared_ptr<SessionState> launchSession(Scheduler &Sched, F Body,
     std::lock_guard<std::mutex> Lock(Ch.Mutex);
     Ch.SessionId = S->Id;
   }
-  // GCC 12 discipline (see src/core/Par.h): bind the Par before install.
   Par<void> RootPar = [&]() -> Par<void> {
     if constexpr (std::is_void_v<R>)
       return rootBodyVoid<E>(std::move(Body), &Ch.Slot.Done);
     else
       return rootBody<E, F, R>(std::move(Body), &Ch.Slot.Value);
   }();
-  Task *Root = lvish::detail::installTaskRoot(Sched, std::move(RootPar),
-                                              /*Parent=*/nullptr);
-  Sched.bindSessionRoot(Root, S, std::move(Cancel));
   if (std::function<void()> Obs = MakeObserver(S))
     Sched.setSessionObserver(*S, std::move(Obs));
-  check::declareTaskEffects(Root, check::effectMask(E));
   obs::count(obs::Event::SessionsSubmitted);
-  Sched.schedule(Root);
+  lvish::detail::launchTask(Sched, std::move(RootPar), /*Parent=*/nullptr,
+                            check::effectMask(E), /*Scopes=*/{},
+                            /*FreshCancel=*/nullptr, S);
   return S;
 }
 

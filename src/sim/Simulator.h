@@ -8,9 +8,12 @@
 /// \file
 /// The hardware-substitution substrate for the paper's thread-scaling
 /// figures (see DESIGN.md): the evaluation machine was a dual-socket
-/// 12-core Xeon X5660; this container has one CPU. We therefore record a
-/// program's dynamic slice DAG during a real single-core run (src/sched/
-/// Trace.h) and replay it here under P virtual workers:
+/// 12-core Xeon X5660. The host this repository is measured on has 4
+/// vCPUs shared with other tenants, so its wall-clock multi-worker numbers
+/// are limited by what the host delivers (lvperf/README.md, "Reported, not
+/// gated"). We therefore record a program's dynamic slice DAG during a
+/// real one-worker run (src/sched/Trace.h) and replay it here under P
+/// virtual workers:
 ///
 ///  * greedy (list) scheduling: a worker picks the lowest-id ready slice -
 ///    deterministic, and within the classic 2x bound of optimal (Graham);

@@ -78,10 +78,9 @@ CFuture<T> forkCancelableImpl(ParCtx<E> Ctx, F Body) {
         check::BlessScope Bless(C.task(), check::FxPut);
         put(Full, *Result, V);
       });
-  Task *T_ = installTaskRoot(*Ctx.sched(), std::move(Wrapper), Ctx.task());
-  T_->Cancel = Node; // Override the inherited node: new cancellable scope.
-  check::declareTaskEffects(T_, check::effectMask(ChildE));
-  Ctx.sched()->schedule(T_);
+  // The fresh node replaces the inherited one: a new cancellable scope.
+  launchTask(*Ctx.sched(), std::move(Wrapper), Ctx.task(),
+             check::effectMask(ChildE), /*Scopes=*/{}, Node);
   return CFuture<T>(std::move(Result), std::move(Node));
 }
 

@@ -89,15 +89,10 @@ Par<DeadlockReport> forkWithDeadlockDetection(ParCtx<E> Ctx, F Body) {
   auto Runnable = std::make_shared<TaskScope>(TaskScope::Mode::Runnable);
   auto Live = std::make_shared<TaskScope>(TaskScope::Mode::Live);
 
-  Par<void> Wrapper = detail::forkBody<E>(std::move(Body));
-  Task *Child = detail::installTaskRoot(*Ctx.sched(), std::move(Wrapper),
-                                        Ctx.task());
-  check::declareTaskEffects(Child, check::effectMask(E));
   // Blocked descendants may be retired long after this frame returns;
-  // anchor the scopes to every task that references them.
-  Child->addScope(Runnable.get(), Runnable);
-  Child->addScope(Live.get(), Live);
-  Ctx.sched()->schedule(Child);
+  // every task under the scopes owns them through its scope list.
+  detail::launchTask(*Ctx.sched(), detail::forkBody<E>(std::move(Body)),
+                     Ctx.task(), check::effectMask(E), {Runnable, Live});
 
   co_await detail::ScopeDrainAwaiter(Runnable, Ctx.task());
   DeadlockReport Report;

@@ -46,16 +46,14 @@ constexpr unsigned WorkerCounts[] = {1, 2, 4};
 
 constexpr uint64_t ChainLen = 2000;
 
-/// The largest scope and keepalive lists any handler of a chain ran with.
+/// The largest scope list any handler of a chain ran with.
 struct ScopeHighWater {
   std::atomic<size_t> Scopes{0};
-  std::atomic<size_t> Keepalives{0};
   std::atomic<uint64_t> Calls{0};
 
   void note() {
     const Task *T = Scheduler::currentTask();
     raise(Scopes, T->Scopes.size());
-    raise(Keepalives, T->Keepalives.size());
     Calls.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -103,7 +101,6 @@ template <EffectSet HE> void expectBoundedChain(const char *Path) {
           SchedulerConfig{W});
       EXPECT_TRUE(Ok);
       EXPECT_LE(HW.Scopes.load(), 1u);
-      EXPECT_LE(HW.Keepalives.load(), 1u);
     }
     {
       // The pool inside a deadlock scope: its Runnable and Live scopes
@@ -123,7 +120,6 @@ template <EffectSet HE> void expectBoundedChain(const char *Path) {
       EXPECT_TRUE(Ok.load());
       EXPECT_EQ(Blocked, 0u);
       EXPECT_LE(HW.Scopes.load(), 3u);
-      EXPECT_LE(HW.Keepalives.load(), 3u);
     }
   }
 }

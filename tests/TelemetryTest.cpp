@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <type_traits>
+#include <vector>
 
 using namespace lvish;
 
@@ -240,45 +242,72 @@ TEST(TelemetryTest, SessionCountersAndLatencyAccumulate) {
   EXPECT_GT(T.SessionLatencyNanos, 0u);
 }
 
-TEST(TelemetryTest, SpansAreRecorded) {
-  obs::clearSpans();
-  {
-    obs::Span S("outer");
-    obs::Span T("inner");
-  }
-  auto Log = obs::spanLog();
-  ASSERT_EQ(Log.size(), 2u);
-  // Destruction order: inner closes first.
-  EXPECT_EQ(Log[0].Name, "inner");
-  EXPECT_EQ(Log[1].Name, "outer");
-  EXPECT_GE(Log[1].DurationNanos, Log[0].DurationNanos);
-
-  // The chrome trace export contains both span names.
-  std::string Trace = obs::chromeTraceJson(nullptr);
-  obs::JsonValue Doc;
-  ASSERT_TRUE(obs::JsonValue::parse(Trace, Doc));
-  const obs::JsonValue *Events = Doc.find("traceEvents");
-  ASSERT_NE(Events, nullptr);
-  ASSERT_TRUE(Events->isArray());
-  EXPECT_EQ(Events->Arr.size(), 2u);
-  obs::clearSpans();
-}
 #else
-// Compiled-out contract: the snapshot is an empty struct and Span carries
-// no state, so telemetry cannot perturb layout or timing.
+// Compiled-out contract: the snapshot is an empty struct, so telemetry
+// cannot perturb layout or timing.
 static_assert(std::is_empty_v<lvish::obs::TelemetrySnapshot>,
               "disabled telemetry snapshot must be zero-size");
-static_assert(std::is_empty_v<lvish::obs::Span>,
-              "disabled Span must be zero-size");
 
 TEST(TelemetryTest, DisabledOpsAreNoOps) {
   obs::count(obs::Event::Puts);
   obs::addQuiesceWaitNanos(5);
   obs::resetTelemetry();
-  { obs::Span S("ignored"); }
   SUCCEED();
 }
 #endif
+
+//===----------------------------------------------------------------------===//
+// Chrome trace export
+//===----------------------------------------------------------------------===//
+
+TEST(ChromeTraceTest, ExportsEverySliceOfATracedRun) {
+  service::RuntimeConfig Cfg;
+  Cfg.Sched.NumWorkers = 2;
+  Cfg.Sched.EnableTracing = true;
+  service::Runtime RT(Cfg);
+  int Sum = RT.run<D>([](ParCtx<D> Ctx) -> Par<int> {
+                constexpr int N = 8;
+                std::vector<std::shared_ptr<IVar<int>>> Parts;
+                for (int I = 0; I < N; ++I) {
+                  auto IV = newIVar<int>(Ctx);
+                  Parts.push_back(IV);
+                  fork(Ctx, [IV, I](ParCtx<D> C) -> Par<void> {
+                    put(C, *IV, I);
+                    co_return;
+                  });
+                }
+                int S = 0;
+                for (auto &IV : Parts)
+                  S += co_await get(Ctx, *IV);
+                co_return S;
+              })
+                .valueOrAbort();
+  EXPECT_EQ(Sum, 28);
+
+  const TraceRecorder *Rec = RT.scheduler().trace();
+  ASSERT_NE(Rec, nullptr);
+  const std::vector<TraceSlice> &Slices = Rec->slices();
+  ASSERT_GE(Slices.size(), 9u); // At least one slice per task.
+  obs::JsonValue Doc;
+  ASSERT_TRUE(obs::JsonValue::parse(obs::chromeTraceJson(Rec), Doc));
+  const obs::JsonValue *Events = Doc.find("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_TRUE(Events->isArray());
+  // One complete event per recorded slice, on the slice's task lane.
+  ASSERT_EQ(Events->Arr.size(), Slices.size());
+  for (size_t I = 0; I < Slices.size(); ++I) {
+    const obs::JsonValue &E = Events->Arr[I];
+    ASSERT_NE(E.find("ph"), nullptr);
+    EXPECT_EQ(E.find("ph")->Str, "X");
+    ASSERT_NE(E.find("tid"), nullptr);
+    EXPECT_EQ(E.find("tid")->Num, static_cast<double>(Slices[I].Task));
+    ASSERT_NE(E.find("ts"), nullptr);
+    EXPECT_GE(E.find("ts")->Num, 0.0);
+  }
+  // The root's first slice runs before any other task exists, so the
+  // timeline starts with it, at 0.
+  EXPECT_EQ(Events->Arr[0].find("ts")->Num, 0.0);
+}
 
 //===----------------------------------------------------------------------===//
 // JSON round trip

@@ -15,12 +15,16 @@
 #              stays healthy (empty snapshot struct, no-op counters).
 #              Re-runs ContentionStressTest standalone to stress the
 #              sharded waiter-table publish/probe protocol under TSan,
-#              and HandlerRaceTest for handler registration racing puts
-#              (the gate-guarded handler list).
+#              HandlerRaceTest for handler registration racing puts
+#              (the gate-guarded handler list), and SpawnPathsTest and
+#              ComplexityTest for the scope lists that forks copy across
+#              workers.
 #   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
-#              the first report. AddressSanitizer has no stage: an ASan
-#              build still overflows the stack in the batched handler
-#              flush (nested forkBody resumes, src/core/HandlerPool.h).
+#              the first report. AddressSanitizer has no stage: on
+#              full-size inputs an ASan build still overflows the stack
+#              in the batched handler flush, where each synchronously
+#              completing `co_await Thunk()` nests another resume frame
+#              (src/core/HandlerPool.h).
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints non-fatal bench-report
@@ -132,6 +136,12 @@ for stage in "${STAGES[@]}"; do
       # The handler list is guarded by the footnote-6 gate alone; TSan
       # checks the gate orders every append against every delivery.
       ./build-ci-tsan/tests/HandlerRaceTest
+      echo "==== [tsan] spawn paths and scope lists ===="
+      # Scope lists are shared_ptr vectors copied on every fork, often on
+      # one worker while another retires a task holding the same scopes;
+      # a race or a leak there would hide from the suite run above.
+      ./build-ci-tsan/tests/SpawnPathsTest
+      ./build-ci-tsan/tests/ComplexityTest
       ;;
     ubsan)
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
