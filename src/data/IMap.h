@@ -25,7 +25,7 @@
 
 #include "src/core/LVarBase.h"
 #include "src/core/Par.h"
-#include "src/data/MonotoneHashMap.h"
+#include "src/data/InsertOnlyTable.h"
 
 #include <memory>
 #include <optional>
@@ -46,25 +46,20 @@ public:
   explicit IMap(uint64_t SessionId) : Base(SessionId) {}
 
   /// Lub write: binds \p Key to \p Val. Re-inserting an equal value is a
-  /// no-op; a conflicting value for an existing key is a deterministic
-  /// error.
+  /// no-op, found by a lock-free probe outside the gate; a conflicting
+  /// value for an existing key is a deterministic error.
   void insertKV(const K &Key, const V &Val, Task *Writer) {
     this->enterPut(Writer, check::FxPut, "IMap insert");
-    AsymmetricGate::FastGuard Gate(this->HandlerGate);
-    auto [Stored, Inserted] = Table.insert(Key, Val);
-    if (!Inserted) {
-      if constexpr (std::equality_comparable<V>) {
-        if (*Stored == Val) {
-          this->noOpPut();
-          return; // Idempotent repeat: no delta, nothing to wake.
-        }
-      }
-      detail::raiseSessionFault(Writer, FaultCode::ConflictingInsert,
-                                "conflicting insert for an existing IMap key "
-                                "(per-key lattice top reached)",
-                                this->debugName());
-    }
-    bound(Key, Val, Writer);
+    if (const V *Stored = Table.find(Key))
+      return rebound(*Stored, Val, Writer);
+    Table.insertUnder(
+        this->HandlerGate, Key, [&Val] { return Val; },
+        [&](const V &Stored, bool Inserted) {
+          if (Inserted)
+            bound(Key, Val, Writer);
+          else
+            rebound(Stored, Val, Writer);
+        });
   }
 
   /// Non-blocking probe (deterministic only for keys known to be present,
@@ -84,14 +79,17 @@ public:
     if (const V *Existing = Table.find(Key))
       return *Existing;
     obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(this->HandlerGate);
-    auto [Stored, Inserted] = Table.insert(Key, Factory());
-    if (!Inserted) {
-      this->noOpPut();
-      return *Stored; // Lost the race; the winner's value is canonical.
-    }
-    bound(Key, *Stored, Writer);
-    return *Stored;
+    // User code runs before the insert, not while the slot is claimed.
+    V Fresh = Factory();
+    return Table.insertUnder(
+        this->HandlerGate, Key, [&Fresh] { return std::move(Fresh); },
+        [&](const V &Stored, bool Inserted) -> const V & {
+          if (Inserted)
+            bound(Key, Stored, Writer);
+          else
+            this->noOpPut(); // Lost the race; the winner's value is canonical.
+          return Stored;
+        });
   }
 
   size_t sizeNow() const { return Table.size(); }
@@ -100,7 +98,8 @@ public:
   std::vector<std::pair<K, V>> toSortedVector() const {
     assert(this->isFrozen() &&
            "iterating an unfrozen IMap is nondeterministic");
-    return Table.snapshotSorted();
+    return Table.sorted(
+        [](const K &Key, const V &Val) { return std::pair(Key, Val); });
   }
 
   /// Unordered traversal (post-freeze or at quiescence).
@@ -121,13 +120,28 @@ private:
     this->notifyDelta(Writer, HashT{}(Key), Table.size());
   }
 
+  /// A put to a key already bound to \p Stored: a no-op when \p Val is
+  /// equal, the per-key lattice top otherwise.
+  void rebound(const V &Stored, const V &Val, Task *Writer) {
+    if constexpr (std::equality_comparable<V>) {
+      if (Stored == Val) {
+        this->noOpPut();
+        return; // Idempotent repeat: no delta, nothing to wake.
+      }
+    }
+    detail::raiseSessionFault(Writer, FaultCode::ConflictingInsert,
+                              "conflicting insert for an existing IMap key "
+                              "(per-key lattice top reached)",
+                              this->debugName());
+  }
+
   void replayTo(const Handler &H) override {
     Table.forEach([&H](const K &Key, const V &Val) {
       H(DeltaType(Key, Val));
     });
   }
 
-  MonotoneHashMap<K, V, HashT> Table;
+  InsertOnlyTable<K, V, HashT> Table;
 };
 
 /// Allocates an empty map for the current session.

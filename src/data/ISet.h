@@ -30,7 +30,7 @@
 
 #include "src/core/LVarBase.h"
 #include "src/core/Par.h"
-#include "src/data/MonotoneHashMap.h"
+#include "src/data/InsertOnlyTable.h"
 
 #include <memory>
 #include <optional>
@@ -48,18 +48,26 @@ public:
 
   explicit ISet(uint64_t SessionId) : HandledLVar<T>(SessionId) {}
 
-  /// Lub write: adds \p Elem. No-op if already present (idempotent).
+  /// Lub write: adds \p Elem. No-op if already present (idempotent): a
+  /// repeat is found by a lock-free probe and never enters the gate.
   void insertElem(const T &Elem, Task *Writer) {
     this->enterPut(Writer, check::FxPut, "ISet insert");
-    AsymmetricGate::FastGuard Gate(this->HandlerGate);
-    if (!Table.insert(Elem, Unit{}).second) {
+    if (Table.contains(Elem)) {
       this->noOpPut();
       return; // Idempotent repeat: no delta, nothing to wake.
     }
-    if (this->isFrozen())
-      putAfterFreezeError(Writer, this);
-    this->deliver(Elem);
-    this->notifyDelta(Writer, HashT{}(Elem), Table.size());
+    Table.insertUnder(
+        this->HandlerGate, Elem, [] { return Unit{}; },
+        [&](const Unit &, bool Inserted) {
+          if (!Inserted) {
+            this->noOpPut();
+            return; // Lost the race to an equal insert.
+          }
+          if (this->isFrozen())
+            putAfterFreezeError(Writer, this);
+          this->deliver(Elem);
+          this->notifyDelta(Writer, HashT{}(Elem), Table.size());
+        });
   }
 
   bool containsElem(const T &Elem) const { return Table.contains(Elem); }
@@ -71,7 +79,7 @@ public:
   std::vector<T> toSortedVector() const {
     assert(this->isFrozen() &&
            "iterating an unfrozen ISet is nondeterministic");
-    return Table.snapshotSortedKeys();
+    return Table.sorted([](const T &Elem, const Unit &) { return Elem; });
   }
 
   /// Unordered traversal (post-freeze or at quiescence).
@@ -86,7 +94,7 @@ private:
     Table.forEach([&H](const T &Elem, const Unit &) { H(Elem); });
   }
 
-  MonotoneHashMap<T, Unit, HashT> Table;
+  InsertOnlyTable<T, Unit, HashT> Table;
 };
 
 /// Allocates an empty set for the current session.

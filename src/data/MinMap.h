@@ -40,7 +40,7 @@
 #include "src/core/LVarBase.h"
 #include "src/core/Lattice.h"
 #include "src/core/Par.h"
-#include "src/data/MonotoneHashMap.h"
+#include "src/data/InsertOnlyTable.h"
 
 #include <atomic>
 #include <memory>
@@ -54,10 +54,10 @@ namespace lvish {
 template <typename K, typename HashT = DefaultHash<K>>
 class MinMap : public HandledLVar<std::pair<K, uint64_t>> {
   using Base = HandledLVar<std::pair<K, uint64_t>>;
-  /// Cells are heap boxes because MonotoneHashMap::insert moves its value
-  /// argument and std::atomic is immovable; the box indirection also keeps
-  /// the CAS target stable forever (node-based buckets).
-  using Cell = std::unique_ptr<std::atomic<uint64_t>>;
+  /// A cell is a heap box so that putMin's CAS target keeps one address
+  /// while the table grows; the table stores the pointer, and its current
+  /// array owns the cell (see ~MinMap).
+  using Cell = std::atomic<uint64_t>;
 
 public:
   /// Bottom of MinUint64Lattice: "no label yet".
@@ -67,47 +67,53 @@ public:
   using typename Base::Handler;
 
   explicit MinMap(uint64_t SessionId) : Base(SessionId) {}
+  ~MinMap() override {
+    Table.forEach([](const K &, Cell *C) { delete C; });
+  }
 
   /// Lub write: joins \p Label into the key's cell by min. Fires handlers
   /// with (Key, Label) exactly when this call strictly lowered the cell
-  /// (first write included); repeats and non-improving labels are no-ops.
+  /// (first write included); repeats and non-improving labels are no-ops,
+  /// found by a lock-free probe outside the gate. Only a fresh key
+  /// allocates a cell.
   void joinKey(const K &Key, uint64_t Label, Task *Writer) {
     this->enterPut(Writer, check::FxPut, "MinMap put");
-    if (Label == Bottom) {
+    Cell *const *Found = Table.find(Key);
+    if (Label == Bottom ||
+        (Found && Label >= (*Found)->load(std::memory_order_acquire))) {
       this->noOpPut();
-      return; // join(bottom, x) = x: nothing to record, nothing to wake.
+      return; // join(bottom, x) = x, or a non-improving join.
     }
-    AsymmetricGate::FastGuard Gate(this->HandlerGate);
-    // Insert the label directly so no reader ever observes a transient
-    // bottom cell; on a lost race the CAS loop below joins into the
+    // The cell is born holding the label, so no reader ever observes a
+    // transient bottom cell; on a lost race the CAS loop joins into the
     // winner's cell.
-    auto [CellPtr, Inserted] =
-        Table.insert(Key, std::make_unique<std::atomic<uint64_t>>(Label));
-    std::atomic<uint64_t> &A = **CellPtr;
-    if (!Inserted) {
-      uint64_t Cur = A.load(std::memory_order_acquire);
-      for (;;) {
-        if (Label >= Cur) {
-          this->noOpPut();
-          return; // Non-improving join.
-        }
-        if (this->isFrozen())
-          putAfterFreezeError(Writer, this);
-        if (A.compare_exchange_weak(Cur, Label, std::memory_order_acq_rel,
-                                    std::memory_order_acquire))
-          break;
-      }
-    } else if (this->isFrozen()) {
-      putAfterFreezeError(Writer, this);
-    }
-    this->deliver(DeltaType{Key, Label});
-    this->notifyDelta(Writer, HashT{}(Key), Table.size());
+    Table.insertUnder(
+        this->HandlerGate, Key, [Label] { return new Cell(Label); },
+        [&](Cell *C, bool Inserted) {
+          if (!Inserted) {
+            uint64_t Cur = C->load(std::memory_order_acquire);
+            do {
+              if (Label >= Cur) {
+                this->noOpPut();
+                return; // Non-improving join.
+              }
+              if (this->isFrozen())
+                putAfterFreezeError(Writer, this);
+            } while (!C->compare_exchange_weak(Cur, Label,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire));
+          } else if (this->isFrozen()) {
+            putAfterFreezeError(Writer, this);
+          }
+          this->deliver(DeltaType{Key, Label});
+          this->notifyDelta(Writer, HashT{}(Key), Table.size());
+        });
   }
 
   /// Current label, or nullopt if the key has never been written.
   /// Deterministic only when frozen/quiescent (labels can still drop).
   std::optional<uint64_t> peekKey(const K &Key) const {
-    const Cell *C = Table.find(Key);
+    Cell *const *C = Table.find(Key);
     if (!C)
       return std::nullopt;
     return (*C)->load(std::memory_order_acquire);
@@ -120,25 +126,20 @@ public:
   std::vector<std::pair<K, uint64_t>> toSortedVector() const {
     assert(this->isFrozen() &&
            "iterating an unfrozen MinMap is nondeterministic");
-    std::vector<std::pair<K, uint64_t>> Out;
-    Out.reserve(Table.size());
-    Table.forEach([&Out](const K &Key, const Cell &C) {
-      Out.emplace_back(Key, C->load(std::memory_order_acquire));
+    return Table.sorted([](const K &Key, const Cell *C) {
+      return std::pair(Key, C->load(std::memory_order_acquire));
     });
-    std::sort(Out.begin(), Out.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-    return Out;
   }
 
 private:
   /// Delivers the current label of every existing key.
   void replayTo(const Handler &H) override {
-    Table.forEach([&H](const K &Key, const Cell &C) {
+    Table.forEach([&H](const K &Key, const Cell *C) {
       H(DeltaType{Key, C->load(std::memory_order_acquire)});
     });
   }
 
-  MonotoneHashMap<K, Cell, HashT> Table;
+  InsertOnlyTable<K, Cell *, HashT> Table;
 };
 
 /// Allocates an empty min-map for the current session.

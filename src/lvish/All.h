@@ -27,7 +27,7 @@
 #include "src/data/IMap.h"            // IWYU pragma: export
 #include "src/data/ISet.h"            // IWYU pragma: export
 #include "src/data/IStructure.h"      // IWYU pragma: export
-#include "src/data/MonotoneHashMap.h" // IWYU pragma: export
+#include "src/data/InsertOnlyTable.h" // IWYU pragma: export
 #include "src/data/PureMap.h"         // IWYU pragma: export
 #include "src/data/Stream.h"          // IWYU pragma: export
 

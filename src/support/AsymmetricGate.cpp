@@ -2,6 +2,7 @@
 
 #include "src/support/AsymmetricGate.h"
 
+#include <cassert>
 #include <thread>
 
 using namespace lvish;
@@ -57,6 +58,12 @@ void AsymmetricGate::exitFast(int Slot) {
 }
 
 void AsymmetricGate::enterSlow() {
+  // A thread inside a fast section would wait for itself below (a table
+  // grow or a registration from inside a put of the same LVar).
+  assert((myThreadSlot() < 0 ||
+          Slots[myThreadSlot()].Active.load(std::memory_order_relaxed) ==
+              0) &&
+         "slow side entered while holding a fast section of the same gate");
   SlowMutex.lock();
   SlowActive.store(1, std::memory_order_seq_cst);
   // Wait for every in-flight fast-side section to drain.

@@ -14,11 +14,12 @@
 ///
 /// \c AsymmetricGate implements that lock. The fast side (a \c put) only
 /// writes to a cache line private to the calling thread; it reads one shared
-/// flag. The slow side (handler registration) raises the flag and waits for
-/// every in-flight fast-side critical section to drain. Correctness relies
-/// on sequentially-consistent ordering between the fast side's slot store
-/// and flag load versus the slow side's flag store and slot loads (the
-/// classic Dekker pattern).
+/// flag. The slow side (handler registration, and the growth of the table
+/// under ISet/IMap/MinMap, src/data/InsertOnlyTable.h) raises the flag and
+/// waits for every in-flight fast-side critical section to drain.
+/// Correctness relies on sequentially-consistent ordering between the fast
+/// side's slot store and flag load versus the slow side's flag store and
+/// slot loads (the classic Dekker pattern).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +54,9 @@ public:
   /// Leaves the fast-side critical section entered with token \p Slot.
   void exitFast(int Slot);
 
-  /// Enters the exclusive slow side (handler registration). Blocks until all
-  /// fast-side sections drain.
+  /// Enters the exclusive slow side (handler registration, table growth).
+  /// Blocks until all fast-side sections drain, so the calling thread must
+  /// hold none of them (asserted).
   void enterSlow();
 
   /// Leaves the exclusive slow side.

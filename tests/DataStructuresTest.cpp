@@ -6,8 +6,8 @@
 #include "src/data/IMap.h"
 #include "src/data/ISet.h"
 #include "src/data/IStructure.h"
+#include "src/data/InsertOnlyTable.h"
 #include "src/data/MinMap.h"
-#include "src/data/MonotoneHashMap.h"
 #include "src/data/UnionFind.h"
 #include "src/support/AsymmetricGate.h"
 
@@ -25,55 +25,177 @@ namespace {
 constexpr EffectSet D = Eff::Det;
 constexpr EffectSet DB = Eff::DetBump;
 
-// -- MonotoneHashMap substrate -------------------------------------------
+// -- InsertOnlyTable substrate -------------------------------------------
 
-TEST(MonotoneHashMap, InsertFindBasics) {
-  MonotoneHashMap<int, std::string> M;
-  auto [P1, New1] = M.insert(1, "one");
+/// The table's put path outside any LVar, under a private gate: returns
+/// {stored value, newly inserted}.
+template <typename K, typename V>
+std::pair<const V *, bool> tableInsert(InsertOnlyTable<K, V> &T,
+                                       AsymmetricGate &G, const K &Key,
+                                       V Val) {
+  return T.insertUnder(
+      G, Key, [&Val] { return std::move(Val); },
+      [](const V &Stored, bool Inserted) {
+        return std::pair<const V *, bool>(&Stored, Inserted);
+      });
+}
+
+TEST(InsertOnlyTable, InsertFindBasics) {
+  InsertOnlyTable<int, std::string> M;
+  AsymmetricGate G;
+  auto [P1, New1] = tableInsert(M, G, 1, std::string("one"));
   EXPECT_TRUE(New1);
   EXPECT_EQ(*P1, "one");
-  auto [P2, New2] = M.insert(1, "uno");
+  auto [P2, New2] = tableInsert(M, G, 1, std::string("uno"));
   EXPECT_FALSE(New2);
   EXPECT_EQ(*P2, "one"); // First write wins; no overwrite ever.
   EXPECT_EQ(M.size(), 1u);
   EXPECT_TRUE(M.contains(1));
   EXPECT_FALSE(M.contains(2));
+  EXPECT_EQ(M.find(2), nullptr);
 }
 
-TEST(MonotoneHashMap, PointersAreStableAcrossGrowth) {
-  MonotoneHashMap<int, int> M;
-  auto [P, New] = M.insert(0, 42);
-  (void)New;
-  for (int I = 1; I < 5000; ++I)
-    M.insert(I, I);
-  EXPECT_EQ(*P, 42); // Node-based: stable despite 5000 inserts.
-  EXPECT_EQ(M.size(), 5000u);
+TEST(InsertOnlyTable, ModifyKeyRefSurvivesTenGrowths) {
+  // 10,000 keys take the table from 16 slots to 32,768: eleven doublings
+  // after the reference was handed out. The retired arrays keep it valid.
+  runPar<D>([](ParCtx<D> Ctx) -> Par<void> {
+    auto M = newEmptyMap<int, std::string>(Ctx);
+    const std::string Long(64, 'v'); // Heap-allocated, so ASan sees reuse.
+    const std::string &Ref =
+        M->modifyKey(0, [&Long] { return Long; }, Ctx.task());
+    for (int I = 1; I < 10000; ++I)
+      insert(Ctx, *M, I, std::to_string(I));
+    EXPECT_EQ(Ref, Long);
+    EXPECT_EQ(M->sizeNow(), 10000u);
+    co_return;
+  });
 }
 
-TEST(MonotoneHashMap, ConcurrentInsertExactCount) {
-  MonotoneHashMap<int, int> M;
+TEST(InsertOnlyTable, ConcurrentInsertExactCount) {
+  InsertOnlyTable<int, int> M;
+  AsymmetricGate G;
   constexpr int PerThread = 5000;
   constexpr int Threads = 4;
   std::vector<std::thread> Ts;
   for (int T = 0; T < Threads; ++T)
-    Ts.emplace_back([&M, T] {
+    Ts.emplace_back([&M, &G, T] {
       for (int I = 0; I < PerThread; ++I)
-        M.insert(I, T); // All threads race on the same keys.
+        tableInsert(M, G, I, T); // All threads race on the same keys.
     });
   for (auto &T : Ts)
     T.join();
   EXPECT_EQ(M.size(), static_cast<size_t>(PerThread));
 }
 
-TEST(MonotoneHashMap, SnapshotSortedIsSorted) {
-  MonotoneHashMap<int, int> M;
+TEST(InsertOnlyTable, SnapshotSortedIsSorted) {
+  InsertOnlyTable<int, int> M;
+  AsymmetricGate G;
   for (int I : {5, 3, 9, 1, 7})
-    M.insert(I, I * 10);
-  auto Snap = M.snapshotSorted();
+    tableInsert(M, G, I, I * 10);
+  auto Snap = M.sorted([](int K, int V) { return std::pair(K, V); });
   ASSERT_EQ(Snap.size(), 5u);
   EXPECT_TRUE(std::is_sorted(Snap.begin(), Snap.end()));
   EXPECT_EQ(Snap.front().first, 1);
   EXPECT_EQ(Snap.back().first, 9);
+}
+
+TEST(InsertOnlyTable, GrowthRacesLockFreeReaders) {
+  // Four writers insert overlapping ranges covering 0..Keys (eleven
+  // doublings from 16 slots) while two readers sweep the key space with
+  // contains and find. A key once seen must stay visible, with its value.
+  constexpr int Keys = 10000, Span = 4000, Step = 2000;
+  InsertOnlyTable<int, int> M;
+  AsymmetricGate G;
+  std::atomic<int> WritersLeft{4};
+  std::atomic<int> Bad{0};
+  std::atomic<int> Ready{0};
+  auto StartTogether = [&Ready] {
+    Ready.fetch_add(1);
+    while (Ready.load() < 6)
+      std::this_thread::yield();
+  };
+  std::vector<std::thread> Ts;
+  for (int T = 0; T < 4; ++T)
+    Ts.emplace_back([&, T] {
+      StartTogether();
+      const int Lo = T == 3 ? Keys - Span : T * Step;
+      for (int I = Lo; I < Lo + Span; ++I)
+        tableInsert(M, G, I, I * 3);
+      WritersLeft.fetch_sub(1);
+    });
+  for (int R = 0; R < 2; ++R)
+    Ts.emplace_back([&, R] {
+      StartTogether();
+      std::vector<char> Seen(Keys, 0);
+      bool LastPass = false;
+      while (!LastPass) {
+        LastPass = WritersLeft.load() == 0;
+        for (int I = 0; I < Keys; ++I) {
+          bool Found = false;
+          if (R == 0) {
+            Found = M.contains(I);
+          } else if (const int *V = M.find(I)) {
+            Found = true;
+            if (*V != I * 3)
+              Bad.fetch_add(1);
+          }
+          if (Seen[I] && !Found)
+            Bad.fetch_add(1);
+          Seen[I] |= Found;
+        }
+      }
+      for (int I = 0; I < Keys; ++I)
+        if (!Seen[I])
+          Bad.fetch_add(1);
+    });
+  for (auto &T : Ts)
+    T.join();
+  EXPECT_EQ(Bad.load(), 0);
+  EXPECT_EQ(M.size(), static_cast<size_t>(Keys));
+  for (int I = 0; I < Keys; ++I) {
+    const int *V = M.find(I);
+    ASSERT_NE(V, nullptr) << I;
+    EXPECT_EQ(*V, I * 3);
+  }
+}
+
+/// A value that counts live objects and catches a second destruction.
+struct Counted {
+  static inline std::atomic<int> Live{0};
+  static inline std::atomic<int> DoubleDestroys{0};
+  static constexpr uint32_t Alive = 0xA11CE, Dead = 0xDEAD;
+  uint32_t State = Alive;
+  int Value;
+  explicit Counted(int V) : Value(V) { Live.fetch_add(1); }
+  Counted(const Counted &O) : Value(O.Value) { Live.fetch_add(1); }
+  Counted(Counted &&O) noexcept : Value(O.Value) { Live.fetch_add(1); }
+  Counted &operator=(const Counted &) = delete;
+  ~Counted() {
+    if (State != Alive)
+      DoubleDestroys.fetch_add(1);
+    State = Dead;
+    Live.fetch_sub(1);
+  }
+};
+
+TEST(InsertOnlyTable, StringKeysDestroyEachValueOnce) {
+  // Growth copies every entry (the retired array keeps its own copy), so
+  // each copy must be destroyed exactly once when the table goes.
+  {
+    InsertOnlyTable<std::string, Counted> M;
+    AsymmetricGate G;
+    for (int Round = 0; Round < 2; ++Round)
+      for (int I = 0; I < 3000; ++I)
+        tableInsert(M, G, "key-with-a-heap-buffer-" + std::to_string(I),
+                    Counted(I));
+    EXPECT_EQ(M.size(), 3000u);
+    const Counted *C = M.find("key-with-a-heap-buffer-2999");
+    ASSERT_NE(C, nullptr);
+    EXPECT_EQ(C->Value, 2999);
+    EXPECT_GT(Counted::Live.load(), 3000); // Retired copies are alive.
+  }
+  EXPECT_EQ(Counted::Live.load(), 0);
+  EXPECT_EQ(Counted::DoubleDestroys.load(), 0);
 }
 
 // -- ISet ------------------------------------------------------------------

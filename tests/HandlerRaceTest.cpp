@@ -7,8 +7,10 @@
 // src/core/LVarBase.h), so every delta must reach each late handler
 // exactly once - through the registration replay if it landed before the
 // registration, through its own put otherwise. The other suites register
-// only before or after the puts, inside one task. tools/ci.sh's tsan
-// stage re-runs this binary on its own.
+// only before or after the puts, inside one task. One ISet case also
+// races the registrations against the table's growth, which takes the
+// same gate's slow side. tools/ci.sh's tsan stage re-runs this binary on
+// its own.
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,6 +146,54 @@ TEST(HandlerRegistrationRace, ISet) {
               [](ParCtx<DB> C, ISet<int> &Set, int I) { insert(C, Set, I); },
               [](int Elem) { return static_cast<size_t>(Elem); }),
           W, S);
+}
+
+TEST(HandlerRegistrationRace, ISetRegistrationWhileTableGrows) {
+  // Four writers take the set's table from 16 slots to 32,768 (eleven
+  // doublings, each on the gate's slow side, as a registration is) while
+  // a registrar attaches a handler at each quarter of the fill. Every
+  // handler must see every element exactly once, by replay or by put.
+  constexpr int PerBigWriter = 4096;
+  constexpr int Big = Writers * PerBigWriter;
+  constexpr int Late = 3;
+  for (unsigned W : WorkerCounts)
+    for (uint64_t S : StealSeeds) {
+      auto Counts =
+          std::make_shared<std::vector<std::vector<std::atomic<int>>>>();
+      for (int H = 0; H < Late; ++H)
+        Counts->emplace_back(Big);
+      ParOutcome<int> O = tryRunPar<DB>(
+          [Counts](ParCtx<DB> Ctx) -> Par<int> {
+            auto Set = newISet<int>(Ctx);
+            for (int Wr = 0; Wr < Writers; ++Wr)
+              fork(Ctx, [Set, Wr](ParCtx<DB> C) -> Par<void> {
+                for (int J = 0; J < PerBigWriter; ++J)
+                  insert(C, *Set, Wr * PerBigWriter + J);
+                co_return;
+              });
+            fork(Ctx, [Set, Counts](ParCtx<DB> C) -> Par<void> {
+              for (int H = 0; H < Late; ++H) {
+                co_await waitSize(C, *Set,
+                                  static_cast<uint64_t>((H + 1) * Big / 4));
+                std::vector<std::atomic<int>> *Row = &(*Counts)[H];
+                Set->addHandlerRaw(
+                    [Row](const int &Elem) {
+                      (*Row)[static_cast<size_t>(Elem)].fetch_add(
+                          1, std::memory_order_relaxed);
+                    },
+                    C.task());
+              }
+            });
+            co_return 0;
+          },
+          cfg(W, S));
+      ASSERT_TRUE(O.ok()) << O.fault().Message;
+      Tallies Got(Late, std::vector<int>(Big));
+      for (int H = 0; H < Late; ++H)
+        for (int I = 0; I < Big; ++I)
+          Got[H][I] = (*Counts)[H][I].load();
+      expectExactlyOnce(Got, W, S);
+    }
 }
 
 TEST(HandlerRegistrationRace, IMap) {

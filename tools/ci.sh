@@ -16,7 +16,9 @@
 #              Re-runs ContentionStressTest standalone to stress the
 #              sharded waiter-table publish/probe protocol under TSan,
 #              HandlerRaceTest for handler registration racing puts
-#              (the gate-guarded handler list), and SpawnPathsTest and
+#              (the gate-guarded handler list), DataStructuresTest and
+#              LatticeLawsTest for the insert-only table's lock-free
+#              probes racing its growth, and SpawnPathsTest and
 #              ComplexityTest for the scope lists that forks copy across
 #              workers.
 #   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
@@ -29,7 +31,8 @@
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints non-fatal bench-report
 #              diffs of the committed bench/baselines/ pre/post JSON
-#              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post}).
+#              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post},
+#              micro_lvar_table_{pre,post}).
 #              Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
@@ -134,8 +137,16 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-tsan/tests/PbbsGoldenTest
       echo "==== [tsan] handler registration vs. live puts ===="
       # The handler list is guarded by the footnote-6 gate alone; TSan
-      # checks the gate orders every append against every delivery.
+      # checks the gate orders every append against every delivery, and
+      # against table growth, which takes the same gate's slow side.
       ./build-ci-tsan/tests/HandlerRaceTest
+      echo "==== [tsan] insert-only table: lock-free probes vs. growth ===="
+      # ISet/IMap/MinMap storage claims slots with a CAS and is read with
+      # no lock while another thread may be copying it into a grown
+      # array; the table's race cases and the lattice-law sweeps get a
+      # pass of their own.
+      ./build-ci-tsan/tests/DataStructuresTest
+      ./build-ci-tsan/tests/LatticeLawsTest
       echo "==== [tsan] spawn paths and scope lists ===="
       # Scope lists are shared_ptr vectors copied on every fork, often on
       # one worker while another retires a task holding the same scopes;
@@ -183,6 +194,12 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report diff \
         bench/baselines/micro_lvar_lean_pre.json \
         bench/baselines/micro_lvar_lean_post.json \
+        || echo "bench-report diff failed (non-fatal)"
+      # The insert-only table under ISet/IMap/MinMap: lock-free probes,
+      # repeats outside the gate, growth on the gate's slow side.
+      ./build-ci-release/tools/bench-report diff \
+        bench/baselines/micro_lvar_table_pre.json \
+        bench/baselines/micro_lvar_table_post.json \
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
