@@ -72,8 +72,7 @@ int main() {
                                                          uint64_t>>> {
         auto Table = std::make_shared<Freq>(Ctx.sessionId());
         uint64_t Session = Ctx.sessionId();
-        auto Chunk = [Table, DocP, Session](ParCtx<E> C,
-                                            size_t I) -> Par<void> {
+        auto Chunk = [Table, DocP, Session](ParCtx<E> C, size_t I) {
           const std::string &Word = (*DocP)[I];
           // Monotone get-or-create (a put), then a non-idempotent bump:
           // the two update families live on DIFFERENT LVars, as Section 3
@@ -82,9 +81,8 @@ int main() {
               Word, [Session] { return std::make_shared<Counter>(Session); },
               C.task());
           incrCounter(C, *Ctr);
-          co_return;
         };
-        co_await parallelForPar(Ctx, 0, DocP->size(), 4096, Chunk);
+        co_await parallelFor(Ctx, 0, DocP->size(), 4096, Chunk);
         // Quiescent after the join: exact reads are deterministic.
         Table->markFrozen();
         std::vector<std::pair<std::string, uint64_t>> Out;

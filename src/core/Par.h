@@ -40,12 +40,11 @@
 /// GCC 12:
 ///
 ///   // BAD:  capturing-lambda temporary inside the co_await expression
-///   co_await parallelForPar(Ctx, 0, N, 1,
-///                           [Shared](ParCtx<E> C, size_t I) -> Par<void>
-///                           { ... });
+///   co_await parallelFor(Ctx, 0, N, 1,
+///                        [Shared](ParCtx<E> C, size_t I) { ... });
 ///   // GOOD: bind it first, then await
-///   auto Body = [Shared](ParCtx<E> C, size_t I) -> Par<void> { ... };
-///   co_await parallelForPar(Ctx, 0, N, 1, Body);
+///   auto Body = [Shared](ParCtx<E> C, size_t I) { ... };
+///   co_await parallelFor(Ctx, 0, N, 1, Body);
 ///
 /// Only prvalue temporaries with non-trivial destructors are affected
 /// (capturing lambdas, std::function, containers, shared_ptr). Named

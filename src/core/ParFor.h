@@ -11,6 +11,10 @@
 /// (Section 7.2 / Figure 4). The recursive binary split bottoms out at a
 /// grain size, below which iterations run sequentially.
 ///
+/// Two loop forms: \c parallelFor, whose body is a plain call (the
+/// put-only leaf every PBBS round uses), and \c parallelForPar, whose body
+/// is a Par computation that may block.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LVISH_CORE_PARFOR_H
@@ -20,19 +24,24 @@
 #include "src/core/Par.h"
 
 #include <cstddef>
+#include <type_traits>
 
 namespace lvish {
 
-/// Parallel for over [Begin, End): calls \p Fn(I) for every index. The
-/// body is a plain callable (no blocking); iterations must be independent.
+/// Parallel for over [Begin, End): calls \p Fn(Ctx, I) for every index,
+/// a plain call in the task that owns the leaf. The body may put, bump,
+/// insert or fork through the context, but cannot await; iterations must
+/// be independent. A leaf runs its indices in one loop, with no coroutine
+/// frame per element and no stack growth with the grain.
 template <EffectSet E, typename F>
-  requires(hasPut(E) && hasGet(E) && std::is_invocable_v<F, size_t>)
+  requires(hasPut(E) && hasGet(E) &&
+           std::is_void_v<std::invoke_result_t<F, ParCtx<E>, size_t>>)
 Par<void> parallelFor(ParCtx<E> Ctx, size_t Begin, size_t End, size_t Grain,
                       F Fn) {
   assert(Grain > 0 && "grain must be positive");
   if (End - Begin <= Grain) {
     for (size_t I = Begin; I < End; ++I)
-      Fn(I);
+      Fn(Ctx, I);
     co_return;
   }
   size_t Mid = Begin + (End - Begin) / 2;
@@ -45,8 +54,9 @@ Par<void> parallelFor(ParCtx<E> Ctx, size_t Begin, size_t End, size_t Grain,
   co_await get(Ctx, *Done);
 }
 
-/// Parallel for whose body is itself a Par computation (may block, fork,
-/// and perform LVar effects).
+/// Parallel for whose body is itself a Par computation. Use it only for
+/// bodies that block (co_await a get, a quiesce, a nested loop); every
+/// element costs a coroutine frame.
 template <EffectSet E, typename F>
   requires(hasPut(E) && hasGet(E) &&
            std::is_invocable_r_v<Par<void>, F, ParCtx<E>, size_t>)

@@ -110,7 +110,9 @@ std::vector<double> kernels::blackScholesPar(service::Runtime &RT,
   RT.run<KernelEff>(
       [In, Out, N, Grain, Layers](ParCtx<KernelEff> Ctx) -> Par<void> {
         auto Work = [In, Out, N, Grain](ParCtx<KernelEff> C) -> Par<void> {
-          auto Body = [In, Out](size_t I) { Out[I] = priceOne(In[I]); };
+          auto Body = [In, Out](ParCtx<KernelEff>, size_t I) {
+            Out[I] = priceOne(In[I]);
+          };
           co_await parallelFor(C, 0, N, Grain, Body);
         };
         co_await withLayering(Ctx, Layers, Work);
@@ -223,17 +225,15 @@ std::vector<double> kernels::matMultPar(service::Runtime &RT,
       [AP, BP, CP, N, RowGrain, Layers](ParCtx<KernelEff> Ctx) -> Par<void> {
         auto Work = [AP, BP, CP, N, RowGrain](ParCtx<KernelEff> C1)
             -> Par<void> {
-          auto Body = [AP, BP, CP, N](ParCtx<KernelEff> C2,
-                                      size_t Row) -> Par<void> {
+          auto Body = [AP, BP, CP, N](ParCtx<KernelEff> C2, size_t Row) {
             matMultRows(AP, BP, CP, N, Row, Row + 1);
             // Traffic per row: A's row, C's row written, plus B amortized
             // (largely cache-resident across the K loop). The kernel is
             // compute-bound (2N^3 flops over N^2 data), so traffic stays
             // small - that is why matmult scales in Figure 4.
             C2.noteBytes(5 * N * sizeof(double));
-            co_return;
           };
-          co_await parallelForPar(C1, 0, N, RowGrain, Body);
+          co_await parallelFor(C1, 0, N, RowGrain, Body);
         };
         co_await withLayering(Ctx, Layers, Work);
       }).valueOrAbort();
@@ -313,7 +313,7 @@ void kernels::nBodyPar(service::Runtime &RT, std::vector<Body> &Bodies,
         [BP, AP, N, Grain, Layers](ParCtx<KernelEff> Ctx) -> Par<void> {
           auto Work = [BP, AP, N, Grain](ParCtx<KernelEff> C) -> Par<void> {
             // Force phase: reads all bodies, writes a disjoint slot each.
-            auto Body = [BP, AP, N](size_t I) {
+            auto Body = [BP, AP, N](ParCtx<KernelEff>, size_t I) {
               accumulateForces(BP, N, I, AP[3 * I], AP[3 * I + 1],
                                AP[3 * I + 2]);
             };

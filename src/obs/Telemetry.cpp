@@ -2,6 +2,9 @@
 
 #include "src/obs/Telemetry.h"
 
+#include <mutex>
+#include <type_traits>
+
 using namespace lvish;
 using namespace lvish::obs;
 
@@ -73,20 +76,100 @@ const char *obs::gitRevision() { return LVISH_GIT_REV; }
 
 #if LVISH_TELEMETRY
 
-obs::detail::TelemetryStripe obs::detail::Stripes[NumStripes];
+thread_local constinit obs::detail::CounterBlock *obs::detail::MyBlock =
+    nullptr;
 std::atomic<uint64_t> obs::detail::QuiesceWaitNanosTotal{0};
 std::atomic<uint64_t> obs::detail::SessionLatencyNanosTotal{0};
 
-unsigned obs::detail::assignStripe() {
-  static std::atomic<unsigned> Next{0};
-  return Next.fetch_add(1, std::memory_order_relaxed) % NumStripes;
+namespace {
+
+using obs::detail::CounterBlock;
+
+/// Blocks come from static storage, not from the malloc arena of the
+/// thread that claims them: a block outlives its thread, and one parked in
+/// a short-lived worker's arena would keep memory freed below it resident.
+/// Once PoolBlocks threads count at the same time, further blocks come
+/// from new.
+constexpr size_t PoolBlocks = 256;
+CounterBlock Pool[PoolBlocks];
+
+/// Every block ever made, and the blocks whose threads have exited, as
+/// intrusive lists.
+struct Registry {
+  std::mutex Mu;
+  CounterBlock *All = nullptr;
+  CounterBlock *Free = nullptr;
+  size_t Made = 0;
+
+  CounterBlock *claim() {
+    std::lock_guard<std::mutex> L(Mu);
+    if (CounterBlock *B = Free) {
+      Free = B->NextFree;
+      return B;
+    }
+    CounterBlock *B = Made < PoolBlocks ? &Pool[Made] : new CounterBlock;
+    ++Made;
+    B->NextAll = All;
+    All = B;
+    return B;
+  }
+
+  void release(CounterBlock *B) {
+    std::lock_guard<std::mutex> L(Mu);
+    B->NextFree = Free;
+    Free = B;
+  }
+
+  template <typename F> void forEach(F Fn) {
+    std::lock_guard<std::mutex> L(Mu);
+    for (CounterBlock *B = All; B; B = B->NextAll)
+      Fn(*B);
+  }
+};
+
+/// Threads may still count while static destructors run, so the registry
+/// must have none.
+Registry Blocks;
+static_assert(std::is_trivially_destructible_v<Registry>);
+
+/// Counts made by a thread after it released its block, during its own
+/// thread-exit teardown. Shared, so added to with fetch_add.
+CounterBlock ExitedThreads;
+
+/// Hands this thread's block back when the thread exits. Constructed on
+/// the claim path only, so the count() fast path never touches an object
+/// with a destructor.
+thread_local bool Released = false;
+struct BlockReleaser {
+  ~BlockReleaser() {
+    CounterBlock *B = obs::detail::MyBlock;
+    obs::detail::MyBlock = nullptr;
+    Released = true;
+    Blocks.release(B);
+  }
+};
+
+} // namespace
+
+void obs::detail::countSlow(Event E, uint64_t N) {
+  unsigned I = static_cast<unsigned>(E);
+  if (Released) {
+    ExitedThreads.Counts[I].fetch_add(N, std::memory_order_relaxed);
+    return;
+  }
+  thread_local BlockReleaser Releaser;
+  MyBlock = Blocks.claim();
+  count(E, N);
 }
 
 TelemetrySnapshot obs::telemetrySnapshot() {
   TelemetrySnapshot S;
-  for (const detail::TelemetryStripe &Stripe : detail::Stripes)
+  auto Add = [&S](const CounterBlock &B) {
     for (unsigned E = 0; E < NumEvents; ++E)
-      S.Counts[E] += Stripe.Counts[E].load(std::memory_order_relaxed);
+      S.Counts[E] += B.Counts[E].load(std::memory_order_relaxed);
+  };
+  Blocks.forEach(Add);
+  Add(ExitedThreads);
   S.QuiesceWaitNanos =
       detail::QuiesceWaitNanosTotal.load(std::memory_order_relaxed);
   S.SessionLatencyNanos =
@@ -95,9 +178,12 @@ TelemetrySnapshot obs::telemetrySnapshot() {
 }
 
 void obs::resetTelemetry() {
-  for (detail::TelemetryStripe &Stripe : detail::Stripes)
+  auto Zero = [](CounterBlock &B) {
     for (unsigned E = 0; E < NumEvents; ++E)
-      Stripe.Counts[E].store(0, std::memory_order_relaxed);
+      B.Counts[E].store(0, std::memory_order_relaxed);
+  };
+  Blocks.forEach(Zero);
+  Zero(ExitedThreads);
   detail::QuiesceWaitNanosTotal.store(0, std::memory_order_relaxed);
   detail::SessionLatencyNanosTotal.store(0, std::memory_order_relaxed);
 }

@@ -14,10 +14,12 @@
 /// effect zoo is made of: puts, no-op joins (a put that did not change
 /// the lattice value), threshold wakeups, handler invocations, quiescence
 /// waits (plus their summed latency), cancellations, and memo hits/misses.
-/// Counters are striped across cache-line-padded blocks indexed per
-/// thread, so the hot-path cost is one relaxed fetch_add with no
-/// cross-thread contention. Timelines come from the scheduler's
-/// TraceRecorder instead (src/obs/ChromeTrace.h exports them).
+/// Each thread counts into its own cache-line-aligned block, which only
+/// it writes, so the hot-path cost is a thread_local pointer test and a
+/// plain add: no lock prefix, no shared line. Blocks of exited threads
+/// are reused by later threads and stay in every snapshot. Timelines come
+/// from the scheduler's TraceRecorder instead (src/obs/ChromeTrace.h
+/// exports them).
 ///
 /// Counting is process-wide rather than per-scheduler because the hooks
 /// fire inside LVar operations, which deliberately know nothing about the
@@ -113,34 +115,40 @@ struct TelemetrySnapshot {
 
 namespace detail {
 
-/// One cache line of event counters; threads are striped across a small
-/// fixed pool of these so concurrent puts on different threads do not
-/// bounce a shared line.
-struct alignas(64) TelemetryStripe {
+/// One thread's event counters. Only the owning thread writes them (a
+/// relaxed load and a relaxed store, so a plain add with no lock prefix);
+/// snapshots read them with relaxed loads from any thread. A block outlives
+/// its thread: on exit it goes onto a free list, keeping its counts, and
+/// the next new thread continues from them.
+struct alignas(64) CounterBlock {
   std::atomic<uint64_t> Counts[NumEvents] = {};
+  CounterBlock *NextAll = nullptr;  ///< Registry list of every block.
+  CounterBlock *NextFree = nullptr; ///< Registry free list.
 };
 
-inline constexpr unsigned NumStripes = 16;
-extern TelemetryStripe Stripes[NumStripes];
+/// This thread's block; null until its first count. Trivially
+/// initialised, so the hot path reads it with no TLS init wrapper.
+extern thread_local constinit CounterBlock *MyBlock;
+
+/// Slow path of count(): claims a block on a thread's first count, or -
+/// once the thread has released its block on exit - adds to a shared
+/// block with an atomic RMW instead, so a late count never writes into a
+/// block that another thread now owns.
+void countSlow(Event E, uint64_t N);
+
 extern std::atomic<uint64_t> QuiesceWaitNanosTotal;
 extern std::atomic<uint64_t> SessionLatencyNanosTotal;
 
-/// Round-robin stripe assignment, cached per thread.
-unsigned assignStripe();
-
-inline unsigned myStripe() {
-  thread_local unsigned Stripe = assignStripe();
-  return Stripe;
-}
-
 } // namespace detail
 
-/// Records \p N occurrences of \p E. One relaxed fetch_add on this
-/// thread's stripe.
+/// Records \p N occurrences of \p E: one unlocked add on this thread's
+/// own counter block.
 inline void count(Event E, uint64_t N = 1) {
-  detail::Stripes[detail::myStripe()]
-      .Counts[static_cast<unsigned>(E)]
-      .fetch_add(N, std::memory_order_relaxed);
+  detail::CounterBlock *B = detail::MyBlock;
+  if (__builtin_expect(B == nullptr, 0))
+    return detail::countSlow(E, N);
+  std::atomic<uint64_t> &C = B->Counts[static_cast<unsigned>(E)];
+  C.store(C.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
 }
 
 /// Accumulates measured quiescence-wait latency (paired with a
@@ -156,8 +164,10 @@ inline void addSessionLatencyNanos(uint64_t Nanos) {
                                              std::memory_order_relaxed);
 }
 
-/// Sums all stripes into one snapshot. Relaxed reads: exact once the
-/// counted activity has quiesced, approximate while it runs.
+/// Sums every counter block ever made, including those of exited
+/// threads. Relaxed reads: exact once the counted activity has quiesced
+/// (joined or otherwise synchronised with the caller), approximate while
+/// it runs.
 TelemetrySnapshot telemetrySnapshot();
 
 /// Zeroes every counter (test isolation; do not call concurrently with

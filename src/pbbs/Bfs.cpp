@@ -57,18 +57,16 @@ std::vector<uint32_t> pbbs::bfsLevels(const Graph &G, uint32_t Source,
           // Levels is only READ during the round (it was last written
           // between rounds, below); racing discoveries of the same vertex
           // dedup inside the ISet join.
-          auto Body = [GP, LP, FP, NP](ParCtx<BfsEff> C,
-                                       size_t I) -> Par<void> {
+          auto Body = [GP, LP, FP, NP](ParCtx<BfsEff> C, size_t I) {
             uint32_t V = (*FP)[I];
             for (const uint32_t *W = GP->neighborsBegin(V),
                                 *End = GP->neighborsEnd(V);
                  W != End; ++W)
               if ((*LP)[*W] == UnreachedLevel)
                 insert(C, *NP, *W);
-            co_return;
           };
-          co_await parallelForPar(Ctx, 0, Frontier.size(),
-                                  pickGrain(BfsGrain, Frontier.size()), Body);
+          co_await parallelFor(Ctx, 0, Frontier.size(),
+                               pickGrain(BfsGrain, Frontier.size()), Body);
           // The barrier above quiesced every writer of Next: freezing here
           // is deterministic, and the sorted contents give a canonical
           // next frontier regardless of insertion order.

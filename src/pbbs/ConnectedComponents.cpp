@@ -59,16 +59,15 @@ std::vector<uint32_t> pbbs::componentsLVar(const Graph &G,
         auto UF = newUnionFind(Ctx, N);
         UnionFind *UP = UF.get();
         // Each undirected edge is united once, from its smaller endpoint.
-        auto Body = [UP, GP](ParCtx<UfEff> C, size_t V) -> Par<void> {
+        auto Body = [UP, GP](ParCtx<UfEff> C, size_t V) {
           uint32_t U = static_cast<uint32_t>(V);
           for (const uint32_t *W = GP->neighborsBegin(U),
                               *End = GP->neighborsEnd(U);
                W != End; ++W)
             if (*W > U)
               unite(C, *UP, U, *W);
-          co_return;
         };
-        co_await parallelForPar(Ctx, 0, N, pickGrain(UniteGrain, N), Body);
+        co_await parallelFor(Ctx, 0, N, pickGrain(UniteGrain, N), Body);
         co_return UF;
       },
       Opts);
@@ -133,17 +132,16 @@ std::vector<uint32_t> pbbs::componentsLabelProp(const Graph &G,
         // waves that were doomed to lose never start. Without this filter
         // every vertex launches a wave and the relaxation cascade degrades
         // to quadratic label churn under adversarial task orders.
-        auto SeedBody = [MP, GP](ParCtx<CcEff> C, size_t V) -> Par<void> {
+        auto SeedBody = [MP, GP](ParCtx<CcEff> C, size_t V) {
           uint32_t U = static_cast<uint32_t>(V);
           for (const uint32_t *W = GP->neighborsBegin(U),
                               *End = GP->neighborsEnd(U);
                W != End; ++W)
             if (*W < U)
-              co_return;
+              return;
           putMin(C, *MP, U, static_cast<uint64_t>(V));
-          co_return;
         };
-        co_await parallelForPar(Ctx, 0, N, pickGrain(SeedGrain, N), SeedBody);
+        co_await parallelFor(Ctx, 0, N, pickGrain(SeedGrain, N), SeedBody);
         co_await quiesce(Ctx, Pool);
         // Post-quiescence freeze: deterministic exact contents.
         auto Frozen = freezeMinMap(Ctx, *Labels);

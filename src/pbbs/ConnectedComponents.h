@@ -9,7 +9,7 @@
 /// PBBS connected components, two ways:
 ///
 ///  * \c componentsLVar - union-find, the shape PBBS itself uses: one
-///    \c parallelForPar over the vertices unites every edge once (from its
+///    \c parallelFor over the vertices unites every edge once (from its
 ///    smaller endpoint) into a \c UnionFind partition LVar
 ///    (src/data/UnionFind.h), frozen on the way out of the session. Roots
 ///    are class minima by construction, so label[v] is the smallest vertex

@@ -94,7 +94,7 @@ Par<DistanceMatrix> rfParallelBody(ParCtx<PhyBinEff> Ctx,
   // Phase 1: all trees in parallel, inserting into the map-of-sets.
   uint64_t Session = Ctx.sessionId();
   auto Phase1 = [BipTable, BipCount, Trees, S,
-                 Session](ParCtx<PhyBinEff> C, size_t T) -> Par<void> {
+                 Session](ParCtx<PhyBinEff> C, size_t T) {
     auto Bips = extractBipartitions(Trees->Trees[T], S);
     (*BipCount)[T] = static_cast<uint32_t>(Bips.size());
     for (const DenseLabelSet &B : Bips) {
@@ -105,9 +105,8 @@ Par<DistanceMatrix> rfParallelBody(ParCtx<PhyBinEff> Ctx,
           C.task());
       insert(C, *Set, static_cast<uint32_t>(T));
     }
-    co_return;
   };
-  co_await parallelForPar(Ctx, 0, N, 4, Phase1);
+  co_await parallelFor(Ctx, 0, N, 4, Phase1);
 
   // Phase boundary: the join above guarantees quiescence of all inserts,
   // so freezing here is deterministic.
@@ -123,8 +122,8 @@ Par<DistanceMatrix> rfParallelBody(ParCtx<PhyBinEff> Ctx,
   // counters (the "vector of monotonic bump counters").
   auto SharedCounts = newCounterVec(Ctx, N * N);
   auto EntriesPtr = &Entries;
-  auto Phase2 = [SharedCounts, EntriesPtr,
-                 N](ParCtx<PhyBinEff> C, size_t EI) -> Par<void> {
+  auto Phase2 = [SharedCounts, EntriesPtr, N](ParCtx<PhyBinEff> C,
+                                              size_t EI) {
     TreeSetLV &Members = *(*EntriesPtr)[EI];
     // Quiescent since phase 1's join. lvish-lint: allow(state-bypass)
     Members.markFrozen();
@@ -136,9 +135,8 @@ Par<DistanceMatrix> rfParallelBody(ParCtx<PhyBinEff> Ctx,
       for (size_t B = A + 1; B < List.size(); ++B)
         incrCounterAt(C, *SharedCounts,
                       size_t(List[A]) * N + List[B]);
-    co_return;
   };
-  co_await parallelForPar(Ctx, 0, Entries.size(), 8, Phase2);
+  co_await parallelFor(Ctx, 0, Entries.size(), 8, Phase2);
 
   // Final pure pass: assemble the matrix.
   std::vector<uint64_t> Shared = freezeCounterVec(Ctx, *SharedCounts);

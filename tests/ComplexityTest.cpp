@@ -11,7 +11,10 @@
 //  * Event counts are linear in the input. Connected components makes one
 //    put per undirected edge and exactly N - #components useful ones;
 //    bfsReach makes one handler invocation per reached vertex. Checked at
-//    N and 2N, at 1/2/4 workers and under explored schedules.
+//    N and 2N, at 1/2/4 workers and under explored schedules. The
+//    pbbs_rounds kernels (histogram, removeDuplicates, bfsLevels, spanning
+//    forest) are pinned at one worker: puts, no-op joins and tasks created
+//    each equal a closed form over the input.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,7 @@
 #include "src/explore/Explorer.h"
 #include "src/obs/Telemetry.h"
 #include "src/pbbs/Pbbs.h"
+#include "src/obs/SchedulerStats.h"
 #include "src/sched/Scheduler.h"
 #include "src/sched/Task.h"
 #include "src/trans/Deadlock.h"
@@ -30,6 +34,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <numeric>
+#include <set>
 #include <vector>
 
 using namespace lvish;
@@ -249,6 +255,203 @@ TEST(ComplexityTest, BfsReachInvokesOneHandlerPerReachedVertex) {
         EXPECT_EQ(C.Puts - C.NoOpJoins, Reached.size());
       });
     }
+}
+
+//===----------------------------------------------------------------------===//
+// Exact counts of the pbbs_rounds kernels at one worker
+//===----------------------------------------------------------------------===//
+
+/// The [begin, end) ranges of the leaves of a halving loop (parallelFor,
+/// or relabelAndPropose's forkSTSplit recursion) at grain \p G, left to
+/// right.
+void splitLeaves(size_t Begin, size_t End, size_t G,
+                 std::vector<std::pair<size_t, size_t>> &Out) {
+  if (End - Begin <= G) {
+    Out.push_back({Begin, End});
+    return;
+  }
+  size_t Mid = Begin + (End - Begin) / 2;
+  splitLeaves(Begin, Mid, G, Out);
+  splitLeaves(Mid, End, G, Out);
+}
+
+/// Forks made by that loop over \p N items: one per inner node of the
+/// tree. Each fork is one task created and one barrier IVar put.
+uint64_t splitForks(size_t N, size_t G) {
+  std::vector<std::pair<size_t, size_t>> Leaves;
+  splitLeaves(0, N, G, Leaves);
+  return Leaves.size() - 1;
+}
+
+struct KernelCounts {
+  uint64_t Puts = 0;
+  uint64_t NoOpJoins = 0;
+  uint64_t Tasks = 0;
+};
+
+/// Puts, no-op joins and tasks created by \p Run on one worker.
+KernelCounts oneWorker(const std::function<void(const RunOptions &)> &Run) {
+  SchedulerStats Stats;
+  RunOptions O = RunOptions::CollectStats(Stats);
+  O.Config.NumWorkers = 1;
+  Counts C = countDuring([&] { Run(O); });
+  return {C.Puts, C.NoOpJoins, Stats.TasksCreated};
+}
+
+/// Checks \p Got against the closed form, and that every count stays
+/// within a constant times \p InputSize.
+void expectCounts(const KernelCounts &Got, const KernelCounts &Want,
+                  uint64_t InputSize) {
+  EXPECT_EQ(Got.Puts, Want.Puts);
+  EXPECT_EQ(Got.NoOpJoins, Want.NoOpJoins);
+  EXPECT_EQ(Got.Tasks, Want.Tasks);
+  EXPECT_LE(Got.Puts, 4 * InputSize);
+  EXPECT_LE(Got.Tasks, InputSize);
+}
+
+TEST(ComplexityTest, HistogramBumpsEachNonzeroBucketOncePerBlock) {
+  if constexpr (!obs::TelemetryEnabled)
+    GTEST_SKIP() << "telemetry compiled out";
+  constexpr uint64_t Buckets = 16;
+  for (size_t N : {3000u, 6000u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << N);
+    const std::vector<uint64_t> Keys = makeSkewedKeys(N, 1024, 29);
+    // Blocks of at least 8 x Buckets keys (fewer on tiny inputs, which
+    // still split into about 8), each bumping its nonzero buckets once.
+    const size_t Blocks = std::max<size_t>(1, N / pickGrain(8 * Buckets, N));
+    uint64_t Bumps = 0;
+    for (size_t B = 0; B < Blocks; ++B) {
+      std::set<uint64_t> Hit;
+      for (size_t I = N * B / Blocks; I < N * (B + 1) / Blocks; ++I)
+        Hit.insert(Keys[I] % Buckets);
+      Bumps += Hit.size();
+    }
+    const uint64_t Forks = splitForks(Blocks, 1);
+    KernelCounts Got = oneWorker(
+        [&](const RunOptions &O) { histogramLVar(Keys, Buckets, O); });
+    expectCounts(Got, {Bumps + Forks, 0, 1 + Forks}, N);
+  }
+}
+
+TEST(ComplexityTest, RemoveDuplicatesPutsEveryKeyOnce) {
+  if constexpr (!obs::TelemetryEnabled)
+    GTEST_SKIP() << "telemetry compiled out";
+  for (size_t N : {3000u, 6000u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << N);
+    const std::vector<uint64_t> Keys = makeSkewedKeys(N, 1024, 31);
+    const uint64_t Distinct = removeDuplicatesSeq(Keys).size();
+    const uint64_t Forks = splitForks(N, pickGrain(256, N));
+    KernelCounts Got = oneWorker(
+        [&](const RunOptions &O) { removeDuplicatesLVar(Keys, O); });
+    // N inserts, Distinct of them useful.
+    expectCounts(Got, {N + Forks, N - Distinct, 1 + Forks}, N);
+  }
+}
+
+TEST(ComplexityTest, BfsLevelsInsertsEachUnreachedNeighbourOncePerRound) {
+  if constexpr (!obs::TelemetryEnabled)
+    GTEST_SKIP() << "telemetry compiled out";
+  for (uint32_t N : {400u, 800u})
+    for (bool PowerLaw : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (PowerLaw ? "powerlaw" : "uniform") << " n=" << N);
+      const Graph G = PowerLaw ? makePowerLawGraph(N, 6, 37)
+                               : makeUniformGraph(N, 6, 37);
+      const std::vector<uint32_t> Level = bfsSeq(G, 0);
+      // Round R reads the level-(R-1) frontier and inserts every neighbour
+      // not yet reached when the round starts, i.e. of level >= R; the
+      // level-R vertices are the useful inserts.
+      uint64_t Inserts = 0, Useful = 0, Forks = 0;
+      for (uint32_t R = 1;; ++R) {
+        size_t Frontier = 0;
+        for (uint32_t V = 0; V < N; ++V) {
+          if (Level[V] == R)
+            ++Useful;
+          if (Level[V] != R - 1)
+            continue;
+          ++Frontier;
+          for (const uint32_t *W = G.neighborsBegin(V),
+                              *End = G.neighborsEnd(V);
+               W != End; ++W)
+            Inserts += Level[*W] >= R;
+        }
+        if (Frontier == 0)
+          break;
+        Forks += splitForks(Frontier, pickGrain(64, Frontier));
+      }
+      KernelCounts Got =
+          oneWorker([&](const RunOptions &O) { bfsLevels(G, 0, O); });
+      expectCounts(Got, {Inserts + Forks, Inserts - Useful, 1 + Forks},
+                   N + G.numDirectedEdges());
+    }
+}
+
+TEST(ComplexityTest, SpanningForestProposesTwicePerExternalEdgePerRound) {
+  if constexpr (!obs::TelemetryEnabled)
+    GTEST_SKIP() << "telemetry compiled out";
+  for (uint32_t N : {400u, 800u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << N);
+    const EdgeList EL = toEdgeList(makeUniformGraph(N, 6, 41));
+    // Replays spanningForestLVar's Boruvka rounds. At one worker a split
+    // runs its right half before its forked left half, so leaves propose
+    // from the highest edge indices down, and indices ascend within a
+    // leaf: each leaf's first proposal to a component lowers its cell,
+    // and the leaf's later proposals to it are no-op joins.
+    std::vector<uint32_t> Parent(N);
+    std::iota(Parent.begin(), Parent.end(), 0u);
+    auto Find = [&Parent](uint32_t V) {
+      while (Parent[V] != V)
+        V = Parent[V];
+      return V;
+    };
+    std::vector<uint32_t> Live(EL.Edges.size());
+    std::iota(Live.begin(), Live.end(), 0u);
+    uint64_t Proposals = 0, Lowered = 0, Accepted = 0, Forks = 0;
+    while (!Live.empty()) {
+      const size_t Grain = pickGrain(512, Live.size());
+      std::vector<std::pair<size_t, size_t>> Leaves;
+      splitLeaves(0, Live.size(), Grain, Leaves);
+      Forks += Leaves.size() - 1;
+      std::vector<uint64_t> Min(N, ~uint64_t{0});
+      for (auto [B, E] : Leaves) {
+        std::set<uint32_t> Touched;
+        for (size_t I = B; I < E; ++I) {
+          uint32_t CU = Find(EL.Edges[Live[I]].first);
+          uint32_t CV = Find(EL.Edges[Live[I]].second);
+          if (CU == CV)
+            continue;
+          Proposals += 2;
+          for (uint32_t C : {CU, CV}) {
+            Touched.insert(C);
+            Min[C] = std::min<uint64_t>(Min[C], Live[I]);
+          }
+        }
+        Lowered += Touched.size();
+      }
+      for (uint32_t C = 0; C < N; ++C) {
+        if (Min[C] == ~uint64_t{0})
+          continue;
+        uint32_t RU = Find(EL.Edges[Min[C]].first);
+        uint32_t RV = Find(EL.Edges[Min[C]].second);
+        if (RU == RV)
+          continue;
+        Parent[std::max(RU, RV)] = std::min(RU, RV);
+        ++Accepted;
+      }
+      Live.erase(std::remove_if(Live.begin(), Live.end(),
+                                [&](uint32_t I) {
+                                  return Find(EL.Edges[I].first) ==
+                                         Find(EL.Edges[I].second);
+                                }),
+                 Live.end());
+    }
+    KernelCounts Got =
+        oneWorker([&](const RunOptions &O) { spanningForestLVar(EL, O); });
+    expectCounts(Got,
+                 {Proposals + Accepted + Forks, Proposals - Lowered,
+                  1 + Forks},
+                 N + EL.Edges.size());
+  }
 }
 
 } // namespace

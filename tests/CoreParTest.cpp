@@ -1,11 +1,14 @@
 //===- CoreParTest.cpp - Par/IVar/PureLVar core semantics ------------------===//
 //
 // Tests the core LVish machinery: runPar, fork, IVar put/get, PureLVar
-// threshold reads, handlers, quiescence, and effect-level conversions.
+// threshold reads, handlers, quiescence, effect-level conversions, and the
+// plain-call parallelFor leaf.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/LVish.h"
+#include "src/core/ParFor.h"
+#include "src/data/Counter.h"
 
 #include <gtest/gtest.h>
 
@@ -238,6 +241,24 @@ TEST(Effects, SetAlgebra) {
   static_assert(readOnly(Eff::ReadOnly));
   static_assert(!readOnly(Eff::Det));
   SUCCEED();
+}
+
+TEST(ParallelFor, OneLeafRunsAMillionBumpsInConstantStack) {
+  // One leaf (grain = N) calls its plain body N times in one loop: no
+  // coroutine frame and no resume frame per element, so a Debug build,
+  // which emits no tail calls, must still finish with the exact count.
+  constexpr size_t N = 1000000;
+  constexpr EffectSet E{true, true, true, true, false, false};
+  uint64_t Total = runParIO<E>(
+      [](ParCtx<E> Ctx) -> Par<uint64_t> {
+        auto Ctr = newCounter(Ctx);
+        Counter *CP = Ctr.get();
+        auto Body = [CP](ParCtx<E> C, size_t) { incrCounter(C, *CP); };
+        co_await parallelFor(Ctx, 0, N, N, Body);
+        co_return freezeCounter(Ctx, *Ctr);
+      },
+      SchedulerConfig{1});
+  EXPECT_EQ(Total, N);
 }
 
 TEST(Yield, CooperativeYieldRoundTrip) {

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/core/LVish.h"
+#include "src/core/ParFor.h"
 #include "src/data/Counter.h"
 #include "src/data/ISet.h"
 #include "src/data/MinMap.h"
@@ -88,7 +89,9 @@ enum class PollTarget {
   MinVec,
   CounterVec,
   Advance,
-  UnionFind
+  UnionFind,
+  /// putMinAt from a plain parallelFor leaf, run in the child's own task.
+  ParallelForLeaf
 };
 
 /// fanOut's fork tree, but child i writes only through \p Target. For
@@ -131,6 +134,13 @@ ParOutcome<int> pollFanOut(SchedulerConfig C, int Kids, PollTarget Target) {
             case PollTarget::UnionFind:
               unite(C2, *Parts, 0, static_cast<uint32_t>(I));
               break;
+            case PollTarget::ParallelForLeaf: {
+              auto Leaf = [Cells, I](ParCtx<Eff::DetBump> C3, size_t J) {
+                putMinAt(C3, *Cells, static_cast<size_t>(I), J + 1);
+              };
+              co_await parallelFor(C2, 0, 4, 4, Leaf);
+              break;
+            }
             }
             co_return;
           };
@@ -226,7 +236,8 @@ TEST(FaultStressTest, DoomedWriterFailsAtEveryPutEntryPoint) {
                                   PollTarget::MinMap, PollTarget::MinVec,
                                   PollTarget::CounterVec,
                                   PollTarget::Advance,
-                                  PollTarget::UnionFind};
+                                  PollTarget::UnionFind,
+                                  PollTarget::ParallelForLeaf};
     for (PollTarget Target : Targets) {
       const int T = static_cast<int>(Target);
       EXPECT_EQ(sig(pollFanOut(cfg(2, 1), 6, Target)),

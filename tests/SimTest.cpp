@@ -61,7 +61,7 @@ constexpr bool SanitizerSkewsTiming =
 
 TaskGraph fanOutGraph(int Tasks, uint64_t Iters) {
   return record([Tasks, Iters](ParCtx<D> Ctx) -> Par<void> {
-    auto Body = [Iters](size_t) { burn(Iters); };
+    auto Body = [Iters](ParCtx<D>, size_t) { burn(Iters); };
     co_await parallelFor(Ctx, 0, static_cast<size_t>(Tasks), 1, Body);
   });
 }

@@ -30,7 +30,7 @@ TEST(Stress, ThousandsOfTasksPerSession) {
   std::atomic<long> Ran{0};
   runPar<D>(
       [&](ParCtx<D> Ctx) -> Par<void> {
-        auto Body = [&Ran](size_t) {
+        auto Body = [&Ran](ParCtx<D>, size_t) {
           Ran.fetch_add(1, std::memory_order_relaxed);
         };
         co_await parallelFor(Ctx, 0, 20000, 1, Body);

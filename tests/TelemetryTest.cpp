@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -240,6 +241,42 @@ TEST(TelemetryTest, SessionCountersAndLatencyAccumulate) {
   EXPECT_EQ(T.count(obs::Event::SessionsRejected), 0u);
   // Submit-to-outcome latency summed over both sessions.
   EXPECT_GT(T.SessionLatencyNanos, 0u);
+}
+
+/// Constructed before a thread's first count, so destroyed after the
+/// thread has handed its counter block back: its count is a late one.
+struct CountOnThreadExit {
+  ~CountOnThreadExit() { obs::count(obs::Event::MemoMisses); }
+};
+
+TEST(TelemetryTest, PerThreadBlocksAreReusedAndExitedCountsStay) {
+  // 64 short-lived threads in 4 waves: each later wave claims the blocks
+  // the previous one released, and continues from their counts.
+  constexpr int Waves = 4, PerWave = 16;
+  constexpr uint64_t K = 5000;
+  obs::resetTelemetry();
+  for (int W = 1; W <= Waves; ++W) {
+    std::vector<std::thread> Threads;
+    for (int T = 0; T < PerWave; ++T)
+      Threads.emplace_back([] {
+        thread_local CountOnThreadExit Late;
+        for (uint64_t I = 0; I < K; ++I) {
+          obs::count(obs::Event::Cancellations);
+          obs::count(obs::Event::MemoHits, 2);
+        }
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    obs::TelemetrySnapshot S = obs::telemetrySnapshot();
+    const uint64_t Exited = static_cast<uint64_t>(W) * PerWave;
+    EXPECT_EQ(S.count(obs::Event::Cancellations), Exited * K) << "wave " << W;
+    EXPECT_EQ(S.count(obs::Event::MemoHits), Exited * 2 * K) << "wave " << W;
+    EXPECT_EQ(S.count(obs::Event::MemoMisses), Exited) << "wave " << W;
+  }
+  obs::resetTelemetry();
+  obs::TelemetrySnapshot Z = obs::telemetrySnapshot();
+  for (unsigned E = 0; E < obs::NumEvents; ++E)
+    EXPECT_EQ(Z.Counts[E], 0u) << obs::eventName(static_cast<obs::Event>(E));
 }
 
 #else

@@ -20,7 +20,11 @@
 #              LatticeLawsTest for the insert-only table's lock-free
 #              probes racing its growth, and SpawnPathsTest and
 #              ComplexityTest for the scope lists that forks copy across
-#              workers.
+#              workers. A second TSan tree, build-ci-tsan-telemetry, keeps
+#              telemetry ON and builds and runs only TelemetryTest and
+#              ComplexityTest, so the per-thread counter blocks (claimed
+#              on a thread's first count, reused after it exits, summed
+#              by snapshots from any thread) run under TSan too.
 #   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
 #              the first report. AddressSanitizer has no stage: on
 #              full-size inputs an ASan build still overflows the stack
@@ -32,7 +36,7 @@
 #              tools/bench-report, then prints non-fatal bench-report
 #              diffs of the committed bench/baselines/ pre/post JSON
 #              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post},
-#              micro_lvar_table_{pre,post}).
+#              micro_lvar_table_{pre,post}, micro_lvar_putpath_{pre,post}).
 #              Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
@@ -153,6 +157,18 @@ for stage in "${STAGES[@]}"; do
       # a race or a leak there would hide from the suite run above.
       ./build-ci-tsan/tests/SpawnPathsTest
       ./build-ci-tsan/tests/ComplexityTest
+      echo "==== [tsan] per-thread telemetry counters (telemetry ON) ===="
+      # The suite above runs with telemetry compiled out; this tree keeps
+      # it in, so block claim, release and reuse and the snapshot's reads
+      # of blocks other threads are writing get a TSan pass.
+      cmake -B build-ci-tsan-telemetry -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=ON \
+        > build-ci-tsan-telemetry.cfg.log 2>&1 || {
+        cat build-ci-tsan-telemetry.cfg.log; exit 1; }
+      cmake --build build-ci-tsan-telemetry -j "$JOBS" \
+        --target TelemetryTest ComplexityTest
+      ./build-ci-tsan-telemetry/tests/TelemetryTest
+      ./build-ci-tsan-telemetry/tests/ComplexityTest
       ;;
     ubsan)
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
@@ -200,6 +216,12 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report diff \
         bench/baselines/micro_lvar_table_pre.json \
         bench/baselines/micro_lvar_table_post.json \
+        || echo "bench-report diff failed (non-fatal)"
+      # The put path at the cost of its join: per-thread telemetry blocks
+      # (an unlocked add per count), plain-call parallelFor leaves.
+      ./build-ci-release/tools/bench-report diff \
+        bench/baselines/micro_lvar_putpath_pre.json \
+        bench/baselines/micro_lvar_putpath_post.json \
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
