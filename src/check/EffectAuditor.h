@@ -37,15 +37,52 @@
 #define LVISH_CHECK_EFFECTAUDITOR_H
 
 #include "src/check/CheckBase.h"
-#include "src/check/EffectOps.h"
 #include "src/core/Effects.h"
 #include "src/sched/Task.h"
+
+#include <cstdint>
 
 namespace lvish {
 namespace check {
 
-// The Fx* bit encoding, effectMask, and effectName live in EffectOps.h
-// (shared with the static analyzer in tools/analyze/).
+/// Bit encoding of EffectSet for the per-task masks (Task stores plain
+/// bytes so the sched layer need not know about EffectSet).
+enum : uint8_t {
+  FxPut = 1,
+  FxGet = 2,
+  FxBump = 4,
+  FxFreeze = 8,
+  FxIO = 16,
+  FxST = 32
+};
+
+/// Compresses an EffectSet into the task-mask encoding.
+constexpr uint8_t effectMask(EffectSet E) {
+  return static_cast<uint8_t>((E.Put ? FxPut : 0) | (E.Get ? FxGet : 0) |
+                              (E.Bump ? FxBump : 0) |
+                              (E.Freeze ? FxFreeze : 0) |
+                              (E.IO ? FxIO : 0) | (E.ST ? FxST : 0));
+}
+
+/// Names a single effect bit for diagnostics.
+constexpr const char *effectName(uint8_t Bit) {
+  switch (Bit) {
+  case FxPut:
+    return "Put";
+  case FxGet:
+    return "Get";
+  case FxBump:
+    return "Bump";
+  case FxFreeze:
+    return "Freeze";
+  case FxIO:
+    return "IO";
+  case FxST:
+    return "ST";
+  default:
+    return "?";
+  }
+}
 
 #if LVISH_CHECK
 

@@ -373,6 +373,12 @@ typename BoundedStream<T>::PutAwaiter put(ParCtx<E> Ctx, BoundedStream<T> &S,
                                                std::move(Val));
 }
 
+/// A bounded put without Get has no overload. Without this one it would
+/// bind to the unbounded put by derived-to-base conversion and skip the
+/// capacity check; with Get, the constrained overload above wins.
+template <EffectSet E, typename T>
+void put(ParCtx<E> Ctx, BoundedStream<T> &S, uint64_t Idx, T Val) = delete;
+
 /// Blocks until the filled prefix reaches length \p N (N >= 1) and returns
 /// element N-1 - the unified threshold-read spelling.
 template <EffectSet E, typename T>

@@ -36,6 +36,11 @@ thread_local Task *CurrentTaskTL = nullptr;
 thread_local Scheduler *WorkerSchedTL = nullptr;
 thread_local unsigned WorkerIndexTL = ~0u;
 
+// Multi-session fairness: every FairnessStride-th dispatch a worker checks
+// the round-robin, per-session inject queues before its own deque,
+// bounding how long a fan-out-heavy session can starve injected siblings.
+constexpr unsigned FairnessStride = 61;
+
 // Per-thread cache of retired Task storage: retire parks up to
 // TaskCacheCap blocks here and createTask takes them back, so a fork does
 // not pay an aligned new/delete pair. The bound is a constant, not a knob:
@@ -234,8 +239,7 @@ SchedulerStats Scheduler::stats() const {
 explore::ScheduleCtl::~ScheduleCtl() = default;
 
 Scheduler::Scheduler(SchedulerConfig Config)
-    : Tracing(Config.EnableTracing), ExploreCtl(Config.Explore),
-      FairnessStride(Config.FairnessStride) {
+    : Tracing(Config.EnableTracing), ExploreCtl(Config.Explore) {
   unsigned N = Config.NumWorkers;
   if (N == 0)
     N = std::max(1u, std::thread::hardware_concurrency());
@@ -667,8 +671,8 @@ Task *Scheduler::findWork(unsigned Index) {
   // Multi-session fairness: periodically let injected work (session
   // roots, yields - round-robin across sessions) preempt the local
   // deque, so one session's deep fan-out cannot starve its siblings'
-  // submissions. Off (stride 0) this compiles to one predictable branch.
-  if (FairnessStride && ++Me.InjectStreak >= FairnessStride) {
+  // submissions.
+  if (++Me.InjectStreak >= FairnessStride) {
     Me.InjectStreak = 0;
     if (Task *T = tryInjected())
       return T;

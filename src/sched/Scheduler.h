@@ -32,9 +32,10 @@
 ///
 /// Fairness across sessions: externally submitted and yielded tasks land
 /// in per-session inject queues drained round-robin (one task per session
-/// per turn), and every FairnessStride-th dispatch a worker checks the
-/// inject queues BEFORE its own deque, so a fan-out-heavy session whose
-/// deques never drain cannot starve injected siblings.
+/// per turn), and every 61st dispatch (the fairness stride, a constant in
+/// Scheduler.cpp) a worker checks the inject queues BEFORE its own deque,
+/// so a fan-out-heavy session whose deques never drain cannot starve
+/// injected siblings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,12 +90,6 @@ struct SchedulerConfig {
   bool EnableTracing = false;
   /// Seed for the (non-semantic) steal-victim randomization.
   uint64_t StealSeed = 0x6c76697368ULL; // "lvish"
-  /// Multi-session fairness: every FairnessStride-th dispatch a worker
-  /// checks the (round-robin, per-session) inject queues before its own
-  /// deque, bounding how long a fan-out-heavy session can starve injected
-  /// siblings. 0 disables the preemption check (single-tenant behavior);
-  /// the stride only matters when several sessions share the pool.
-  unsigned FairnessStride = 61;
   /// Controlled-scheduling test mode (DESIGN.md Section 12): when
   /// non-null, no worker threads are spawned and the session thread
   /// single-steps NumWorkers *virtual* workers, delegating every
@@ -252,7 +247,7 @@ private:
     Task *PendingRetire = nullptr;
     std::thread Thread;
     /// Dispatches since this worker last checked the inject queues ahead
-    /// of its own deque (see SchedulerConfig::FairnessStride).
+    /// of its own deque (see the fairness stride in Scheduler.cpp).
     unsigned InjectStreak = 0;
     /// This worker's private counter block (its own cache line).
     obs::WorkerCounters Counters;
@@ -296,7 +291,6 @@ private:
 
   const bool Tracing;
   explore::ScheduleCtl *const ExploreCtl;
-  const unsigned FairnessStride;
   TraceRecorder Recorder;
 
   std::vector<std::unique_ptr<Worker>> Workers;

@@ -20,7 +20,7 @@
 ///     (RuntimeConfig::MaxActiveSessions); excess submissions queue FIFO;
 ///   * fairness: session roots and yields land in per-session inject
 ///     queues drained round-robin, and workers periodically service those
-///     queues ahead of their own deques (SchedulerConfig::FairnessStride).
+///     queues ahead of their own deques (every 61st dispatch).
 ///
 /// Submission API:
 ///

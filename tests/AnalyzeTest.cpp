@@ -54,10 +54,9 @@ std::string declaredPath(const std::string &Contents) {
   return Contents.substr(Begin, End - Begin);
 }
 
-std::vector<Finding> analyzeFixture(const std::string &Name,
-                                    AnalyzerConfig Cfg = {}) {
+std::vector<Finding> analyzeFixture(const std::string &Name) {
   std::string Contents = readFixture(Name);
-  return analyzeContents(declaredPath(Contents), Contents, Cfg);
+  return analyzeContents(declaredPath(Contents), Contents);
 }
 
 int errorsOfRule(const std::vector<Finding> &Fs, const std::string &Rule) {
@@ -72,31 +71,6 @@ int totalErrors(const std::vector<Finding> &Fs) {
   for (const Finding &F : Fs)
     N += F.Sev == Finding::Error;
   return N;
-}
-
-TEST(Analyze, EffectConsistencySeededViolations) {
-  auto Fs = analyzeFixture("effect_violation.cpp");
-  EXPECT_EQ(errorsOfRule(Fs, "effect-consistency"), 2);
-  EXPECT_EQ(totalErrors(Fs), 2) << "no other rule should fire";
-}
-
-TEST(Analyze, EffectConsistencyCleanFixture) {
-  auto Fs = analyzeFixture("effect_clean.cpp");
-  EXPECT_EQ(totalErrors(Fs), 0);
-}
-
-TEST(Analyze, StreamEffectsSeededViolations) {
-  // The streaming API flows through the shared EffectOps table: the
-  // analyzer must charge stream put/advance as Put, get/waitSize as Get,
-  // and freezeStream as Freeze against the declared level.
-  auto Fs = analyzeFixture("stream_effects_violation.cpp");
-  EXPECT_EQ(errorsOfRule(Fs, "effect-consistency"), 3);
-  EXPECT_EQ(totalErrors(Fs), 3) << "no other rule should fire";
-}
-
-TEST(Analyze, StreamEffectsCleanFixture) {
-  auto Fs = analyzeFixture("stream_effects_clean.cpp");
-  EXPECT_EQ(totalErrors(Fs), 0);
 }
 
 TEST(Analyze, CtxEscapeSeededViolations) {
@@ -171,7 +145,7 @@ TEST(Analyze, FindingsCarryRuleFileAndLine) {
 }
 
 TEST(Analyze, BaselineRoundTrip) {
-  auto Fs = analyzeFixture("effect_violation.cpp");
+  auto Fs = analyzeFixture("ctx_escape_violation.cpp");
   ASSERT_EQ(totalErrors(Fs), 2);
 
   std::string Doc = baselineToJson(Fs);

@@ -2,19 +2,29 @@
 
 #include "src/core/LVish.h"
 #include "src/core/ParFor.h"
+#include "src/data/AndLV.h"
 #include "src/data/Counter.h"
 #include "src/data/IMap.h"
 #include "src/data/ISet.h"
 #include "src/data/IStructure.h"
 #include "src/data/InsertOnlyTable.h"
 #include "src/data/MinMap.h"
+#include "src/data/PureMap.h"
+#include "src/data/Stream.h"
 #include "src/data/UnionFind.h"
 #include "src/support/AsymmetricGate.h"
+#include "src/trans/BulkRetry.h"
+#include "src/trans/Cancel.h"
+#include "src/trans/Deadlock.h"
+#include "src/trans/Memo.h"
+#include "src/trans/ParST.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -422,22 +432,6 @@ TEST(Counter, ThresholdReadReturnsThresholdOnly) {
   EXPECT_EQ(R, 10u);
 }
 
-// Compile-time property probe: must be a template so an unusable `put`
-// yields false rather than a hard error.
-template <typename LVarT>
-constexpr bool SupportsPut =
-    requires(ParCtx<Eff::FullIO> C, LVarT &LV, uint64_t V) {
-      put(C, LV, V);
-    };
-
-TEST(Counter, HasNoPutInterface) {
-  // Counter deliberately exposes no put; IVar does. (If the first ever
-  // flips, the put/bump separation of Section 3 broke.)
-  static_assert(!SupportsPut<Counter>);
-  static_assert(SupportsPut<IVar<uint64_t>>);
-  SUCCEED();
-}
-
 TEST(CounterVec, PerCellBumpsAndSnapshot) {
   auto Snap = runParIO<Eff::FullIO>(
       [](ParCtx<Eff::FullIO> Ctx) -> Par<std::vector<uint64_t>> {
@@ -543,6 +537,304 @@ TEST(IStructure, DataflowArray) {
       },
       SchedulerConfig{4});
   EXPECT_EQ(Last, 64);
+}
+
+// -- Effect contracts --------------------------------------------------
+//
+// The static effect check is the compiler's: every public operation
+// demands its effect bits with a `requires(has...(E))` clause, as the
+// paper's `put` demands `HasPut e`. This table pins those clauses. Each
+// probe is a variable template over the context's EffectSet, so an
+// unsatisfied clause makes it false rather than a hard error. Every
+// operation must be callable at the weakest Eff:: level that holds its
+// bits, and not once any one of those bits is cleared from that level.
+
+/// \p E with the effect bit \p Bit cleared.
+constexpr EffectSet without(EffectSet E, bool EffectSet::*Bit) {
+  E.*Bit = false;
+  return E;
+}
+constexpr auto Put = &EffectSet::Put, Get = &EffectSet::Get,
+               Bump = &EffectSet::Bump, Freeze = &EffectSet::Freeze,
+               IO = &EffectSet::IO, ST = &EffectSet::ST;
+
+// Well-formed bodies: operations with a deduced return type instantiate
+// their body on the positive probe.
+constexpr auto VoidBody = [](auto...) -> Par<void> { co_return; };
+constexpr auto BoolBody = [](auto) -> Par<bool> { co_return true; };
+constexpr auto IntBody = [](auto) -> Par<int> { co_return 0; };
+constexpr auto SpecBody = [](auto, size_t) -> Par<Spec> {
+  co_return Spec::Done;
+};
+constexpr auto PlainBody = [](auto, size_t) {};
+constexpr auto Leaf = [](size_t I) { return static_cast<int>(I); };
+
+using Lub = PureLVar<MaxUint64Lattice>;
+using MemoPtr = std::shared_ptr<Memo<int, int>>;
+
+// HasPut: least-upper-bound writes.
+template <EffectSet E>
+constexpr bool CanPut = requires(ParCtx<E> C, IVar<int> &V) { put(C, V, 1); };
+template <EffectSet E>
+constexpr bool CanPutIdx =
+    requires(ParCtx<E> C, IStructure<int> &S) { putIdx(C, S, 0, 1); };
+template <EffectSet E>
+constexpr bool CanPutAndLeft =
+    requires(ParCtx<E> C, AndLV &A) { putAndLeft(C, A, true); };
+template <EffectSet E>
+constexpr bool CanPutAndRight =
+    requires(ParCtx<E> C, AndLV &A) { putAndRight(C, A, true); };
+template <EffectSet E>
+constexpr bool CanPutPureLVar =
+    requires(ParCtx<E> C, Lub &L) { putPureLVar(C, L, 1); };
+template <EffectSet E>
+constexpr bool CanInsert =
+    requires(ParCtx<E> C, ISet<int> &S) { insert(C, S, 1); };
+template <EffectSet E>
+constexpr bool CanInsertPure =
+    requires(ParCtx<E> C, PureMap<int, int> &M) { insertPure(C, M, 1, 1); };
+template <EffectSet E>
+constexpr bool CanCancel =
+    requires(ParCtx<E> C, const CFuture<int> &F) { cancel(C, F); };
+template <EffectSet E>
+constexpr bool CanPutMin =
+    requires(ParCtx<E> C, MinMap<int> &M) { putMin(C, M, 1, 1); };
+template <EffectSet E>
+constexpr bool CanPutMinAt =
+    requires(ParCtx<E> C, MinVec &V) { putMinAt(C, V, 0, 1); };
+template <EffectSet E>
+constexpr bool CanAdvance =
+    requires(ParCtx<E> C, BoundedStream<int> &S) { advance(C, S, 1); };
+template <EffectSet E>
+constexpr bool CanUnite =
+    requires(ParCtx<E> C, UnionFind &U) { unite(C, U, 0, 1); };
+
+constexpr EffectSet W = Eff::WriteOnly;
+static_assert(CanPut<W> && !CanPut<without(W, Put)>);
+static_assert(CanPutIdx<W> && !CanPutIdx<without(W, Put)>);
+static_assert(CanPutAndLeft<W> && !CanPutAndLeft<without(W, Put)>);
+static_assert(CanPutAndRight<W> && !CanPutAndRight<without(W, Put)>);
+static_assert(CanPutPureLVar<W> && !CanPutPureLVar<without(W, Put)>);
+static_assert(CanInsert<W> && !CanInsert<without(W, Put)>);
+static_assert(CanInsertPure<W> && !CanInsertPure<without(W, Put)>);
+static_assert(CanCancel<W> && !CanCancel<without(W, Put)>);
+static_assert(CanPutMin<W> && !CanPutMin<without(W, Put)>);
+static_assert(CanPutMinAt<W> && !CanPutMinAt<without(W, Put)>);
+static_assert(CanAdvance<W> && !CanAdvance<without(W, Put)>);
+static_assert(CanUnite<W> && !CanUnite<without(W, Put)>);
+
+// HasGet: blocking threshold reads.
+template <EffectSet E>
+constexpr bool CanGet = requires(ParCtx<E> C, IVar<int> &V) { get(C, V); };
+template <EffectSet E>
+constexpr bool CanWaitSize =
+    requires(ParCtx<E> C, ISet<int> &S) { waitSize(C, S, 1); };
+template <EffectSet E>
+constexpr bool CanQuiesce = requires(ParCtx<E> C,
+                                     std::shared_ptr<HandlerPool> P) {
+  quiesce(C, P);
+};
+template <EffectSet E>
+constexpr bool CanReadCFuture =
+    requires(ParCtx<E> C, CFuture<int> F) { readCFuture(C, F); };
+template <EffectSet E>
+constexpr bool CanGetAndLV =
+    requires(ParCtx<E> C, std::shared_ptr<AndLV> A) { getAndLV(C, A); };
+template <EffectSet E>
+constexpr bool CanGetMemoRO =
+    requires(ParCtx<E> C, MemoPtr M) { getMemoRO(C, M, 1); };
+
+constexpr EffectSet R = Eff::ReadOnly;
+static_assert(CanGet<R> && !CanGet<without(R, Get)>);
+static_assert(CanWaitSize<R> && !CanWaitSize<without(R, Get)>);
+static_assert(CanQuiesce<R> && !CanQuiesce<without(R, Get)>);
+static_assert(CanReadCFuture<R> && !CanReadCFuture<without(R, Get)>);
+static_assert(CanGetAndLV<R> && !CanGetAndLV<without(R, Get)>);
+static_assert(CanGetMemoRO<R> && !CanGetMemoRO<without(R, Get)>);
+
+// HasBump: non-idempotent inflationary updates.
+template <EffectSet E>
+constexpr bool CanIncrCounter =
+    requires(ParCtx<E> C, Counter &K) { incrCounter(C, K); };
+template <EffectSet E>
+constexpr bool CanIncrCounterAt =
+    requires(ParCtx<E> C, CounterVec &K) { incrCounterAt(C, K, 0); };
+
+static_assert(CanIncrCounter<DB> && !CanIncrCounter<without(DB, Bump)>);
+static_assert(CanIncrCounterAt<DB> && !CanIncrCounterAt<without(DB, Bump)>);
+
+// HasFreeze: exact (quasi-deterministic) reads.
+template <EffectSet E>
+constexpr bool CanFreezeCounter =
+    requires(ParCtx<E> C, Counter &K) { freezeCounter(C, K); };
+template <EffectSet E>
+constexpr bool CanFreezeCounterVec =
+    requires(ParCtx<E> C, CounterVec &K) { freezeCounterVec(C, K); };
+template <EffectSet E>
+constexpr bool CanFreezeMap =
+    requires(ParCtx<E> C, IMap<int, int> &M) { freezeMap(C, M); };
+template <EffectSet E>
+constexpr bool CanFreezeSet =
+    requires(ParCtx<E> C, ISet<int> &S) { freezeSet(C, S); };
+template <EffectSet E>
+constexpr bool CanFreezePureMap =
+    requires(ParCtx<E> C, PureMap<int, int> &M) { freezePureMap(C, M); };
+template <EffectSet E>
+constexpr bool CanFreezePureLVar =
+    requires(ParCtx<E> C, Lub &L) { freezePureLVar(C, L); };
+template <EffectSet E>
+constexpr bool CanFreezeIVar =
+    requires(ParCtx<E> C, IVar<int> &V) { freezeIVar(C, V); };
+template <EffectSet E>
+constexpr bool CanFreezeMinMap =
+    requires(ParCtx<E> C, MinMap<int> &M) { freezeMinMap(C, M); };
+template <EffectSet E>
+constexpr bool CanFreezeMinVec =
+    requires(ParCtx<E> C, MinVec &V) { freezeMinVec(C, V); };
+template <EffectSet E>
+constexpr bool CanFreezeStream =
+    requires(ParCtx<E> C, Stream<int> &S) { freezeStream(C, S); };
+template <EffectSet E>
+constexpr bool CanFreezeUnionFind =
+    requires(ParCtx<E> C, UnionFind &U) { freezeUnionFind(C, U); };
+
+constexpr EffectSet Q = Eff::QuasiDet;
+static_assert(CanFreezeCounter<Q> && !CanFreezeCounter<without(Q, Freeze)>);
+static_assert(CanFreezeCounterVec<Q> &&
+              !CanFreezeCounterVec<without(Q, Freeze)>);
+static_assert(CanFreezeMap<Q> && !CanFreezeMap<without(Q, Freeze)>);
+static_assert(CanFreezeSet<Q> && !CanFreezeSet<without(Q, Freeze)>);
+static_assert(CanFreezePureMap<Q> && !CanFreezePureMap<without(Q, Freeze)>);
+static_assert(CanFreezePureLVar<Q> && !CanFreezePureLVar<without(Q, Freeze)>);
+static_assert(CanFreezeIVar<Q> && !CanFreezeIVar<without(Q, Freeze)>);
+static_assert(CanFreezeMinMap<Q> && !CanFreezeMinMap<without(Q, Freeze)>);
+static_assert(CanFreezeMinVec<Q> && !CanFreezeMinVec<without(Q, Freeze)>);
+static_assert(CanFreezeStream<Q> && !CanFreezeStream<without(Q, Freeze)>);
+static_assert(CanFreezeUnionFind<Q> && !CanFreezeUnionFind<without(Q, Freeze)>);
+
+// HasIO: a cancelable child with arbitrary effects.
+template <EffectSet E>
+constexpr bool CanForkCancelableND =
+    requires(ParCtx<E> C) { forkCancelableND(C, IntBody); };
+
+constexpr EffectSet F = Eff::FullIO;
+static_assert(CanForkCancelableND<F> && !CanForkCancelableND<without(F, IO)>);
+
+// HasST: disjoint destructive state; the splits also fork and join.
+template <EffectSet E>
+constexpr bool CanForkSTSplit = requires(ParCtx<E> C, VecView<int> V) {
+  forkSTSplit(C, V, 0, VoidBody, VoidBody);
+};
+template <EffectSet E>
+constexpr bool CanForkSTSplit2 = requires(ParCtx<E> C, VecView<int> V) {
+  forkSTSplit2(C, V, 0, V, 0, VoidBody, VoidBody);
+};
+template <EffectSet E>
+constexpr bool CanZoomIn =
+    requires(ParCtx<E> C, VecView<int> V) { zoomIn(C, V, 0, 0, VoidBody); };
+template <EffectSet E>
+constexpr bool CanWithTempBuffer = requires(ParCtx<E> C, VecView<int> V) {
+  withTempBuffer(C, V, 0, VoidBody);
+};
+
+constexpr EffectSet S = Eff::DetST;
+static_assert(CanForkSTSplit<S> && !CanForkSTSplit<without(S, ST)> &&
+              !CanForkSTSplit<without(S, Put)> &&
+              !CanForkSTSplit<without(S, Get)>);
+static_assert(CanForkSTSplit2<S> && !CanForkSTSplit2<without(S, ST)> &&
+              !CanForkSTSplit2<without(S, Put)> &&
+              !CanForkSTSplit2<without(S, Get)>);
+static_assert(CanZoomIn<S> && !CanZoomIn<without(S, ST)>);
+static_assert(CanWithTempBuffer<S> && !CanWithTempBuffer<without(S, ST)>);
+
+// Put and Get together: combinators that fork children and join on them.
+template <EffectSet E>
+constexpr bool CanAsyncAnd =
+    requires(ParCtx<E> C) { asyncAnd(C, BoolBody, BoolBody); };
+template <EffectSet E>
+constexpr bool CanAsyncAndTree = requires(ParCtx<E> C) { asyncAndTree(C, {}); };
+template <EffectSet E>
+constexpr bool CanGetMemo =
+    requires(ParCtx<E> C, MemoPtr M) { getMemo(C, M, 1); };
+template <EffectSet E>
+constexpr bool CanForkWithDeadlockDetection =
+    requires(ParCtx<E> C) { forkWithDeadlockDetection(C, VoidBody); };
+template <EffectSet E>
+constexpr bool CanParallelFor =
+    requires(ParCtx<E> C) { parallelFor(C, 0, 1, 1, PlainBody); };
+template <EffectSet E>
+constexpr bool CanParallelForPar =
+    requires(ParCtx<E> C) { parallelForPar(C, 0, 1, 1, VoidBody); };
+template <EffectSet E>
+constexpr bool CanParallelReduce = requires(ParCtx<E> C) {
+  parallelReduce(C, 0, 1, 1, Leaf, std::plus<int>(), 0);
+};
+template <EffectSet E>
+constexpr bool CanForSpeculative =
+    requires(ParCtx<E> C) { forSpeculative(C, 0, 1, SpecBody); };
+
+static_assert(CanAsyncAnd<D> && !CanAsyncAnd<without(D, Put)> &&
+              !CanAsyncAnd<without(D, Get)>);
+static_assert(CanAsyncAndTree<D> && !CanAsyncAndTree<without(D, Put)> &&
+              !CanAsyncAndTree<without(D, Get)>);
+static_assert(CanGetMemo<D> && !CanGetMemo<without(D, Put)> &&
+              !CanGetMemo<without(D, Get)>);
+static_assert(CanForkWithDeadlockDetection<D> &&
+              !CanForkWithDeadlockDetection<without(D, Put)> &&
+              !CanForkWithDeadlockDetection<without(D, Get)>);
+static_assert(CanParallelFor<D> && !CanParallelFor<without(D, Put)> &&
+              !CanParallelFor<without(D, Get)>);
+static_assert(CanParallelForPar<D> && !CanParallelForPar<without(D, Put)> &&
+              !CanParallelForPar<without(D, Get)>);
+static_assert(CanParallelReduce<D> && !CanParallelReduce<without(D, Put)> &&
+              !CanParallelReduce<without(D, Get)>);
+// Retried iterations must be idempotent, so Bump is refused outright.
+static_assert(CanForSpeculative<D> && !CanForSpeculative<without(D, Put)> &&
+              !CanForSpeculative<without(D, Get)> && !CanForSpeculative<DB>);
+
+// Streams. The unbounded put needs Put alone. A bounded put also waits
+// on the consumer's release mark, a threshold read, so it needs Get too;
+// without Get it must not fall back to the unbounded put by
+// derived-to-base conversion, which would skip the capacity check.
+template <EffectSet E>
+constexpr bool CanPutStream =
+    requires(ParCtx<E> C, Stream<int> &S) { put(C, S, 0, 1); };
+template <EffectSet E>
+constexpr bool CanWaitSizeStream =
+    requires(ParCtx<E> C, Stream<int> &S) { waitSize(C, S, 1); };
+template <EffectSet E>
+constexpr bool CanPutBounded =
+    requires(ParCtx<E> C, BoundedStream<int> &S) { put(C, S, 0, 1); };
+template <EffectSet E>
+constexpr bool PutBoundedParks = requires(ParCtx<E> C, BoundedStream<int> &S) {
+  { put(C, S, 0, 1) } -> std::same_as<BoundedStream<int>::PutAwaiter>;
+};
+
+static_assert(CanPutStream<W> && !CanPutStream<without(W, Put)>);
+static_assert(CanWaitSizeStream<R> && !CanWaitSizeStream<without(R, Get)>);
+static_assert(PutBoundedParks<D> && !CanPutBounded<without(D, Put)> &&
+              !CanPutBounded<without(D, Get)>);
+
+// The seeded violations the retired effect linter matched by name.
+static_assert(!CanPut<Eff::ReadOnly>);             // ReadOnly task writes.
+static_assert(!CanFreezeMap<Eff::Det>);            // Det scope freezes.
+static_assert(!CanPutStream<Eff::ReadOnly>);       // ReadOnly appender.
+static_assert(!CanWaitSizeStream<Eff::WriteOnly>); // WriteOnly reader.
+static_assert(!CanFreezeStream<Eff::Det>);         // Det stream freezer.
+
+// Counter deliberately exposes no put; IVar does. (If the first ever
+// flips, the put/bump separation of Section 3 broke.) A template, so an
+// unusable `put` yields false rather than a hard error.
+template <typename LVarT>
+constexpr bool SupportsPut =
+    requires(ParCtx<Eff::FullIO> C, LVarT &LV, uint64_t V) {
+      put(C, LV, V);
+    };
+
+TEST(Counter, HasNoPutInterface) {
+  static_assert(!SupportsPut<Counter>);
+  static_assert(SupportsPut<IVar<uint64_t>>);
+  SUCCEED();
 }
 
 // -- Footprint: the handler gate stays out of handler-free LVars ---------

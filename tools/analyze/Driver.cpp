@@ -14,12 +14,11 @@
 namespace lvish {
 namespace analyze {
 
-std::vector<Finding> analyzeFile(const FileModel &M,
-                                 const AnalyzerConfig &Cfg,
-                                 const EffectAliasTable &Aliases) {
+std::vector<Finding> analyzeContents(const std::string &Path,
+                                     const std::string &Contents) {
+  FileModel M = buildFileModel(Path, Contents);
   std::vector<Finding> Out;
   runTokenRules(M, Out);
-  runEffectConsistency(M, Cfg, Aliases, Out);
   runCtxEscape(M, Out);
   runHandlerCycle(M, Out);
   runParkUnderLock(M, Out);
@@ -28,15 +27,6 @@ std::vector<Finding> analyzeFile(const FileModel &M,
                      return A.Line < B.Line;
                    });
   return Out;
-}
-
-std::vector<Finding> analyzeContents(const std::string &Path,
-                                     const std::string &Contents,
-                                     const AnalyzerConfig &Cfg) {
-  FileModel M = buildFileModel(Path, Contents);
-  std::map<std::string, std::string> Raw;
-  collectEffectAliases(M, Raw);
-  return analyzeFile(M, Cfg, resolveEffectAliases(Raw));
 }
 
 std::map<std::string, int> loadBaseline(const std::string &Text,

@@ -25,17 +25,6 @@
 namespace lvish {
 namespace analyze {
 
-namespace {
-
-int countSev(const std::vector<Finding> &Fs, Finding::Severity Sev) {
-  int N = 0;
-  for (const Finding &F : Fs)
-    N += F.Sev == Sev;
-  return N;
-}
-
-} // namespace
-
 int selfTest() {
   int Failures = 0;
   auto Expect = [&](int Got, int Want, const char *What) {
@@ -45,13 +34,11 @@ int selfTest() {
       ++Failures;
     }
   };
-  auto Errors = [](const std::string &Path, const std::string &Contents,
-                   AnalyzerConfig Cfg = {}) {
-    return countSev(analyzeContents(Path, Contents, Cfg), Finding::Error);
-  };
-  auto Notes = [](const std::string &Path, const std::string &Contents,
-                  AnalyzerConfig Cfg = {}) {
-    return countSev(analyzeContents(Path, Contents, Cfg), Finding::Note);
+  auto Errors = [](const std::string &Path, const std::string &Contents) {
+    int N = 0;
+    for (const Finding &F : analyzeContents(Path, Contents))
+      N += F.Sev == Finding::Error;
+    return N;
   };
 
   // ---- Ported lvish-lint expectations (must not regress). ----
@@ -146,126 +133,6 @@ int selfTest() {
          "raw-sync exempts tests/ (test scaffolding)");
   Expect(Errors("examples/x.cpp", "Table->modifyKey(K, F);\n"), 0,
          "state-bypass exempts examples/");
-
-  // ---- effect-consistency. ----
-  Expect(Errors("src/sim/X.cpp",
-                "Par<void> f(ParCtx<Eff::ReadOnly> Ctx) {\n"
-                "  co_await put(Ctx, IV, 1);\n"
-                "}\n"),
-         1, "effect-consistency: put under a ReadOnly context");
-  Expect(Errors("src/sim/X.cpp",
-                "Par<void> f(ParCtx<Eff::Det> Ctx) {\n"
-                "  co_await put(Ctx, IV, 1);\n"
-                "  int V = co_await get(Ctx, IV);\n"
-                "}\n"),
-         0, "effect-consistency: Det grants put and get");
-  Expect(Errors("src/sim/X.cpp",
-                "Par<void> f(ParCtx<Eff::Det> Ctx) {\n"
-                "  co_await freezeMap(Ctx, M);\n"
-                "}\n"),
-         1, "effect-consistency: freeze under Det (needs QuasiDet)");
-  Expect(Errors("src/sim/X.cpp",
-                "constexpr EffectSet W = Eff::WriteOnly;\n"
-                "Par<void> f(ParCtx<W> Ctx) {\n"
-                "  int V = co_await get(Ctx, IV);\n"
-                "}\n"),
-         1, "effect-consistency: resolves file-local aliases");
-  Expect(Errors("src/sim/X.cpp",
-                "constexpr EffectSet B{true, true, true, false, false, "
-                "false};\n"
-                "Par<void> f(ParCtx<B> Ctx) {\n"
-                "  incrCounter(Ctx, C, 1);\n"
-                "}\n"),
-         0, "effect-consistency: resolves brace-literal aliases");
-  Expect(Errors("src/sim/X.cpp",
-                "template <EffectSet E>\n"
-                "Par<void> f(ParCtx<E> Ctx) {\n"
-                "  co_await put(Ctx, IV, 1);\n"
-                "}\n"),
-         0, "effect-consistency: template-parameter effects are skipped");
-  Expect(Errors("src/sim/X.cpp",
-                "void g(ParCtx<Eff::ReadOnly> Ctx) {\n"
-                "  auto T = std::get<0>(Tup);\n"
-                "}\n"),
-         0, "effect-consistency: std::get is not an LVish op");
-  Expect(Errors("src/sim/X.cpp",
-                "void g(ParCtx<Eff::ReadOnly> Ctx) {\n"
-                "  V.insert(V.end(), 3);\n"
-                "}\n"),
-         0, "effect-consistency: member insert is not an LVish op");
-  Expect(Errors("src/sim/X.cpp",
-                "void g(ParCtx<Eff::ReadOnly> Ctx, ParCtx<Eff::Det> Full) "
-                "{\n"
-                "  co_await put(Full, IV, 1);\n"
-                "}\n"),
-         0, "effect-consistency: ops charge the context they are passed");
-  Expect(Errors("src/sim/X.cpp",
-                "auto Body = [](ParCtx<Eff::ReadOnly> C) -> Par<void> {\n"
-                "  co_await put(C, IV, 1);\n"
-                "  co_return;\n"
-                "};\n"),
-         1, "effect-consistency: task-lambda bodies are effect scopes");
-  Expect(Errors("src/sim/X.cpp",
-                "Par<void> f(ParCtx<Eff::ReadOnly> Ctx) {\n"
-                "  fork(Ctx, [](ParCtx<Eff::Det> C) -> Par<void> {\n"
-                "    co_await put(C, IV, 1);\n"
-                "    co_return;\n"
-                "  });\n"
-                "}\n"),
-         0, "effect-consistency: nested task bodies charge their own ctx");
-  Expect(Errors("src/sim/X.cpp",
-                "Par<void> f(ParCtx<Eff::ReadOnly> Ctx) {\n"
-                "  // lvish-lint: allow(effect-consistency)\n"
-                "  co_await put(Ctx, IV, 1);\n"
-                "}\n"),
-         0, "effect-consistency suppression works");
-  {
-    AnalyzerConfig Surplus;
-    Surplus.ReportSurplus = true;
-    Expect(Notes("src/sim/X.cpp",
-                 "Par<void> f(ParCtx<Eff::QuasiDet> Ctx) {\n"
-                 "  co_await put(Ctx, IV, 1);\n"
-                 "  int V = co_await get(Ctx, IV);\n"
-                 "}\n",
-                 Surplus),
-           1, "effect-consistency: surplus Freeze reported as a note");
-    Expect(Notes("src/sim/X.cpp",
-                 "Par<void> f(ParCtx<Eff::QuasiDet> Ctx) {\n"
-                 "  co_await helper(Ctx, IV);\n"
-                 "}\n",
-                 Surplus),
-           0, "effect-consistency: unknown ctx uses veto surplus claims");
-    Expect(Notes("src/sim/X.cpp",
-                 "Par<void> f(ParCtx<Eff::QuasiDet> Ctx) {\n"
-                 "  co_await put(Ctx, IV, 1);\n"
-                 "}\n"),
-           0, "effect-consistency: surplus is opt-in");
-  }
-
-  // ---- Cross-file alias table: shadowing and overrides. ----
-  {
-    std::map<std::string, std::string> Raw{{"E", "Eff :: Det"}};
-    EffectAliasTable Global = resolveEffectAliases(Raw);
-    AnalyzerConfig C;
-    std::vector<Finding> Fs;
-    FileModel M1 = buildFileModel("src/sim/X.cpp",
-                                  "template <EffectSet E>\n"
-                                  "Par<void> f(ParCtx<E> Ctx) {\n"
-                                  "  co_await freezeMap(Ctx, M);\n"
-                                  "}\n");
-    runEffectConsistency(M1, C, Global, Fs);
-    Expect(static_cast<int>(Fs.size()), 0,
-           "aliases: a template EffectSet param shadows a cross-file name");
-    Fs.clear();
-    FileModel M2 = buildFileModel("src/sim/Y.cpp",
-                                  "constexpr EffectSet E = Eff::QuasiDet;\n"
-                                  "Par<void> g(ParCtx<E> Ctx) {\n"
-                                  "  co_await freezeMap(Ctx, M);\n"
-                                  "}\n");
-    runEffectConsistency(M2, C, Global, Fs);
-    Expect(static_cast<int>(Fs.size()), 0,
-           "aliases: a file-local definition overrides the global table");
-  }
 
   // ---- ctx-escape. ----
   const char *HandlerEscape =

@@ -296,35 +296,21 @@ void parseCaptures(const std::vector<Token> &Toks, Lambda &L) {
   Flush();
 }
 
-/// Scans a parameter-list token range for `ParCtx < Effect > Name`,
-/// filling \p CtxParam / \p CtxEffectText on first match. Returns the
-/// declaration token index or Npos.
-size_t findCtxParam(const std::vector<Token> &Toks, size_t Begin, size_t End,
-                    std::string &CtxParam, std::string &CtxEffectText) {
+/// Scans a parameter-list token range for the first `ParCtx < ... >` and
+/// returns the name it binds ("" when the parameter is unnamed or absent).
+std::string findCtxParam(const std::vector<Token> &Toks, size_t Begin,
+                         size_t End) {
   for (size_t I = Begin; I < End; ++I) {
     if (Toks[I].Text != "ParCtx" || I + 1 >= End || Toks[I + 1].Text != "<")
       continue;
     size_t Close = findMatch(Toks, I + 1, "<", ">");
     if (Close == Npos || Close >= End)
       continue;
-    std::string Eff;
-    for (size_t J = I + 2; J < Close; ++J) {
-      if (!Eff.empty() && Toks[J].K != Token::Punct &&
-          Toks[J - 1].K != Token::Punct)
-        Eff += ' ';
-      Eff += Toks[J].Text;
-    }
-    if (Close + 1 < End && Toks[Close + 1].K == Token::Ident) {
-      CtxParam = Toks[Close + 1].Text;
-      CtxEffectText = Eff;
-      return I;
-    }
-    // Unnamed ParCtx parameter: still record the effect text.
-    CtxParam.clear();
-    CtxEffectText = Eff;
-    return I;
+    if (Close + 1 < End && Toks[Close + 1].K == Token::Ident)
+      return Toks[Close + 1].Text;
+    return "";
   }
-  return Npos;
+  return "";
 }
 
 /// Classifies the '{' at \p I by looking back a bounded number of tokens.
@@ -440,8 +426,7 @@ FileModel buildFileModel(const std::string &Path, const std::string &Text) {
       L.ParamClose = M.ParenMatch[J];
       if (L.ParamClose == Npos)
         continue;
-      findCtxParam(M.Toks, L.ParamOpen + 1, L.ParamClose, L.CtxParam,
-                   L.CtxEffectText);
+      L.CtxParam = findCtxParam(M.Toks, L.ParamOpen + 1, L.ParamClose);
       J = L.ParamClose + 1;
     }
     // Skip trailing return type / specifiers up to the body brace; stop at
@@ -479,13 +464,6 @@ FileModel buildFileModel(const std::string &Path, const std::string &Text) {
     CtxDecl D;
     D.Name = M.Toks[Close + 1].Text;
     D.DeclTok = I;
-    D.Line = M.Toks[I].Line;
-    for (size_t J = I + 2; J < Close; ++J) {
-      if (!D.EffectText.empty() && M.Toks[J].K != Token::Punct &&
-          M.Toks[J - 1].K != Token::Punct)
-        D.EffectText += ' ';
-      D.EffectText += M.Toks[J].Text;
-    }
     // Visibility: a function parameter's scope is the body brace after the
     // parameter list; a local's is its enclosing brace.
     size_t EncParen = M.EnclosingParen[I];

@@ -62,11 +62,8 @@ struct Lambda {
   /// '&' (covers init-capture right-hand sides like [p = Owner]).
   std::vector<std::string> CaptureUses;
   /// Name of the lambda's ParCtx<...> parameter ("" when none): a lambda
-  /// with a ParCtx parameter is an *effect scope* (a task body candidate).
+  /// with a ParCtx parameter is a task body candidate.
   std::string CtxParam;
-  /// Raw text of the ParCtx effect template argument (e.g. "Eff::Det",
-  /// "D", "E"); empty when no ParCtx parameter.
-  std::string CtxEffectText;
 };
 
 /// A ParCtx-typed name declaration outside lambda parameter lists: a
@@ -74,11 +71,9 @@ struct Lambda {
 /// the end of \c ScopeClose.
 struct CtxDecl {
   std::string Name;
-  std::string EffectText;
   size_t DeclTok = Npos;
   size_t ScopeOpen = Npos;  ///< '{' of the visibility scope (Npos = file).
   size_t ScopeClose = Npos; ///< Matching '}' (Npos = end of file).
-  uint32_t Line = 0;
 };
 
 /// Classifies what a '{' opens, for the escape heuristics.

@@ -6,11 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Command-line driver for the scope-aware static effect/escape analyzer
-/// (successor of the per-line lvish-lint). Builds a FileModel per
-/// translation unit, collects `constexpr EffectSet` aliases across ALL
-/// inputs first (effect levels are routinely defined in one file and used
-/// in another), then runs every pass per file.
+/// Command-line driver for the scope-aware static analyzer (successor of
+/// the per-line lvish-lint). Builds a FileModel per translation unit and
+/// runs every pass over it.
 ///
 /// Usage:
 ///   lvish-analyze [options] <file-or-dir>...
@@ -18,7 +16,6 @@
 ///     --json FILE            also write a lvish-analyze-v1 findings doc
 ///     --baseline FILE        treat findings listed there as grandfathered
 ///     --write-baseline FILE  write the current findings as a new baseline
-///     --surplus              also report surplus declared effect bits
 ///
 /// Exit status: 0 when no new (non-baselined) errors, 1 otherwise, 2 on
 /// usage/IO problems. Fixture trees (any path containing "/fixtures/")
@@ -60,7 +57,6 @@ bool readFile(const fs::path &P, std::string &Out) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  AnalyzerConfig Cfg;
   std::string JsonPath, BaselinePath, WriteBaselinePath;
   std::vector<fs::path> Roots;
   for (int I = 1; I < Argc; ++I) {
@@ -80,8 +76,6 @@ int main(int Argc, char **Argv) {
       BaselinePath = NeedsValue("--baseline");
     else if (A == "--write-baseline")
       WriteBaselinePath = NeedsValue("--write-baseline");
-    else if (A == "--surplus")
-      Cfg.ReportSurplus = true;
     else if (!A.empty() && A[0] == '-') {
       std::fprintf(stderr, "lvish-analyze: unknown option %s\n", A.c_str());
       return 2;
@@ -91,7 +85,7 @@ int main(int Argc, char **Argv) {
   if (Roots.empty()) {
     std::fprintf(stderr,
                  "usage: lvish-analyze [--self-test] [--json FILE] "
-                 "[--baseline FILE] [--write-baseline FILE] [--surplus] "
+                 "[--baseline FILE] [--write-baseline FILE] "
                  "<file-or-dir>...\n");
     return 2;
   }
@@ -115,39 +109,16 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Phase 1: models + the cross-file effect-alias table. A name defined
-  // differently in two files is ambiguous and dropped from the global
-  // table; each defining file still resolves its own meaning through the
-  // per-file override layer (fileAliasTable).
-  std::vector<FileModel> Models;
-  std::map<std::string, std::string> RawAliases;
-  std::vector<std::string> Conflicts;
+  std::vector<Finding> All;
   for (const fs::path &P : Files) {
     std::string Text;
     if (!readFile(P, Text)) {
       std::fprintf(stderr, "lvish-analyze: cannot read %s\n", P.c_str());
       return 2;
     }
-    Models.push_back(buildFileModel(P.generic_string(), Text));
-    std::map<std::string, std::string> Local;
-    collectEffectAliases(Models.back(), Local);
-    for (const auto &[Name, Rhs] : Local) {
-      auto It = RawAliases.find(Name);
-      if (It == RawAliases.end())
-        RawAliases[Name] = Rhs;
-      else if (It->second != Rhs)
-        Conflicts.push_back(Name);
-    }
-  }
-  for (const std::string &Name : Conflicts)
-    RawAliases.erase(Name);
-  EffectAliasTable Aliases = resolveEffectAliases(RawAliases);
-
-  // Phase 2: passes.
-  std::vector<Finding> All;
-  for (const FileModel &M : Models)
-    for (Finding &F : analyzeFile(M, Cfg, Aliases))
+    for (Finding &F : analyzeContents(P.generic_string(), Text))
       All.push_back(std::move(F));
+  }
 
   std::map<std::string, int> Baseline;
   if (!BaselinePath.empty()) {

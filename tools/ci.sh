@@ -79,10 +79,13 @@
 #              prints a non-fatal bench-report diff against the committed
 #              baseline. Reuses the tsan and release builds.
 #   analyze  - scope-aware static analysis (tools/analyze/): runs
-#              lvish-analyze over src/, bench/, examples/, and tests/
-#              against the committed tools/analyze/baseline.json, failing
-#              on any non-baselined finding. Subsumes the retired
-#              lvish-lint scan. Reuses the release build.
+#              lvish-analyze (the ported lvish-lint token rules,
+#              ctx-escape, handler-cycle, park-under-lock) over src/,
+#              bench/, examples/, and tests/ against the committed
+#              tools/analyze/baseline.json, failing on any non-baselined
+#              finding. Effect levels are the compiler's check, not the
+#              analyzer's. Builds only the lvish-analyze target, in the
+#              release tree.
 #   coverage - Debug + LVISH_COVERAGE=ON (gcov instrumentation): runs the
 #              suite and writes a line-coverage summary artifact to
 #              build-ci-coverage/coverage-summary.txt. Not in the default
@@ -431,14 +434,15 @@ for stage in "${STAGES[@]}"; do
         || echo "bench-report diff failed (non-fatal)"
       ;;
     analyze)
-      # Reuse the release tree when it exists; otherwise build it.
-      if [ ! -x build-ci-release/tools/lvish-analyze ]; then
-        echo "==== [analyze] building release tree ===="
+      # Reuse the release tree when it exists; otherwise configure it. Only
+      # the analyzer itself is built here.
+      if [ ! -f build-ci-release/CMakeCache.txt ]; then
+        echo "==== [analyze] configuring release tree ===="
         cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
           > build-ci-release.cfg.log 2>&1 || {
           cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
       fi
+      cmake --build build-ci-release --target lvish-analyze -j "$JOBS"
       echo "==== [analyze] lvish-analyze over src/ bench/ examples/ tests/ ===="
       ./build-ci-release/tools/lvish-analyze \
         --baseline tools/analyze/baseline.json \
