@@ -226,15 +226,14 @@ int main(int argc, char **argv) {
               auto Echo = newISet<int>(Ctx);
               auto Ready = newCounter(Ctx);
               auto Pool = newPool(Ctx);
-              // Put-only handler: echoes each delta's key (the cascade).
-              // Echo is a different LVar than the one the handler watches,
-              // so owning capture is cycle-free (see HandlerPool.h).
+              // Plain put-only handler: echoes each delta's key (the
+              // cascade). Echo is a different LVar than the one the
+              // handler watches, so owning capture is cycle-free (see
+              // HandlerPool.h).
               ParCtx<Eff::WriteOnly> WCtx = Ctx;
               auto Handler = [Echo](ParCtx<Eff::WriteOnly> C,
-                                    const std::pair<int, int> &D)
-                  -> Par<void> {
+                                    const std::pair<int, int> &D) {
                 insert(C, *Echo, D.first);
-                co_return;
               };
               [[maybe_unused]] HandlerHandle H = addHandler(WCtx, Pool, *Map, Handler);
               // One parked getter per key; each announces readiness first

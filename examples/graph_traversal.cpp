@@ -76,10 +76,9 @@ Par<std::shared_ptr<ISet<int>>> traverse(ParCtx<D> Ctx, const Graph *G,
   ISet<int> *SeenRaw = Seen.get(); // Non-owning: handler lives inside Seen.
   [[maybe_unused]] HandlerHandle H =
       addHandler(Ctx, Pool, *Seen,
-                 [G, SeenRaw](ParCtx<D> C, const int &Node) -> Par<void> {
+                 [G, SeenRaw](ParCtx<D> C, const int &Node) {
                    for (int V : G->neighbors(Node))
                      insert(C, *SeenRaw, V);
-                   co_return;
                  });
   insert(Ctx, *Seen, StartNode); // Kick things off.
   co_await quiesce(Ctx, Pool);

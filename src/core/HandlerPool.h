@@ -20,21 +20,28 @@
 /// interface" role that \c ParLVar plays in Section 4's
 /// independent-extensibility discussion.
 ///
-/// Delta batching (DESIGN.md Section 13): handlers whose effect level
-/// cannot block (no HasGet) do not spawn one task per delta. Each pool
-/// keeps one delta batch per worker (plus one for external callers); a put
-/// appends a thunk to its worker's batch and spawns a single flush task
-/// only when the batch was idle. The flush task drains the batch - and
-/// whatever lands in it while draining - then disarms. TaskScope
-/// enter/exit is per *flush*, not per delta, so quiescence still counts
-/// every pending delta (a delta is only ever pending while its batch's
-/// flush is armed). Handlers that CAN block (HasGet in their effect row)
-/// keep the one-task-per-delta path: a parked handler would otherwise
-/// stall every delta queued behind it in the batch.
+/// Two dispatch paths, picked by the callback's return type alone:
 ///
-/// Either way a handler task is forked from the putting task, so in a
-/// fixpoint (handlers putting into the LVar they watch) it inherits the
-/// pool's scope from its parent. \c Task::addScope then adds nothing: a
+///  * A callback returning \c void is a plain call. It cannot \c co_await,
+///    so it can never park, whatever its effect row. Its deltas are
+///    batched: each pool keeps one delta batch per worker (plus one for
+///    external callers), and each plain registration keeps its deltas by
+///    value in one typed vector per batch slot. A put appends the delta to
+///    its worker's slot and spawns a single flush task only when the batch
+///    was idle. The flush task drains the batch - and whatever lands in it
+///    while draining - calling each callback in a loop, then disarms. No
+///    task, coroutine frame or allocation is made per delta, and the stack
+///    does not grow with the length of a handler chain. TaskScope
+///    enter/exit is per *flush*, not per delta, so quiescence still counts
+///    every pending delta (a delta is only ever pending while its batch's
+///    flush is armed).
+///  * A callback returning \c Par<void> may await, so it may park. It runs
+///    as its own task, one per delta: a parked handler would otherwise
+///    stall every delta queued behind it in a batch.
+///
+/// Either way a handler or flush task is forked from the putting task, so
+/// in a fixpoint (handlers putting into the LVar they watch) it inherits
+/// the pool's scope from its parent. \c Task::addScope then adds nothing: a
 /// task N handler generations deep carries the pool once, not N times,
 /// and each spawn costs O(distinct scopes), not O(chain depth).
 ///
@@ -50,22 +57,44 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 namespace lvish {
+
+namespace detail {
+
+/// The deltas of one plain (`void`) registration, held by value in one
+/// typed vector per batch slot. Every call on a slot happens under that
+/// slot's WorkerBatch::Mu, except run, which only the batch's one armed
+/// flush task makes.
+class PlainLane {
+public:
+  PlainLane() = default;
+  PlainLane(const PlainLane &) = delete;
+  PlainLane &operator=(const PlainLane &) = delete;
+  virtual ~PlainLane() = default;
+  /// Moves \p Slot's pending deltas aside for run (batch lock held).
+  virtual void take(unsigned Slot) = 0;
+  /// Calls the callback, as the flush task \p T, on every delta the last
+  /// take moved aside, then drops them.
+  virtual void run(unsigned Slot, Task *T) = 0;
+};
+
+} // namespace detail
 
 /// Groups handler invocations for quiescence; see file comment.
 class HandlerPool {
 public:
   /// One per-worker delta batch (its own cache line). A put holds Mu just
   /// long enough to append; the flush task holds it just long enough to
-  /// swap the pending vector out.
+  /// move the pending deltas aside.
   struct alignas(64) WorkerBatch {
     std::mutex Mu;
-    std::vector<std::function<Par<void>()>> Pending;
+    /// The registrations with deltas pending in this slot, each once.
+    std::vector<std::shared_ptr<detail::PlainLane>> Lanes;
     /// True while a flush task owns this batch (one Scope.enter per arm).
     bool FlushArmed = false;
   };
@@ -81,13 +110,13 @@ public:
   /// tasks they transitively fork.
   TaskScope Scope;
 
-  /// Per-worker delta batches for non-blocking handlers.
+  /// Per-worker delta batches for plain handlers.
   std::unique_ptr<WorkerBatch[]> Batches;
   unsigned NumBatchSlots;
 
-  /// Union of the effect masks of every registration whose deltas may
-  /// share a batch; flush tasks declare this (a superset per delta, which
-  /// the audit permits - declared effects bound performed ones).
+  /// Union of the effect masks of every plain registration, whose deltas
+  /// may share a batch; flush tasks declare this (a superset per delta,
+  /// which the audit permits - declared effects bound performed ones).
   std::atomic<uint8_t> BatchFx{0};
 
   /// Monotonic registration ordinal source for HandlerHandle.
@@ -96,22 +125,86 @@ public:
 
 namespace detail {
 
-/// Root of a flush task: runs every thunk in \p B - and whatever lands in
-/// it meanwhile - then disarms the batch.
-inline Par<void> flushBatch(HandlerPool::WorkerBatch *B) {
-  std::vector<std::function<Par<void>()>> Local;
+/// A plain registration's lane: \p F called as `void(ParCtx<E>, const
+/// Delta&)` on each delta, in the order its slot received them.
+template <EffectSet E, typename Delta, typename F>
+class TypedLane final : public PlainLane {
+public:
+  TypedLane(F Callback, unsigned NumSlots)
+      : Callback(std::move(Callback)),
+        Slots(std::make_unique<SlotDeltas[]>(NumSlots)) {}
+
+  /// Appends \p D to \p Slot (batch lock held). True when the slot was
+  /// empty, so the lane must be listed in the batch.
+  bool push(unsigned Slot, const Delta &D) {
+    std::vector<Delta> &Pending = Slots[Slot].Pending;
+    Pending.push_back(D);
+    return Pending.size() == 1;
+  }
+
+  void take(unsigned Slot) override {
+    Slots[Slot].Pending.swap(Slots[Slot].Running);
+  }
+
+  void run(unsigned Slot, Task *T) override {
+    std::vector<Delta> &Running = Slots[Slot].Running;
+    ParCtx<E> Ctx = CtxAccess::make<E>(T);
+    for (const Delta &D : Running)
+      Callback(Ctx, D);
+    Running.clear(); // Keeps the capacity: the vectors only grow.
+  }
+
+private:
+  /// Double-buffered per slot: puts append to Pending while the flush
+  /// runs the deltas it took into Running.
+  struct alignas(64) SlotDeltas {
+    std::vector<Delta> Pending;
+    std::vector<Delta> Running;
+  };
+
+  F Callback;
+  std::unique_ptr<SlotDeltas[]> Slots;
+};
+
+/// Root of a flush task: runs every delta pending in \p Pool's batch
+/// \p Slot - and whatever lands in it meanwhile - then disarms the batch.
+inline Par<void> flushBatch(HandlerPool *Pool, unsigned Slot) {
+  HandlerPool::WorkerBatch &B = Pool->Batches[Slot];
+  Task *T = Scheduler::currentTask();
+  std::vector<std::shared_ptr<PlainLane>> Local;
   for (;;) {
     {
-      std::lock_guard<std::mutex> Lock(B->Mu);
-      if (B->Pending.empty()) {
-        B->FlushArmed = false;
+      std::lock_guard<std::mutex> Lock(B.Mu);
+      if (B.Lanes.empty()) {
+        B.FlushArmed = false;
         break;
       }
-      Local.swap(B->Pending);
+      Local.swap(B.Lanes);
+      for (const auto &Lane : Local)
+        Lane->take(Slot);
     }
-    for (auto &Thunk : Local)
-      co_await Thunk();
+    for (const auto &Lane : Local)
+      Lane->run(Slot, T);
     Local.clear();
+  }
+  co_return;
+}
+
+/// Which of the two callback forms \p F has when called with \p Args: a
+/// plain call (`void`), a task (`Par<void>`), or neither.
+enum class HandlerForm { Plain, Task, Invalid };
+
+template <typename F, typename... Args> constexpr HandlerForm handlerForm() {
+  if constexpr (!std::is_invocable_v<F, Args...>) {
+    return HandlerForm::Invalid;
+  } else {
+    using R = std::invoke_result_t<F, Args...>;
+    if constexpr (std::is_void_v<R>)
+      return HandlerForm::Plain;
+    else if constexpr (std::is_same_v<R, Par<void>>)
+      return HandlerForm::Task;
+    else
+      return HandlerForm::Invalid;
   }
 }
 
@@ -134,12 +227,14 @@ template <EffectSet E> std::shared_ptr<HandlerPool> newPool(ParCtx<E> Ctx) {
   return std::make_shared<HandlerPool>(Ctx.sched()->numWorkers() + 1);
 }
 
-/// Registers \p Callback (signature `Par<void>(ParCtx<E>, const Delta&)`)
-/// to run, as a task counted by \p Pool, for the LVar's current contents
-/// and for every subsequent change. Returns a HandlerHandle naming the
-/// registration; [[nodiscard]] because dropping it discards the only name
-/// the program has for the registration (and the only way to pass it to a
-/// future deregistration API) - bind it even if only to note the intent.
+/// Registers \p Callback to run, counted by \p Pool, for the LVar's
+/// current contents and for every subsequent change. The callback is
+/// either `void(ParCtx<E>, const Delta&)`, called in a batch flush loop, or
+/// `Par<void>(ParCtx<E>, const Delta&)`, run as one task per delta (see
+/// file comment). Returns a HandlerHandle naming the registration;
+/// [[nodiscard]] because dropping it discards the only name the program
+/// has for the registration (and the only way to pass it to a future
+/// deregistration API) - bind it even if only to note the intent.
 ///
 /// Ownership note: the callback is stored inside the LVar for the LVar's
 /// whole lifetime. A handler that refers to its *own* LVar (the fixpoint
@@ -153,30 +248,33 @@ template <EffectSet E, typename LVarT, typename F>
                                        std::shared_ptr<HandlerPool> Pool,
                                        LVarT &LV, F Callback) {
   using Delta = typename LVarT::DeltaType;
-  static_assert(
-      std::is_invocable_r_v<Par<void>, F, ParCtx<E>, const Delta &>,
-      "handler callback must be callable as Par<void>(ParCtx<E>, Delta)");
+  constexpr detail::HandlerForm Form =
+      detail::handlerForm<F, ParCtx<E>, const Delta &>();
+  static_assert(Form != detail::HandlerForm::Invalid,
+                "handler callback must be callable as "
+                "void(ParCtx<E>, const Delta&) or "
+                "Par<void>(ParCtx<E>, const Delta&)");
   Scheduler *Sched = Ctx.sched();
-  Pool->BatchFx.fetch_or(check::effectMask(E), std::memory_order_relaxed);
   uint64_t Ordinal =
       Pool->Registrations.fetch_add(1, std::memory_order_relaxed);
-  if constexpr (!hasGet(E)) {
-    // Non-blocking handler: batch deltas per worker, one flush task per
-    // armed batch (see file comment).
+  if constexpr (Form == detail::HandlerForm::Plain) {
+    // Plain handler: batch deltas per worker, one flush task per armed
+    // batch (see file comment).
+    Pool->BatchFx.fetch_or(check::effectMask(E), std::memory_order_relaxed);
+    // The lane outlives the LVar while a batch lists it, so pending deltas
+    // still run after the program drops the LVar.
+    auto Lane = std::make_shared<detail::TypedLane<E, Delta, F>>(
+        std::move(Callback), Pool->NumBatchSlots);
     LV.addHandlerRaw(
-        [Sched, Pool, Callback](const Delta &D) {
+        [Sched, Pool, Lane](const Delta &D) {
           obs::count(obs::Event::HandlerInvocations);
-          HandlerPool::WorkerBatch &B =
-              Pool->Batches[Sched->callerBatchIndex()];
+          unsigned Slot = Sched->callerBatchIndex();
+          HandlerPool::WorkerBatch &B = Pool->Batches[Slot];
           bool Spawn = false;
           {
             std::lock_guard<std::mutex> Lock(B.Mu);
-            // The thunk runs on the flush task, and its D and Callback
-            // live in the flush's Local until the callback completes.
-            B.Pending.push_back([Callback, D]() -> Par<void> {
-              return Callback(
-                  detail::CtxAccess::make<E>(Scheduler::currentTask()), D);
-            });
+            if (Lane->push(Slot, D))
+              B.Lanes.push_back(Lane);
             if (!B.FlushArmed) {
               B.FlushArmed = true;
               // Enter the scope while still holding B.Mu: the scope count
@@ -190,7 +288,8 @@ template <EffectSet E, typename LVarT, typename F>
             return; // An armed flush task will pick the delta up.
           // The scope entry pins the pool, and so B, for the flush task.
           detail::launchTask(
-              *Sched, detail::flushBatch(&B), Scheduler::currentTask(),
+              *Sched, detail::flushBatch(Pool.get(), Slot),
+              Scheduler::currentTask(),
               Pool->BatchFx.load(std::memory_order_relaxed),
               {std::shared_ptr<TaskScope>(Pool, &Pool->Scope)});
           // The task now counts itself (a flush spawned from another task
@@ -201,8 +300,8 @@ template <EffectSet E, typename LVarT, typename F>
         },
         Ctx.task());
   } else {
-    // Blocking-capable handler: one task per delta, so a parked handler
-    // never stalls deltas queued behind it.
+    // Task handler: one task per delta, so a parked handler never stalls
+    // deltas queued behind it.
     LV.addHandlerRaw(
         [Sched, Pool, Callback](const Delta &D) {
           // Runs synchronously inside the put (or registration); spawn the
@@ -226,20 +325,21 @@ template <EffectSet E, typename LVarT, typename F>
 }
 
 /// Like \c addHandler, but the callback receives the LVar by reference
-/// (signature `Par<void>(ParCtx<E>, LVarT&, const Delta&)`), so the
-/// fixpoint idiom - a handler that writes back into the LVar it watches -
-/// needs no self-capture at all. This is the safe spelling of the
-/// ownership note above: the reference is non-owning by construction and
-/// cannot form the shared_ptr cycle.
+/// (`void(ParCtx<E>, LVarT&, const Delta&)` or its `Par<void>` form), so
+/// the fixpoint idiom - a handler that writes back into the LVar it
+/// watches - needs no self-capture at all. This is the safe spelling of
+/// the ownership note above: the reference is non-owning by construction
+/// and cannot form the shared_ptr cycle.
 template <EffectSet E, typename LVarT, typename F>
 [[nodiscard]] HandlerHandle addHandlerRef(ParCtx<E> Ctx,
                                           std::shared_ptr<HandlerPool> Pool,
                                           LVarT &LV, F Callback) {
   using Delta = typename LVarT::DeltaType;
-  static_assert(
-      std::is_invocable_r_v<Par<void>, F, ParCtx<E>, LVarT &, const Delta &>,
-      "handler callback must be callable as "
-      "Par<void>(ParCtx<E>, LVarT&, Delta)");
+  static_assert(detail::handlerForm<F, ParCtx<E>, LVarT &, const Delta &>() !=
+                    detail::HandlerForm::Invalid,
+                "handler callback must be callable as "
+                "void(ParCtx<E>, LVarT&, const Delta&) or "
+                "Par<void>(ParCtx<E>, LVarT&, const Delta&)");
   LVarT *Raw = &LV;
   return addHandler(Ctx, std::move(Pool), LV,
                     [Raw, Callback](ParCtx<E> C, const Delta &D) {

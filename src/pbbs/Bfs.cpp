@@ -102,14 +102,15 @@ std::vector<uint32_t> pbbs::bfsReach(const Graph &G, uint32_t Source,
         auto Pool = newPool(Ctx);
         // addHandlerRef: the callback receives the set by reference, so
         // the closure holds no owning pointer back into the LVar (the
-        // shared_ptr-cycle hazard of HandlerPool.h).
+        // shared_ptr-cycle hazard of HandlerPool.h). It never awaits, so it
+        // is a plain call: the pool batches the reached vertices per worker
+        // and one flush task runs them in a loop, with no task per vertex.
         auto Handler = [GP](ParCtx<E> C, ISet<uint32_t> &SeenRef,
-                            const uint32_t &V) -> Par<void> {
+                            const uint32_t &V) {
           for (const uint32_t *W = GP->neighborsBegin(V),
                               *End = GP->neighborsEnd(V);
                W != End; ++W)
             insert(C, SeenRef, *W);
-          co_return;
         };
         [[maybe_unused]] HandlerHandle H =
             addHandlerRef(Ctx, Pool, *S, Handler);

@@ -79,10 +79,8 @@ namespace {
 /// put (seeding + relaxation), get (parallelFor + quiesce), freeze (the
 /// final labeled snapshot after the fixpoint).
 constexpr EffectSet CcEff = Eff::QuasiDet;
-/// The relaxation handler only ever writes (putMin); registering it at
-/// put-only strength routes it through the HandlerPool's batched
-/// non-blocking path - deltas queue per worker and one flush task drains
-/// them - instead of spawning a scheduler task per winning decrease.
+/// The relaxation handler only ever writes (putMin), so it is registered
+/// with no more than put (least privilege).
 constexpr EffectSet RelaxEff{/*put*/ true,    /*get*/ false,
                              /*bump*/ false,  /*freeze*/ false,
                              /*io*/ false,    /*st*/ false};
@@ -102,10 +100,11 @@ std::vector<uint32_t> pbbs::componentsLabelProp(const Graph &G,
         auto Pool = newPool(Ctx);
         // Relaxation: each winning decrease of label[v] pushes the new
         // label to every neighbor. Non-improving pushes are no-op joins,
-        // so the cascade dies out exactly at the fixpoint.
+        // so the cascade dies out exactly at the fixpoint. A plain call:
+        // the pool batches the decreases per worker and one flush task
+        // runs them in a loop.
         auto Relax = [GP](ParCtx<RelaxEff> C, MinMap<uint32_t> &M,
-                          const std::pair<uint32_t, uint64_t> &D)
-            -> Par<void> {
+                          const std::pair<uint32_t, uint64_t> &D) {
           uint32_t V = D.first;
           uint64_t L = D.second;
           // Stale-wave cutoff: if label[V] has already dropped below L,
@@ -116,12 +115,11 @@ std::vector<uint32_t> pbbs::componentsLabelProp(const Graph &G,
           // frozen result stays schedule-independent.
           auto Cur = M.peekKey(V);
           if (Cur && *Cur < L)
-            co_return;
+            return;
           for (const uint32_t *W = GP->neighborsBegin(V),
                               *End = GP->neighborsEnd(V);
                W != End; ++W)
             putMin(C, M, *W, L);
-          co_return;
         };
         [[maybe_unused]] HandlerHandle H = addHandlerRef(
             ParCtx<RelaxEff>(Ctx), Pool, *Labels, Relax);

@@ -17,11 +17,12 @@
 ///
 ///  * \c componentsLabelProp - min-label propagation, kept as the handler
 ///    stress case: a \c MinMap (src/data/MinMap.h) seeded with each local
-///    minimum's own id, and a put-only handler that relaxes each winning
-///    label decrease across the vertex's edges through the HandlerPool's
-///    batched flush path. Labels only fall, min-joins commute, and
-///    \c quiesce detects the fixpoint, so it returns the same labels - at
-///    the cost of label-correcting churn that grows faster than the input.
+///    minimum's own id, and a plain (`void`) handler that relaxes each
+///    winning label decrease across the vertex's edges, run in the
+///    HandlerPool's batched flush loop. Labels only fall, min-joins
+///    commute, and \c quiesce detects the fixpoint, so it returns the same
+///    labels - at the cost of label-correcting churn that grows faster
+///    than the input.
 ///
 //===----------------------------------------------------------------------===//
 

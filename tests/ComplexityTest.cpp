@@ -10,8 +10,10 @@
 //    an enclosing deadlock scope.
 //  * Event counts are linear in the input. Connected components makes one
 //    put per undirected edge and exactly N - #components useful ones;
-//    bfsReach makes one handler invocation per reached vertex. Checked at
-//    N and 2N, at 1/2/4 workers and under explored schedules. The
+//    bfsReach makes one handler invocation per reached vertex, and its
+//    tasks, like componentsLabelProp's, stay within a constant per worker,
+//    since both handlers are batched plain calls. Checked at N and 2N, at
+//    1/2/4 workers and under explored schedules. The
 //    pbbs_rounds kernels (histogram, removeDuplicates, bfsLevels, spanning
 //    forest) are pinned at one worker: puts, no-op joins and tasks created
 //    each equal a closed form over the input.
@@ -71,29 +73,38 @@ private:
   }
 };
 
-/// A ChainLen-deep handler chain at handler effect level \p HE: element
-/// X's handler inserts X + 1, so each dispatch runs one handler generation
-/// deeper. True when quiesce returned only after every insert and left
+/// A ChainLen-deep handler chain: element X's handler inserts X + 1, so
+/// each dispatch runs one handler generation deeper. A plain callback when
+/// \p Plain (batched, run in a flush loop), else a Par (one task per
+/// delta). True when quiesce returned only after every insert and left
 /// the pool's scope drained.
-template <EffectSet HE>
+template <bool Plain>
 Par<bool> handlerChain(ParCtx<D> Ctx, ScopeHighWater *HW) {
   auto S = newISet<uint64_t>(Ctx);
   auto Pool = newPool(Ctx);
-  [[maybe_unused]] HandlerHandle H = addHandlerRef(
-      ParCtx<HE>(Ctx), Pool, *S,
-      [HW](ParCtx<HE> C, ISet<uint64_t> &Set, const uint64_t &X) -> Par<void> {
-        HW->note();
-        if (X + 1 < ChainLen)
-          insert(C, Set, X + 1);
-        co_return;
-      });
+  auto Step = [HW](ParCtx<D> C, ISet<uint64_t> &Set, const uint64_t &X) {
+    HW->note();
+    if (X + 1 < ChainLen)
+      insert(C, Set, X + 1);
+  };
+  if constexpr (Plain) {
+    [[maybe_unused]] HandlerHandle H = addHandlerRef(Ctx, Pool, *S, Step);
+  } else {
+    [[maybe_unused]] HandlerHandle H = addHandlerRef(
+        Ctx, Pool, *S,
+        [Step](ParCtx<D> C, ISet<uint64_t> &Set,
+               const uint64_t &X) -> Par<void> {
+          Step(C, Set, X);
+          co_return;
+        });
+  }
   insert(Ctx, *S, uint64_t{0});
   co_await quiesce(Ctx, Pool);
   co_return S->sizeNow() == ChainLen &&
       HW->Calls.load() == ChainLen && Pool->Scope.activeCount() == 0;
 }
 
-template <EffectSet HE> void expectBoundedChain(const char *Path) {
+template <bool Plain> void expectBoundedChain(const char *Path) {
   for (unsigned W : WorkerCounts) {
     SCOPED_TRACE(::testing::Message() << Path << " workers=" << W);
     {
@@ -101,7 +112,7 @@ template <EffectSet HE> void expectBoundedChain(const char *Path) {
       ScopeHighWater HW;
       bool Ok = runPar<D>(
           [&HW](ParCtx<D> Ctx) -> Par<bool> {
-            bool R = co_await handlerChain<HE>(Ctx, &HW);
+            bool R = co_await handlerChain<Plain>(Ctx, &HW);
             co_return R;
           },
           SchedulerConfig{W});
@@ -116,7 +127,7 @@ template <EffectSet HE> void expectBoundedChain(const char *Path) {
       uint64_t Blocked = runPar<D>(
           [&HW, &Ok](ParCtx<D> Ctx) -> Par<uint64_t> {
             auto Body = [&HW, &Ok](ParCtx<D> C) -> Par<void> {
-              bool R = co_await handlerChain<HE>(C, &HW);
+              bool R = co_await handlerChain<Plain>(C, &HW);
               Ok.store(R);
             };
             DeadlockReport Rep = co_await forkWithDeadlockDetection(Ctx, Body);
@@ -131,11 +142,11 @@ template <EffectSet HE> void expectBoundedChain(const char *Path) {
 }
 
 TEST(ScopeListTest, TaskPerDeltaHandlerChainStaysBounded) {
-  expectBoundedChain<Eff::Det>("task-per-delta");
+  expectBoundedChain</*Plain=*/false>("task-per-delta");
 }
 
 TEST(ScopeListTest, BatchedHandlerChainStaysBounded) {
-  expectBoundedChain<Eff::WriteOnly>("batched");
+  expectBoundedChain</*Plain=*/true>("batched");
 }
 
 //===----------------------------------------------------------------------===//
@@ -253,6 +264,44 @@ TEST(ComplexityTest, BfsReachInvokesOneHandlerPerReachedVertex) {
         EXPECT_EQ(C.HandlerInvocations, Reached.size());
         EXPECT_EQ(C.Puts, Inserts);
         EXPECT_EQ(C.Puts - C.NoOpJoins, Reached.size());
+      });
+    }
+}
+
+/// Tasks created by \p Run under \p O.
+uint64_t tasksDuring(RunOptions O,
+                     const std::function<void(const RunOptions &)> &Run) {
+  SchedulerStats Stats;
+  O.StatsOut = &Stats;
+  Run(O);
+  return Stats.TasksCreated;
+}
+
+TEST(ComplexityTest, HandlerFixpointsCreateTasksPerWorkerNotPerVertex) {
+  // Both fixpoints' handlers are plain calls, batched per worker: tasks
+  // come from the root, flushes and the seeding loop's forks (about eight
+  // leaves at these sizes), not from reached vertices or label decreases,
+  // so the bound is the same at n and 2n. Observed: bfsReach 2-6,
+  // componentsLabelProp 17-28, at every worker count.
+  constexpr uint64_t TasksPerWorker = 32;
+  for (uint32_t N : {150u, 300u})
+    for (bool PowerLaw : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (PowerLaw ? "powerlaw" : "uniform") << " n=" << N);
+      const Graph G = PowerLaw ? makePowerLawGraph(N, 6, 23)
+                               : makeUniformGraph(N, 6, 23);
+      forEachSchedule([&](const RunOptions &O) {
+        const uint64_t Bound = TasksPerWorker * O.Config.NumWorkers;
+        EXPECT_LE(tasksDuring(O, [&](const RunOptions &R) {
+                    bfsReach(G, 0, R);
+                  }),
+                  Bound)
+            << "bfsReach";
+        EXPECT_LE(tasksDuring(O, [&](const RunOptions &R) {
+                    componentsLabelProp(G, R);
+                  }),
+                  Bound)
+            << "componentsLabelProp";
       });
     }
 }

@@ -33,7 +33,7 @@ constexpr EffectSet IOE = Eff::FullIO;
 /// The contended put/wake program. \p Keys getters park (one per key, so
 /// they spread across every key bucket and the size heap stays busy via
 /// the root's waitSize); \p Putters shards insert disjoint keys; a
-/// put-only handler echoes each delta into Echo. Returns
+/// plain put-only handler echoes each delta into Echo. Returns
 /// sum(value read by getter K) = sum(2K) = Keys*(Keys-1), so a single
 /// lost wakeup, dropped delta, or misrouted bucket scan changes the
 /// result (or deadlocks the session, which runPar reports).
@@ -49,9 +49,8 @@ auto contendedProgram(uint64_t Keys, int Putters, RunFn Run) {
     auto Pool = newPool(Ctx);
     ParCtx<Eff::WriteOnly> WCtx = Ctx;
     auto Handler = [Echo](ParCtx<Eff::WriteOnly> C,
-                          const std::pair<int, int> &D) -> Par<void> {
+                          const std::pair<int, int> &D) {
       insert(C, *Echo, D.first);
-      co_return;
     };
     [[maybe_unused]] HandlerHandle H = addHandler(WCtx, Pool, *Map, Handler);
     // Owning captures: forked tasks may outlive the root frame.

@@ -9,6 +9,7 @@
 #include "src/core/LVish.h"
 #include "src/core/ParFor.h"
 #include "src/data/Counter.h"
+#include "src/data/ISet.h"
 
 #include <gtest/gtest.h>
 
@@ -259,6 +260,34 @@ TEST(ParallelFor, OneLeafRunsAMillionBumpsInConstantStack) {
       },
       SchedulerConfig{1});
   EXPECT_EQ(Total, N);
+}
+
+TEST(Quiesce, PlainHandlerChainRunsAMillionDeltasInConstantStack) {
+  // Element X's plain handler inserts X + 1, so the chain runs a million
+  // handler generations deep on one worker. The flush task calls the
+  // callback in a loop - no task, coroutine frame or resume frame per
+  // delta - so a Debug build, which emits no tail calls, must still
+  // finish with the exact size and a drained pool.
+  constexpr uint64_t N = 1000000;
+  bool Drained = false;
+  size_t Size = runPar<D>(
+      [&Drained](ParCtx<D> Ctx) -> Par<size_t> {
+        auto S = newISet<uint64_t>(Ctx);
+        auto Pool = newPool(Ctx);
+        [[maybe_unused]] HandlerHandle H = addHandlerRef(
+            Ctx, Pool, *S,
+            [](ParCtx<D> C, ISet<uint64_t> &Set, const uint64_t &X) {
+              if (X + 1 < N)
+                insert(C, Set, X + 1);
+            });
+        insert(Ctx, *S, uint64_t{0});
+        co_await quiesce(Ctx, Pool);
+        Drained = Pool->Scope.activeCount() == 0;
+        co_return S->sizeNow();
+      },
+      SchedulerConfig{1});
+  EXPECT_EQ(Size, N);
+  EXPECT_TRUE(Drained);
 }
 
 TEST(Yield, CooperativeYieldRoundTrip) {

@@ -91,7 +91,11 @@ enum class PollTarget {
   Advance,
   UnionFind,
   /// putMinAt from a plain parallelFor leaf, run in the child's own task.
-  ParallelForLeaf
+  ParallelForLeaf,
+  /// putMinAt from a plain handler. Child i is not forked: it is the flush
+  /// task the root's insert into a set watched by a fresh pool spawns, and
+  /// the put runs inside the flush's loop over its deltas.
+  PlainHandler
 };
 
 /// fanOut's fork tree, but child i writes only through \p Target. For
@@ -141,10 +145,26 @@ ParOutcome<int> pollFanOut(SchedulerConfig C, int Kids, PollTarget Target) {
               co_await parallelFor(C2, 0, 4, 4, Leaf);
               break;
             }
+            case PollTarget::PlainHandler:
+              break; // Not forked; see below.
             }
             co_return;
           };
-          fork(Ctx, Body);
+          if (Target != PollTarget::PlainHandler) {
+            fork(Ctx, Body);
+            continue;
+          }
+          // The set and the pool go out of scope with the flush pending:
+          // the flush's scope entry keeps the pool alive, and the batch
+          // keeps the registration's deltas.
+          auto Watched = newISet<int>(Ctx);
+          auto Pool = newPool(Ctx);
+          [[maybe_unused]] HandlerHandle H = addHandler(
+              Ctx, Pool, *Watched, [Cells](ParCtx<DB> C, const int &V) {
+                putMinAt(C, *Cells, static_cast<size_t>(V),
+                         static_cast<uint64_t>(V));
+              });
+          insert(Ctx, *Watched, I);
         }
         if (Target != PollTarget::ISetAndCounter)
           co_return Kids;
@@ -237,7 +257,8 @@ TEST(FaultStressTest, DoomedWriterFailsAtEveryPutEntryPoint) {
                                   PollTarget::CounterVec,
                                   PollTarget::Advance,
                                   PollTarget::UnionFind,
-                                  PollTarget::ParallelForLeaf};
+                                  PollTarget::ParallelForLeaf,
+                                  PollTarget::PlainHandler};
     for (PollTarget Target : Targets) {
       const int T = static_cast<int>(Target);
       EXPECT_EQ(sig(pollFanOut(cfg(2, 1), 6, Target)),

@@ -169,7 +169,7 @@ const PinEntry Corpus[] = {
     {"bfs-levels", checkBfsLevels,
      "lvx1:w2:h35a65ec46fd881c2:0.0.0.0.0.0.0.0.0.0.0"},
     {"bfs-reach", checkBfsReach,
-     "lvx1:w2:h0c2b4e3c7506505d:0.0.0.0.0.0.0.0.0.0.0"},
+     "lvx1:w2:hbf5d2013eff5dc5d:0.0.0"},
     {"components", checkComponents,
      "lvx1:w2:hb75cb1e8a33a9134:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1"},
     {"components-labelprop", checkComponentsLabelProp,

@@ -196,9 +196,23 @@ TEST(SpawnPaths, ForkCancelableGetsAFreshCancelNode) {
   EXPECT_NE(S.Child.Cancel, S.Before.Cancel);
 }
 
-/// One handler task per delta (a handler that may block), or one flush
-/// task per armed batch (a handler that cannot).
-template <EffectSet HE> void expectHandlerSpawn(uint8_t Fx) {
+/// A handler callback on a uint64_t set that runs \p Body(C): a plain
+/// call when \p Plain (batched, run by a flush task), else a Par (one
+/// task per delta).
+template <bool Plain, EffectSet HE, typename B> auto handlerOf(B Body) {
+  if constexpr (Plain)
+    return [Body](ParCtx<HE> C, const uint64_t &) { Body(C); };
+  else
+    return [Body](ParCtx<HE> C, const uint64_t &) -> Par<void> {
+      Body(C);
+      co_return;
+    };
+}
+
+/// One handler task per delta (a Par callback), or one flush task per
+/// armed batch (a plain one). Either way the task declares the handler's
+/// effect level.
+template <bool Plain> void expectHandlerSpawn() {
   Spawn S;
   const TaskScope *PoolScope = nullptr;
   runPar<D>(
@@ -207,34 +221,34 @@ template <EffectSet HE> void expectHandlerSpawn(uint8_t Fx) {
         auto Pool = newPool(Ctx);
         PoolScope = &Pool->Scope;
         [[maybe_unused]] HandlerHandle H = addHandler(
-            ParCtx<HE>(Ctx), Pool, *Set,
-            [Out](ParCtx<HE> C, const uint64_t &) -> Par<void> {
+            Ctx, Pool, *Set, handlerOf<Plain, D>([Out](ParCtx<D> C) {
               Out->Child = see(C.task());
-              co_return;
-            });
+            }));
         Out->Before = see(Ctx.task());
         insert(Ctx, *Set, uint64_t{7});
         Out->After = see(Ctx.task());
         co_await quiesce(Ctx, Pool);
       },
       SchedulerConfig{1});
-  expectChildOf(S, Fx);
+  expectChildOf(S, check::effectMask(D));
   EXPECT_EQ(S.Child.Scopes, std::vector<const TaskScope *>{PoolScope});
   EXPECT_EQ(S.Child.Cancel, S.Before.Cancel);
 }
 
 TEST(SpawnPaths, PerDeltaHandlerTaskEntersThePoolScope) {
-  expectHandlerSpawn<D>(check::effectMask(D));
+  expectHandlerSpawn</*Plain=*/false>();
 }
 
 TEST(SpawnPaths, BatchedFlushTaskEntersThePoolScope) {
-  expectHandlerSpawn<Eff::WriteOnly>(check::effectMask(Eff::WriteOnly));
+  expectHandlerSpawn</*Plain=*/true>();
 }
 
 /// Pending handler tasks keep their pool alive once the program has
 /// dropped the pool, its handle and the LVar holding the callbacks, and
-/// free it once they are done.
-template <EffectSet HE> void expectPendingHandlersPinThePool() {
+/// free it once they are done. A Par handler first parks on a gate the
+/// root fills only after dropping everything; a plain one cannot park, so
+/// its flush task is simply still queued or running.
+template <bool Plain> void expectPendingHandlersPinThePool() {
   constexpr uint64_t N = 64;
   for (unsigned W : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "workers=" << W);
@@ -248,17 +262,25 @@ template <EffectSet HE> void expectPendingHandlersPinThePool() {
             auto Pool = newPool(Ctx);
             Weak = Pool;
             std::weak_ptr<HandlerPool> W = Pool;
-            HandlerHandle H = addHandler(
-                ParCtx<HE>(Ctx), Pool, *Set,
-                [Gate, W, &Ran, &Pinned](ParCtx<HE> C,
-                                         const uint64_t &) -> Par<void> {
-                  if constexpr (hasGet(HE)) {
-                    int G = co_await get(C, *Gate);
-                    (void)G;
-                  }
-                  Pinned.fetch_add(!W.expired());
-                  Ran.fetch_add(1);
-                });
+            auto Note = [W, &Ran, &Pinned] {
+              Pinned.fetch_add(!W.expired());
+              Ran.fetch_add(1);
+            };
+            HandlerHandle H = [&] {
+              if constexpr (Plain)
+                return addHandler(Ctx, Pool, *Set,
+                                  [Note](ParCtx<D>, const uint64_t &) {
+                                    Note();
+                                  });
+              else
+                return addHandler(
+                    Ctx, Pool, *Set,
+                    [Gate, Note](ParCtx<D> C, const uint64_t &) -> Par<void> {
+                      int G = co_await get(C, *Gate);
+                      (void)G;
+                      Note();
+                    });
+            }();
             for (uint64_t I = 0; I < N; ++I)
               insert(Ctx, *Set, I);
             // H, Pool and Set - the last owner of the callbacks - all go
@@ -275,11 +297,11 @@ template <EffectSet HE> void expectPendingHandlersPinThePool() {
 }
 
 TEST(SpawnPaths, PendingHandlerTasksPinTheirPool) {
-  expectPendingHandlersPinThePool<D>();
+  expectPendingHandlersPinThePool</*Plain=*/false>();
 }
 
 TEST(SpawnPaths, PendingFlushTasksPinTheirPool) {
-  expectPendingHandlersPinThePool<Eff::WriteOnly>();
+  expectPendingHandlersPinThePool</*Plain=*/true>();
 }
 
 } // namespace

@@ -20,24 +20,30 @@
 #              LatticeLawsTest for the insert-only table's lock-free
 #              probes racing its growth, and SpawnPathsTest and
 #              ComplexityTest for the scope lists that forks copy across
-#              workers. A second TSan tree, build-ci-tsan-telemetry, keeps
+#              workers and for the typed per-worker delta vectors that
+#              plain handlers append to while a flush drains them. A
+#              second TSan tree, build-ci-tsan-telemetry, keeps
 #              telemetry ON and builds and runs only TelemetryTest and
 #              ComplexityTest, so the per-thread counter blocks (claimed
 #              on a thread's first count, reused after it exits, summed
 #              by snapshots from any thread) run under TSan too.
 #   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
-#              the first report. AddressSanitizer has no stage: on
-#              full-size inputs an ASan build still overflows the stack
-#              in the batched handler flush, where each synchronously
-#              completing `co_await Thunk()` nests another resume frame
-#              (src/core/HandlerPool.h).
+#              the first report. AddressSanitizer has no stage yet. The
+#              batched handler flush calls plain callbacks in a loop, so
+#              it no longer nests a frame per delta, and the full-size
+#              components bench passes under ASan. But a long chain of
+#              `co_await`s on synchronously completing children still
+#              nests one resume frame per child there, because GCC drops
+#              the symmetric-transfer tail call under ASan:
+#              Stress.DeepSequentialAwaitChain (20,000 deep) overflows.
+#              The stage waits for a `Par` trampoline.
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints non-fatal bench-report
 #              diffs of the committed bench/baselines/ pre/post JSON
 #              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post},
-#              micro_lvar_table_{pre,post}, micro_lvar_putpath_{pre,post}).
-#              Reuses the release build.
+#              micro_lvar_table_{pre,post}, micro_lvar_putpath_{pre,post},
+#              pbbs_handlers_{pre,post}). Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
 #              failures, delays, and allocation-failure shims across >= 8
@@ -225,6 +231,13 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report diff \
         bench/baselines/micro_lvar_putpath_pre.json \
         bench/baselines/micro_lvar_putpath_post.json \
+        || echo "bench-report diff failed (non-fatal)"
+      # Plain handlers batched per worker and called in the flush loop:
+      # bench_pbbs_bfs's bfsReach series and bench_pbbs_components'
+      # labelprop series.
+      ./build-ci-release/tools/bench-report diff \
+        bench/baselines/pbbs_handlers_pre.json \
+        bench/baselines/pbbs_handlers_post.json \
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
