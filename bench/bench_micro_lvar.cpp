@@ -88,6 +88,40 @@ int main(int argc, char **argv) {
                   }),
         Sessions);
 
+  // The two series above time a whole session per operation, mostly its
+  // start. These run many operations in one session, the shape of
+  // lvperf's sched.fork_join_ns probe: the per-fork cost itself.
+  const uint64_t Loop = H.config().pick<uint64_t>(20'000, 200);
+  H.noteConfig("loop_iters_per_session", Loop);
+  perOp(H.measure("fork_join_loop",
+                  [&] {
+                    RT.run<D>([Loop](ParCtx<D> Ctx) -> Par<void> {
+                        for (uint64_t I = 0; I < Loop; ++I) {
+                          auto IV = newIVar<uint64_t>(Ctx);
+                          fork(Ctx, [IV, I](ParCtx<D> C) -> Par<void> {
+                            put(C, *IV, I);
+                            co_return;
+                          });
+                          uint64_t V = co_await get(Ctx, *IV);
+                          Sink = V;
+                        }
+                      }).valueOrAbort();
+                  }),
+        Loop);
+
+  // newIVar alone: one make_shared and its release.
+  perOp(H.measure("ivar_alloc",
+                  [&] {
+                    RT.run<D>([Loop](ParCtx<D> Ctx) -> Par<void> {
+                        for (uint64_t I = 0; I < Loop; ++I) {
+                          auto IV = newIVar<uint64_t>(Ctx);
+                          Sink = reinterpret_cast<uintptr_t>(IV.get());
+                        }
+                        co_return;
+                      }).valueOrAbort();
+                  }),
+        Loop);
+
   perOp(H.measure("counter_bump",
                   [&] {
                     for (uint64_t N = 0; N < Sessions; ++N)

@@ -50,7 +50,16 @@
 /// published entry AND the parker missing the state change cannot both
 /// happen, so any racing pair resolves to either a scan that wakes the
 /// waiter or a re-check that never parks. Both sides run tryCapture under
-/// the bucket mutex, so awaiter state is never touched concurrently.
+/// the bucket mutex, so awaiter state is never touched concurrently. The
+/// parker's half is \c publishPark, the only copy.
+///
+/// Lazy waits: when the first probe misses and Scheduler::canParkLazily()
+/// holds (a worker with local work, no explore controller, no tracing),
+/// parkGet publishes nothing. It hands the scheduler a \c LazyWait and
+/// the task suspends, still pending. The worker later re-probes it under
+/// the same bucket lock (\c reprobe) and, once out of local work,
+/// publishes it through \c publish, which is \c publishPark under the
+/// lock. An unpublished wait is touched by its own worker only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -164,46 +173,48 @@ public:
     return DbgName.empty() ? nullptr : DbgName.c_str();
   }
 
-  /// ParkSite: forget a reaped waiter (only called at quiescence). O(one
-  /// bucket): Task::ParkedSlot remembers which bucket holds the entry.
+  /// ParkSite: forget a reaped waiter (only called at quiescence, and
+  /// only for a task parked here, so its bucket exists). O(one bucket):
+  /// Task::ParkedSlot remembers which bucket holds the entry.
   void removeParkedTask(Task *T) override {
     const uint32_t Slot = T->ParkedSlot;
+    std::lock_guard<std::mutex> Lock(slotMutex(Slot));
     if (Slot == SlotSize) {
-      SizeWaiters *L = SizeList.load(std::memory_order_acquire);
-      if (!L)
-        return;
-      std::lock_guard<std::mutex> Lock(L->Mu);
-      for (auto It = L->Heap.begin(); It != L->Heap.end();)
+      SizeWaiters &L = *SizeList.load(std::memory_order_acquire);
+      for (auto It = L.Heap.begin(); It != L.Heap.end();)
         if (It->E.Owner == T) {
-          It = L->Heap.erase(It);
+          It = L.Heap.erase(It);
           T->ParkedOn = nullptr;
         } else {
           ++It;
         }
-      std::make_heap(L->Heap.begin(), L->Heap.end(), ThresholdGreater{});
-      L->MinWatermark.store(L->Heap.empty() ? UINT64_MAX
-                                            : L->Heap.front().Threshold,
-                            std::memory_order_seq_cst);
+      std::make_heap(L.Heap.begin(), L.Heap.end(), ThresholdGreater{});
+      L.MinWatermark.store(L.Heap.empty() ? UINT64_MAX
+                                          : L.Heap.front().Threshold,
+                           std::memory_order_seq_cst);
       return;
     }
-    WaiterBucket *B = nullptr;
-    if (Slot == SlotDefault) {
-      B = &Bucket0;
-    } else if (WaiterBucket *KB = KeyBuckets.load(std::memory_order_acquire)) {
-      assert(Slot - 1 < NumKeyBuckets && "corrupt ParkedSlot");
-      B = &KB[Slot - 1];
-    }
-    if (!B)
-      return;
-    std::lock_guard<std::mutex> Lock(B->Mu);
-    for (auto It = B->Waiters.begin(); It != B->Waiters.end();)
+    WaiterBucket &B = bucketAt(Slot);
+    for (auto It = B.Waiters.begin(); It != B.Waiters.end();)
       if (It->Owner == T) {
-        It = B->Waiters.erase(It);
-        B->Count.fetch_sub(1, std::memory_order_release);
+        It = B.Waiters.erase(It);
+        B.Count.fetch_sub(1, std::memory_order_release);
         T->ParkedOn = nullptr;
       } else {
         ++It;
       }
+  }
+
+  /// ParkSite: re-probes a lazy wait under its bucket lock.
+  bool reprobe(const LazyWait &W) override {
+    std::lock_guard<std::mutex> Lock(slotMutex(W.Slot));
+    return W.TryCapture(W.Awaiter);
+  }
+
+  /// ParkSite: publishes a lazy wait (the worker ran out of local work).
+  bool publish(const LazyWait &W) override {
+    std::lock_guard<std::mutex> Lock(slotMutex(W.Slot));
+    return publishPark(W);
   }
 
   /// Asserts the accessing task belongs to this LVar's session (the
@@ -259,9 +270,12 @@ protected:
     bool (*TryCapture)(void *Awaiter);
   };
 
-  /// One waiter shard: its own cache line, its own lock, and a lock-free
-  /// occupancy probe for the notify fast path.
-  struct alignas(64) WaiterBucket {
+  /// One waiter shard: its own lock, and a lock-free occupancy probe for
+  /// the notify fast path. Not cache-line aligned: Bucket0 sits inline in
+  /// every LVar, and an over-aligned member would send every IVar's
+  /// allocation through the aligned allocator. The lazily allocated key
+  /// buckets get a line each through KeyBucket.
+  struct WaiterBucket {
     std::mutex Mu;
     std::vector<WaiterEntry> Waiters;
     /// Tracks Waiters.size(); probed without the lock by notifiers.
@@ -269,10 +283,10 @@ protected:
   };
 
   /// Parks the calling coroutine unless the awaiter's threshold is already
-  /// satisfied. Returns true if parked (the awaiter must suspend), false
-  /// if \c A->tryCapture() succeeded (the awaiter must resume
-  /// immediately). \p Slot picks the waiter bucket (see WaitSlot). Also
-  /// the cancellation poll point for reads (Section 6.1).
+  /// satisfied. Returns true if the task suspends (parked, waiting lazily,
+  /// or cancelled), false if \c A->tryCapture() succeeded (the awaiter
+  /// must resume immediately). \p Slot picks the waiter bucket (see
+  /// WaitSlot). Also the cancellation poll point for reads (Section 6.1).
   template <typename AwaiterT>
   bool parkGet(Task *T, std::coroutine_handle<> H, AwaiterT *A,
                WaitSlot Slot = WaitSlot()) {
@@ -286,68 +300,28 @@ protected:
       T->Sched->deferRetire(T);
       return true; // Suspend; the worker destroys the frame right after.
     }
-    WaiterEntry Entry{
-        T, A, [](void *P) { return static_cast<AwaiterT *>(P)->tryCapture(); }};
-    if (Slot.K == WaitSlot::Kind::Size) {
-      SizeWaiters &L = sizeList();
-      std::lock_guard<std::mutex> Lock(L.Mu);
-      // Probe first: an already-satisfied read publishes nothing.
-      if (A->tryCapture())
-        return false;
-      // Publish-then-recheck: entry and lowered watermark first, fence,
-      // then the threshold probe (see file comment).
-      L.Heap.push_back(SizeWaiter{Slot.Value, Entry});
-      const uint64_t OldMark = L.MinWatermark.load(std::memory_order_relaxed);
-      if (Slot.Value < OldMark)
-        L.MinWatermark.store(Slot.Value, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (A->tryCapture()) {
-        L.Heap.pop_back(); // Withdraw: the push had not been heapified yet.
-        if (Slot.Value < OldMark)
-          L.MinWatermark.store(OldMark, std::memory_order_relaxed);
-        return false;
-      }
-      std::push_heap(L.Heap.begin(), L.Heap.end(), ThresholdGreater{});
-      T->Resume = H;
-      T->ParkedOn = this;
-      T->ParkedSlot = SlotSize;
-      // Park bookkeeping last, under the lock (session-quiescence
-      // protocol).
-      T->Sched->onTaskParked(T);
-      return true;
-    }
     uint32_t SlotIdx = SlotDefault;
-    WaiterBucket *B = &Bucket0;
-    if (Slot.K == WaitSlot::Kind::Key) {
-      const uint32_t Idx =
-          static_cast<uint32_t>(Slot.Value & (NumKeyBuckets - 1));
-      B = &keyBuckets()[Idx];
-      SlotIdx = Idx + 1;
-    }
-    std::lock_guard<std::mutex> Lock(B->Mu);
+    if (Slot.K == WaitSlot::Kind::Size)
+      SlotIdx = SlotSize;
+    else if (Slot.K == WaitSlot::Kind::Key)
+      SlotIdx = static_cast<uint32_t>(Slot.Value & (NumKeyBuckets - 1)) + 1;
+    std::lock_guard<std::mutex> Lock(slotMutex(SlotIdx));
     // Probe first: an already-satisfied read (the common get of a full
-    // IVar) does no waiter push or pop and no fence. Only a read that
-    // fails here publishes and re-checks.
+    // IVar) publishes nothing and pays no fence.
     if (A->tryCapture())
       return false;
-    B->Waiters.push_back(Entry);
-    B->Count.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (A->tryCapture()) {
-      LVISH_TRACE2("parkGet lv=%p task=%p h=%p CAPTURED\n", (void *)this,
-                   (void *)T, H.address());
-      B->Waiters.pop_back(); // Withdraw our own (still last) entry.
-      B->Count.fetch_sub(1, std::memory_order_release);
-      return false;
-    }
-    LVISH_TRACE2("parkGet lv=%p task=%p h=%p PARKED\n", (void *)this,
-                 (void *)T, H.address());
     T->Resume = H;
-    T->ParkedOn = this;
-    T->ParkedSlot = SlotIdx;
-    // Park bookkeeping last, under the lock (session-quiescence protocol).
-    T->Sched->onTaskParked(T);
-    return true;
+    const LazyWait W{
+        T, this, A,
+        [](void *P) { return static_cast<AwaiterT *>(P)->tryCapture(); },
+        SlotIdx, Slot.Value};
+    // The worker still has local work: wait unpublished, re-probed after
+    // its slices (see the file comment).
+    if (T->Sched->canParkLazily()) {
+      T->Sched->waitLazily(W);
+      return true;
+    }
+    return publishPark(W);
   }
 
   /// Full-table notify: re-checks every waiter in every occupied bucket.
@@ -374,7 +348,7 @@ protected:
       collectBucket(Bucket0, ToWake);
       Scanned = true;
     }
-    if (WaiterBucket *KB = KeyBuckets.load(std::memory_order_acquire))
+    if (KeyBucket *KB = KeyBuckets.load(std::memory_order_acquire))
       for (unsigned I = 0; I < NumKeyBuckets; ++I)
         if (KB[I].Count.load(Probe) != 0) {
           collectBucket(KB[I], ToWake);
@@ -404,7 +378,7 @@ protected:
       collectBucket(Bucket0, ToWake);
       Scanned = true;
     }
-    if (WaiterBucket *KB = KeyBuckets.load(std::memory_order_acquire)) {
+    if (KeyBucket *KB = KeyBuckets.load(std::memory_order_acquire)) {
       WaiterBucket &B = KB[KeyHash & (NumKeyBuckets - 1)];
       if (B.Count.load(std::memory_order_relaxed) != 0) {
         collectBucket(B, ToWake);
@@ -431,7 +405,7 @@ protected:
   /// here; the released producers count BackpressureParks on resume.
   void notifyCredit(Task *Waker, uint64_t KeyHash) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    WaiterBucket *KB = KeyBuckets.load(std::memory_order_acquire);
+    KeyBucket *KB = KeyBuckets.load(std::memory_order_acquire);
     if (!KB) {
       obs::count(obs::Event::NotifySkips);
       return;
@@ -497,18 +471,79 @@ private:
     std::atomic<uint64_t> MinWatermark{UINT64_MAX};
   };
 
+  /// A key bucket: one cache line each, so puts on different keys do not
+  /// false-share a lock. Only the lazily allocated array pays the
+  /// over-alignment.
+  struct alignas(64) KeyBucket : WaiterBucket {};
+
+  /// The non-size bucket named by \p Slot (Task::ParkedSlot encoding).
+  WaiterBucket &bucketAt(uint32_t Slot) {
+    if (Slot == SlotDefault)
+      return Bucket0;
+    assert(Slot - 1 < NumKeyBuckets && "corrupt waiter slot");
+    return keyBuckets()[Slot - 1];
+  }
+
+  /// The lock guarding \p Slot's waiters, allocating its shard on first
+  /// use.
+  std::mutex &slotMutex(uint32_t Slot) {
+    return Slot == SlotSize ? sizeList().Mu : bucketAt(Slot).Mu;
+  }
+
+  /// The one publish-then-recheck (see file comment), for parkGet's miss
+  /// and for a worker publishing its lazy waits. Runs under
+  /// slotMutex(W.Slot), after a probe of W's threshold missed. Returns
+  /// true if W's task is parked, false if the recheck captured (the entry
+  /// is withdrawn and the task stays runnable).
+  bool publishPark(const LazyWait &W) {
+    Task *T = W.Owner;
+    const WaiterEntry Entry{T, W.Awaiter, W.TryCapture};
+    if (W.Slot == SlotSize) {
+      SizeWaiters &L = *SizeList.load(std::memory_order_relaxed);
+      // Entry and lowered watermark first, fence, then the re-check.
+      L.Heap.push_back(SizeWaiter{W.Threshold, Entry});
+      const uint64_t OldMark = L.MinWatermark.load(std::memory_order_relaxed);
+      if (W.Threshold < OldMark)
+        L.MinWatermark.store(W.Threshold, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (W.TryCapture(W.Awaiter)) {
+        L.Heap.pop_back(); // Withdraw: the push had not been heapified yet.
+        if (W.Threshold < OldMark)
+          L.MinWatermark.store(OldMark, std::memory_order_relaxed);
+        return false;
+      }
+      std::push_heap(L.Heap.begin(), L.Heap.end(), ThresholdGreater{});
+    } else {
+      WaiterBucket &B = bucketAt(W.Slot);
+      B.Waiters.push_back(Entry);
+      B.Count.fetch_add(1, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (W.TryCapture(W.Awaiter)) {
+        B.Waiters.pop_back(); // Withdraw our own (still last) entry.
+        B.Count.fetch_sub(1, std::memory_order_release);
+        return false;
+      }
+    }
+    LVISH_TRACE2("park lv=%p task=%p\n", (void *)this, (void *)T);
+    T->ParkedOn = this;
+    T->ParkedSlot = W.Slot;
+    // Park bookkeeping last, under the lock (session-quiescence protocol).
+    T->Sched->onTaskParked(T);
+    return true;
+  }
+
   /// Lazily allocates the key-bucket array (first key park only; LVars
   /// that never park a per-key read - the bump-heavy PhyBin case, plain
   /// futures - never pay for it). Bucket0.Mu doubles as the allocation
   /// lock.
-  WaiterBucket *keyBuckets() {
-    WaiterBucket *P = KeyBuckets.load(std::memory_order_acquire);
+  KeyBucket *keyBuckets() {
+    KeyBucket *P = KeyBuckets.load(std::memory_order_acquire);
     if (P)
       return P;
     std::lock_guard<std::mutex> Lock(Bucket0.Mu);
     P = KeyBuckets.load(std::memory_order_relaxed);
     if (!P) {
-      P = new WaiterBucket[NumKeyBuckets];
+      P = new KeyBucket[NumKeyBuckets];
       KeyBuckets.store(P, std::memory_order_release);
     }
     return P;
@@ -582,7 +617,7 @@ private:
     }
   }
 
-  mutable std::atomic<WaiterBucket *> KeyBuckets{nullptr};
+  mutable std::atomic<KeyBucket *> KeyBuckets{nullptr};
   mutable std::atomic<SizeWaiters *> SizeList{nullptr};
   std::atomic<bool> Frozen{false};
   uint64_t Session;

@@ -79,9 +79,12 @@ struct SchedulerStats {
 namespace obs {
 
 /// Per-worker counter block. Exactly one cache line (8 x uint64_t),
-/// aligned so a worker's relaxed adds never false-share with a sibling's.
+/// aligned so a worker's writes never false-share with a sibling's.
 /// The scheduler keeps one block per worker plus one shared block for
 /// events raised off the worker threads (runPar roots, external wakes).
+/// A worker's block has one writer, the worker, so it counts with
+/// \c bumpOwned; the shared block has many and counts with \c bump.
+/// Readers (Scheduler::stats) load relaxed either way.
 struct alignas(64) WorkerCounters {
   std::atomic<uint64_t> TasksCreated{0};
   std::atomic<uint64_t> TasksExecuted{0};
@@ -92,8 +95,15 @@ struct alignas(64) WorkerCounters {
   std::atomic<uint64_t> Wakes{0};
   std::atomic<uint64_t> MaxDequeDepth{0};
 
+  /// Counts into a block several threads write: a locked add.
   static void bump(std::atomic<uint64_t> &C, uint64_t N = 1) {
     C.fetch_add(N, std::memory_order_relaxed);
+  }
+
+  /// Counts into a block only the calling worker writes: a relaxed load
+  /// plus store, which cannot lose an update with one writer.
+  static void bumpOwned(std::atomic<uint64_t> &C, uint64_t N = 1) {
+    C.store(C.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
   }
 
   /// Running maximum of the owning worker's deque depth. Only the owning

@@ -214,10 +214,12 @@ SchedulerStats Scheduler::sessionStats(const SessionState &S) const {
   return stats() - S.StartStats;
 }
 
-obs::WorkerCounters &Scheduler::myCounters() {
+void Scheduler::bumpCounter(
+    std::atomic<uint64_t> obs::WorkerCounters::*Field) {
   if (WorkerSchedTL == this)
-    return Workers[WorkerIndexTL]->Counters;
-  return ExternalCounters;
+    obs::WorkerCounters::bumpOwned(Workers[WorkerIndexTL]->Counters.*Field);
+  else
+    obs::WorkerCounters::bump(ExternalCounters.*Field);
 }
 
 unsigned Scheduler::callerBatchIndex() const {
@@ -313,7 +315,7 @@ Task *Scheduler::createTask(
   T->scopesOnCreate();
   for (const std::shared_ptr<TaskScope> &S : Scopes)
     T->addScope(S);
-  obs::WorkerCounters::bump(myCounters().TasksCreated);
+  bumpCounter(&obs::WorkerCounters::TasksCreated);
   if (Tracing) {
     // A fork cuts the parent's slice: the child depends on the fork point,
     // not on the whole parent task.
@@ -341,7 +343,7 @@ void Scheduler::schedule(Task *T) {
 }
 
 void Scheduler::wake(Task *T, Task *Waker) {
-  obs::WorkerCounters::bump(myCounters().Wakes);
+  bumpCounter(&obs::WorkerCounters::Wakes);
   T->scopesOnUnpark();
   if (Tracing && Waker && Waker->TraceId != ~0u && T->TraceId != ~0u) {
     // The put that satisfied T's threshold precedes T's next slice.
@@ -365,15 +367,59 @@ void Scheduler::wakeKeepPending(Task *T) {
 }
 
 void Scheduler::onTaskParked(Task *T) {
-  obs::WorkerCounters::bump(myCounters().Parks);
+  bumpCounter(&obs::WorkerCounters::Parks);
   sliceEnd(T);
   T->scopesOnPark();
   removePending(T);
 }
 
+bool Scheduler::canParkLazily() const {
+  // Explore must own every decision and tracing needs the putter-to-reader
+  // edge that only wake() records, so both keep every wait eager.
+  if (WorkerSchedTL != this || ExploreCtl || Tracing)
+    return false;
+  const Worker &Me = *Workers[WorkerIndexTL];
+  return Me.LazyCount < LazyWaitCap && Me.Deque.sizeApprox() > 0;
+}
+
+void Scheduler::waitLazily(const LazyWait &W) {
+  // Not canParkLazily(): a thief may have emptied the deque since.
+  assert(WorkerSchedTL == this && "lazy wait off a worker thread");
+  Worker &Me = *Workers[WorkerIndexTL];
+  assert(Me.LazyCount < LazyWaitCap && "lazy stack overflow");
+  Me.Lazy[Me.LazyCount++] = W;
+}
+
+Task *Scheduler::resumeLazy(Worker &Me) {
+  const LazyWait &W = Me.Lazy[Me.LazyCount - 1];
+  if (!W.Site->reprobe(W))
+    return nullptr;
+  --Me.LazyCount;
+  return W.Owner;
+}
+
+void Scheduler::publishLazy(Worker &Me) {
+  // Outermost first, so a satisfied innermost wait is pushed last and
+  // popped first, as it would have run had it stayed on the stack.
+  for (unsigned I = 0; I < Me.LazyCount; ++I) {
+    const LazyWait W = Me.Lazy[I];
+    // Once parked, the task may be woken, run and retired by another
+    // worker, or reaped with its session: W is not touched again.
+    if (W.Site->publish(W))
+      continue;
+    // The threshold held by the recheck: the task never left its
+    // session's pending count, so it goes back on the deque as is.
+    assert(W.Owner->DebugQueued.exchange(1, std::memory_order_acq_rel) == 0 &&
+           "lazy wait was already queued");
+    Me.Deque.push(W.Owner);
+    Me.Counters.noteDepth(Me.Deque.sizeApprox());
+  }
+  Me.LazyCount = 0;
+}
+
 void Scheduler::onTaskFinished(Task *T) {
   LVISH_TRACE3("finished task=%p\n", (void *)T);
-  obs::WorkerCounters::bump(myCounters().TasksExecuted);
+  bumpCounter(&obs::WorkerCounters::TasksExecuted);
   // retire() destroys T; keep the session state alive for the decrement
   // (which may fire the session's quiescence observer).
   std::shared_ptr<SessionState> S = T->Session;
@@ -493,16 +539,16 @@ void Scheduler::exploreRun() {
     switch (Opt.Kind) {
     case explore::StepKind::Pop:
       T = Me.Deque.pop();
-      obs::WorkerCounters::bump(Me.Counters.LocalPops);
+      obs::WorkerCounters::bumpOwned(Me.Counters.LocalPops);
       break;
     case explore::StepKind::Inject:
       T = tryInjected();
       break;
     case explore::StepKind::Steal:
-      obs::WorkerCounters::bump(Me.Counters.StealAttempts);
+      obs::WorkerCounters::bumpOwned(Me.Counters.StealAttempts);
       T = Workers[Opt.Victim]->Deque.steal();
       if (T)
-        obs::WorkerCounters::bump(Me.Counters.Steals);
+        obs::WorkerCounters::bumpOwned(Me.Counters.Steals);
       break;
     }
     assert(T && "explore step chose an empty source");
@@ -678,9 +724,23 @@ Task *Scheduler::findWork(unsigned Index) {
       return T;
   }
   if (Task *T = Me.Deque.pop()) {
-    obs::WorkerCounters::bump(Me.Counters.LocalPops);
+    obs::WorkerCounters::bumpOwned(Me.Counters.LocalPops);
     return T;
   }
+  // Out of local work: publish the lazy waits before looking anywhere
+  // else, so a satisfier this worker will not run itself can wake them.
+  if (Me.LazyCount) {
+    publishLazy(Me);
+    if (Task *T = Me.Deque.pop()) {
+      obs::WorkerCounters::bumpOwned(Me.Counters.LocalPops);
+      return T;
+    }
+  }
+  // The inject queues are checked now, so the stride restarts: it counts
+  // dispatches from local work, not idle polls, and at one worker a
+  // session's schedule then does not depend on how long the worker idled
+  // before it.
+  Me.InjectStreak = 0;
   if (Task *T = tryInjected())
     return T;
   unsigned N = numWorkers();
@@ -690,9 +750,9 @@ Task *Scheduler::findWork(unsigned Index) {
           static_cast<unsigned>(Me.StealRng.nextBounded(N));
       if (Victim == Index)
         continue;
-      obs::WorkerCounters::bump(Me.Counters.StealAttempts);
+      obs::WorkerCounters::bumpOwned(Me.Counters.StealAttempts);
       if (Task *T = Workers[Victim]->Deque.steal()) {
-        obs::WorkerCounters::bump(Me.Counters.Steals);
+        obs::WorkerCounters::bumpOwned(Me.Counters.Steals);
         return T;
       }
     }
@@ -706,7 +766,13 @@ void Scheduler::workerLoop(unsigned Index) {
   Worker &Me = *Workers[Index];
   unsigned IdleSpins = 0;
   while (!Shutdown.load(std::memory_order_acquire)) {
-    Task *T = findWork(Index);
+    // The innermost lazy wait, re-probed after every slice, runs next
+    // once its threshold holds: the task its eager twin would have woken
+    // onto this deque and popped at once.
+    Task *T = Me.LazyCount ? resumeLazy(Me) : nullptr;
+    const bool WasLazy = T != nullptr;
+    if (!WasLazy)
+      T = findWork(Index);
     if (!T) {
       // Nothing found: spin briefly, then sleep with a timeout (the
       // timeout makes lost wakeups impossible to wedge on).
@@ -723,7 +789,8 @@ void Scheduler::workerLoop(unsigned Index) {
       continue;
     }
     IdleSpins = 0;
-    assert(T->DebugQueued.exchange(0, std::memory_order_acq_rel) == 1 &&
+    assert((WasLazy ||
+            T->DebugQueued.exchange(0, std::memory_order_acq_rel) == 1) &&
            "popped task was not queued");
     chargeBudgetStep(T);
 

@@ -13,6 +13,18 @@
 /// threshold read parks its task on the LVar's waiter list and the worker
 /// moves on, so blocking never occupies an OS thread.
 ///
+/// Lazy waits (work-first, as in Cilk-5): a read that misses while its
+/// worker's own deque still holds work is not published. It goes on the
+/// worker's lazy stack (at most LazyWaitCap deep) and stays pending in its
+/// session and runnable in its scopes. The worker re-probes the innermost
+/// one after every slice and runs its task next once the threshold holds;
+/// when its own deque runs dry, it publishes them all through the park
+/// site's publish-then-recheck before it takes injected work, steals or
+/// sleeps. A threshold that holds keeps holding, so a later read reads the
+/// same value; a fork joined on the same worker thus costs no park and no
+/// wake. Explore mode and tracing keep every wait eager (the controller
+/// owns every decision; the trace needs wake()'s dataflow edge).
+///
 /// Session protocol (driven by the service runtime in src/service, which
 /// runPar wraps):
 ///   1. beginSession() allocates a SessionState (id, per-session pending
@@ -132,6 +144,18 @@ public:
   /// LVarBase for the exact publication protocol).
   void onTaskParked(Task *T);
 
+  /// True when a threshold read that just missed may wait lazily instead
+  /// of parking: the caller is a worker of this scheduler, its own deque
+  /// holds work, its lazy stack has room, and neither an explore
+  /// controller nor tracing needs every wait published (see file comment).
+  bool canParkLazily() const;
+
+  /// Records \p W on the calling worker's lazy stack; its task then
+  /// suspends without a waiter push, a fence or onTaskParked: it stays
+  /// pending in its session and runnable in its scopes. Called under W's
+  /// bucket lock, right after canParkLazily() held.
+  void waitLazily(const LazyWait &W);
+
   /// Called from a root coroutine's final awaiter: retires the finished
   /// task, destroying its frame.
   void onTaskFinished(Task *T);
@@ -241,20 +265,35 @@ private:
                    std::shared_ptr<CancelNode> FreshCancel,
                    std::shared_ptr<SessionState> Session);
 
+  /// Lazy waits one worker may hold; beyond it a missed read parks. A
+  /// constant, like the task cache's bound: a fork-join nest deeper than
+  /// this pays a park per extra level.
+  static constexpr unsigned LazyWaitCap = 64;
+
   struct alignas(64) Worker {
     WorkStealingDeque<Task> Deque;
     SplitMix64 StealRng;
     Task *PendingRetire = nullptr;
     std::thread Thread;
-    /// Dispatches since this worker last checked the inject queues ahead
-    /// of its own deque (see the fairness stride in Scheduler.cpp).
+    /// Dispatches since this worker last checked the inject queues (see
+    /// the fairness stride in Scheduler.cpp).
     unsigned InjectStreak = 0;
     /// This worker's private counter block (its own cache line).
     obs::WorkerCounters Counters;
+    /// Threshold reads waiting lazily, innermost last. Only this worker
+    /// touches them.
+    unsigned LazyCount = 0;
+    LazyWait Lazy[LazyWaitCap];
   };
 
   void workerLoop(unsigned Index);
   Task *findWork(unsigned Index);
+  /// Re-probes \p Me's innermost lazy wait; pops and returns its task when
+  /// the threshold holds, else null.
+  Task *resumeLazy(Worker &Me);
+  /// Publishes every lazy wait of \p Me, outermost first. A wait whose
+  /// threshold holds by now goes back on \p Me's deque, still pending.
+  void publishLazy(Worker &Me);
   /// Charges one scheduler decision against \p T's session step budget
   /// (SessionState::StepBudget). Exactly the call whose count first
   /// crosses the budget raises FaultCode::BudgetExceeded through the
@@ -265,10 +304,11 @@ private:
   /// Explore mode's session driver: runs on the waitSessionQuiescent
   /// caller, masquerading as each virtual worker in turn.
   void exploreRun();
-  /// The calling thread's counter block: the worker's own when called on
-  /// a worker of this scheduler, else the shared external block (runPar
-  /// roots and wakes arrive from non-worker threads).
-  obs::WorkerCounters &myCounters();
+  /// Counts one event in the calling thread's counter block: the worker's
+  /// own (single writer) when called on a worker of this scheduler, else
+  /// the shared external block (runPar roots and wakes arrive from
+  /// non-worker threads).
+  void bumpCounter(std::atomic<uint64_t> obs::WorkerCounters::*Field);
   Task *tryInjected();
   /// Enqueues \p T on its session's inject queue (round-robin drained).
   void pushInjected(Task *T);

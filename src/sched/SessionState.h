@@ -51,7 +51,9 @@ public:
 
   /// Tasks of THIS session that are runnable or running. Zero means the
   /// session is quiescent: nothing of this session can ever create work
-  /// again. Threaded quiescence is this counter alone; the scheduler's
+  /// again. A task waiting lazily on its worker's lazy stack counts as
+  /// running: it leaves the count only when the worker publishes its wait
+  /// and it parks. Threaded quiescence is this counter alone; the scheduler's
   /// global PendingWork is kept only in explore mode, where the explore
   /// driver loops on it.
   std::atomic<int64_t> Pending{0};

@@ -3,11 +3,19 @@
 #include "src/sched/Task.h"
 
 #include "src/sched/TaskScope.h"
+#include "src/support/Assert.h"
 
 using namespace lvish;
 
 // Virtual-method anchors.
 ParkSite::~ParkSite() = default;
+// Only LVars record lazy waits, and they override both.
+bool ParkSite::reprobe(const LazyWait &) {
+  LVISH_UNREACHABLE("lazy wait on a site that records none");
+}
+bool ParkSite::publish(const LazyWait &) {
+  LVISH_UNREACHABLE("lazy wait on a site that records none");
+}
 LayerState::~LayerState() = default;
 
 void Task::addScope(const std::shared_ptr<TaskScope> &S) {

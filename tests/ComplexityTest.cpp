@@ -17,10 +17,14 @@
 //    pbbs_rounds kernels (histogram, removeDuplicates, bfsLevels, spanning
 //    forest) are pinned at one worker: puts, no-op joins and tasks created
 //    each equal a closed form over the input.
+//  * Fork-join at one worker costs a task per fork and nothing more: a
+//    sumSquares tree and a parallelFor make their closed-form task
+//    counts, and no get parks or is woken.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/LVish.h"
+#include "src/core/ParFor.h"
 #include "src/data/ISet.h"
 #include "src/explore/Explorer.h"
 #include "src/obs/Telemetry.h"
@@ -500,6 +504,71 @@ TEST(ComplexityTest, SpanningForestProposesTwicePerExternalEdgePerRound) {
                  {Proposals + Accepted + Forks, Proposals - Lowered,
                   1 + Forks},
                  N + EL.Edges.size());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Fork-join at one worker: a task per fork, no park and no wake
+//===----------------------------------------------------------------------===//
+
+/// lvperf service_mix's sumSquares: leaves of 16, the parent computes its
+/// right half and then gets its forked left half.
+Par<uint64_t> sumSquares(ParCtx<D> Ctx, uint64_t Lo, uint64_t Hi) {
+  if (Hi - Lo <= 16) {
+    uint64_t S = 0;
+    for (uint64_t I = Lo; I < Hi; ++I)
+      S += I * I;
+    co_return S;
+  }
+  uint64_t Mid = Lo + (Hi - Lo) / 2;
+  auto Left = newIVar<uint64_t>(Ctx);
+  fork(Ctx, [Left, Lo, Mid](ParCtx<D> C) -> Par<void> {
+    uint64_t V = co_await sumSquares(C, Lo, Mid);
+    put(C, *Left, V);
+  });
+  uint64_t Right = co_await sumSquares(Ctx, Mid, Hi);
+  uint64_t LeftV = co_await get(Ctx, *Left);
+  co_return LeftV + Right;
+}
+
+TEST(ComplexityTest, OneWorkerForkJoinNeverParks) {
+  // Every join's satisfier is still in the worker's own deque when the
+  // parent gets, so each get waits lazily and resumes after the
+  // satisfier's slice: one task per fork, and no park or wake at all.
+  for (uint64_t N : {4096u, 8192u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << N);
+    SchedulerStats Stats;
+    RunOptions O = RunOptions::CollectStats(Stats);
+    O.Config.NumWorkers = 1;
+    uint64_t Sum = runPar<D>(
+        [N](ParCtx<D> Ctx) -> Par<uint64_t> {
+          uint64_t V = co_await sumSquares(Ctx, 0, N);
+          co_return V;
+        },
+        O);
+    EXPECT_EQ(Sum, (N - 1) * N * (2 * N - 1) / 6);
+    EXPECT_EQ(Stats.TasksCreated, 1 + splitForks(N, 16));
+    EXPECT_EQ(Stats.Parks, 0u);
+    EXPECT_EQ(Stats.Wakes, 0u);
+  }
+  for (size_t N : {3000u, 6000u}) {
+    SCOPED_TRACE(::testing::Message() << "parallelFor n=" << N);
+    SchedulerStats Stats;
+    RunOptions O = RunOptions::CollectStats(Stats);
+    O.Config.NumWorkers = 1;
+    std::vector<std::atomic<uint64_t>> Out(N);
+    runPar<D>(
+        [N, &Out](ParCtx<D> Ctx) -> Par<void> {
+          co_await parallelFor(Ctx, 0, N, 32, [&Out](ParCtx<D>, size_t I) {
+            Out[I].store(I * I, std::memory_order_relaxed);
+          });
+        },
+        O);
+    for (size_t I = 0; I < N; ++I)
+      ASSERT_EQ(Out[I].load(std::memory_order_relaxed), I * I);
+    EXPECT_EQ(Stats.TasksCreated, 1 + splitForks(N, 32));
+    EXPECT_EQ(Stats.Parks, 0u);
+    EXPECT_EQ(Stats.Wakes, 0u);
   }
 }
 

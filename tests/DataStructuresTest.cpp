@@ -842,13 +842,20 @@ TEST(Counter, HasNoPutInterface) {
 // Every fork-join point allocates an IVar, so an LVar that can never hold
 // a handler must not carry the footnote-6 gate (128 per-thread slots,
 // about 8 KB); only HandledLVar does. A compile-time guard, so the gate
-// cannot creep back into LVarBase.
-constexpr size_t LeanLVarBytes = 512;
+// cannot creep back into LVarBase. They must not be over-aligned either:
+// an alignment above the default new alignment sends every make_shared
+// through the aligned allocator, several times the cost of a plain one.
+constexpr size_t LeanLVarBytes = 256;
 static_assert(sizeof(IVar<uint64_t>) <= LeanLVarBytes);
 static_assert(sizeof(Counter) <= LeanLVarBytes);
 static_assert(sizeof(CounterVec) <= LeanLVarBytes);
 static_assert(sizeof(MinVec) <= LeanLVarBytes);
 static_assert(sizeof(UnionFind) <= LeanLVarBytes);
+static_assert(alignof(IVar<uint64_t>) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+static_assert(alignof(Counter) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+static_assert(alignof(CounterVec) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+static_assert(alignof(MinVec) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+static_assert(alignof(UnionFind) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
 TEST(LVarFootprint, OnlyHandledLVarsCarryTheGate) {
   EXPECT_LT(sizeof(IVar<uint64_t>), sizeof(AsymmetricGate));

@@ -1,10 +1,13 @@
 //===- SchedulerTest.cpp - Scheduler, scopes, and cancellation plumbing ----===//
 
 #include "src/core/LVish.h"
+#include "src/trans/Cancel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <optional>
 
 using namespace lvish;
 
@@ -119,6 +122,192 @@ TEST(TaskScope, LiveModeCountsParkedTasks) {
       },
       SchedulerConfig{2});
   EXPECT_FALSE(HandlerSawDrainEarly.load());
+}
+
+//===----------------------------------------------------------------------===//
+// Lazy waits: a get that misses while its worker has local work waits
+// unpublished, and is published only when the worker runs out of it
+//===----------------------------------------------------------------------===//
+
+/// One-worker run options, eager (traced: every missed get parks) or lazy.
+RunOptions oneWorker(bool Eager, SchedulerStats &Stats) {
+  RunOptions O = RunOptions::CollectStats(Stats);
+  O.Config.NumWorkers = 1;
+  O.Config.EnableTracing = Eager;
+  return O;
+}
+
+TEST(LazyWait, YieldedSatisfierParksAndWakesOnce) {
+  SchedulerStats Stats;
+  int V = runPar<D>(
+      [](ParCtx<D> Ctx) -> Par<int> {
+        auto IV = newIVar<int>(Ctx);
+        fork(Ctx, [IV](ParCtx<D> C) -> Par<void> {
+          co_await yield(C); // To the inject queue: out of the deque.
+          put(C, *IV, 7);
+        });
+        int Got = co_await get(Ctx, *IV);
+        co_return Got;
+      },
+      oneWorker(false, Stats));
+  EXPECT_EQ(V, 7);
+  EXPECT_EQ(Stats.TasksCreated, 2u);
+  EXPECT_EQ(Stats.Parks, 1u);
+  EXPECT_EQ(Stats.Wakes, 1u);
+}
+
+/// Runs \p Body at one worker, lazy and eager, and checks both end in the
+/// same Fault (code and message, which carries the leftover count) and
+/// the same park count; returns the lazy run's fault.
+template <typename F> Fault sameFaultLazyAndEager(F Body) {
+  SchedulerStats LazyStats, EagerStats;
+  auto Lazy = tryRunPar<D>(Body, oneWorker(false, LazyStats));
+  auto Eager = tryRunPar<D>(Body, oneWorker(true, EagerStats));
+  EXPECT_FALSE(Lazy.ok());
+  EXPECT_FALSE(Eager.ok());
+  if (Lazy.ok() || Eager.ok())
+    return Fault{};
+  EXPECT_EQ(Lazy.fault().Code, Eager.fault().Code);
+  EXPECT_EQ(Lazy.fault().Message, Eager.fault().Message);
+  EXPECT_EQ(LazyStats.Parks, EagerStats.Parks);
+  EXPECT_EQ(LazyStats.TasksCreated, EagerStats.TasksCreated);
+  return Lazy.fault();
+}
+
+TEST(LazyWait, RootBlockedForeverStillDeadlocks) {
+  // The root's get misses while its child sits in the deque, so it waits
+  // lazily; the worker publishes it once the child is done, and the
+  // session then quiesces into the same deadlock Fault as an eager park.
+  Fault Drained = sameFaultLazyAndEager([](ParCtx<D> Ctx) -> Par<int> {
+    auto Never = newIVar<int>(Ctx);
+    fork(Ctx, [](ParCtx<D>) -> Par<void> { co_return; });
+    int V = co_await get(Ctx, *Never);
+    co_return V;
+  });
+  EXPECT_EQ(Drained.Code, FaultCode::DeadlockDrained);
+  EXPECT_NE(Drained.Message.find("scheduler drained"), std::string::npos)
+      << Drained.Message;
+
+  // The child blocks too, itself lazily behind a grandchild.
+  Fault Leaked = sameFaultLazyAndEager([](ParCtx<D> Ctx) -> Par<int> {
+    auto Never = newIVar<int>(Ctx);
+    fork(Ctx, [Never](ParCtx<D> C) -> Par<void> {
+      fork(C, [](ParCtx<D>) -> Par<void> { co_return; });
+      int V = co_await get(C, *Never);
+      (void)V;
+    });
+    int V = co_await get(Ctx, *Never);
+    co_return V;
+  });
+  EXPECT_EQ(Leaked.Code, FaultCode::DeadlockLeakedTasks);
+  EXPECT_NE(Leaked.Message.find("1 other blocked task(s) leaked"),
+            std::string::npos)
+      << Leaked.Message;
+}
+
+TEST(LazyWait, CancelledLazyWaitIsParkedNotRetired) {
+  // A cancelable child waits lazily on a never-filled IVar (its own child
+  // is still in the deque) and is cancelled before the worker publishes
+  // it. Cancellation alone does not resume or retire it: it is published
+  // and parked like an eager park, so the session reaps the same two
+  // tasks (the root and the child) and reports the same Fault.
+  Fault F = sameFaultLazyAndEager([](ParCtx<D> Ctx) -> Par<int> {
+    auto Never = newIVar<int>(Ctx);
+    auto Fut = std::make_shared<std::optional<CFuture<int>>>();
+    // Forked first, so it runs after the cancelable child has blocked.
+    fork(Ctx, [Fut](ParCtx<D> C) -> Par<void> {
+      cancel(C, **Fut);
+      co_return;
+    });
+    *Fut = forkCancelable(Ctx, [Never](ParCtx<Eff::ReadOnly> C) -> Par<int> {
+      fork(C, [](ParCtx<Eff::ReadOnly>) -> Par<void> { co_return; });
+      int V = co_await get(C, *Never);
+      co_return V;
+    });
+    int V = co_await get(Ctx, *Never);
+    co_return V;
+  });
+  EXPECT_EQ(F.Code, FaultCode::DeadlockLeakedTasks);
+  EXPECT_NE(F.Message.find("1 other blocked task(s) leaked"),
+            std::string::npos)
+      << F.Message;
+}
+
+/// A fork-join tree of depth \p Depth summing its leaves' ids.
+Par<uint64_t> forkJoinTree(ParCtx<D> Ctx, unsigned Depth, uint64_t Id) {
+  if (Depth == 0)
+    co_return Id;
+  auto Left = newIVar<uint64_t>(Ctx);
+  fork(Ctx, [Left, Depth, Id](ParCtx<D> C) -> Par<void> {
+    uint64_t V = co_await forkJoinTree(C, Depth - 1, 2 * Id);
+    put(C, *Left, V);
+  });
+  uint64_t R = co_await forkJoinTree(Ctx, Depth - 1, 2 * Id + 1);
+  uint64_t L = co_await get(Ctx, *Left);
+  co_return L + R;
+}
+
+TEST(LazyWait, StepBudgetIsUnchanged) {
+  // A lazily resumed task is charged one step, like the pop of a woken
+  // one, so the smallest budget that lets a fork-join session finish is
+  // the same whether its gets wait lazily or park.
+  auto Run = [](bool Eager, uint64_t Budget) {
+    SchedulerStats Stats;
+    RunOptions O = oneWorker(Eager, Stats);
+    O.SessionBudget = Budget;
+    return tryRunPar<D>(
+        [](ParCtx<D> Ctx) -> Par<uint64_t> {
+          uint64_t V = co_await forkJoinTree(Ctx, 4, 0);
+          co_return V;
+        },
+        O);
+  };
+  auto MinBudget = [&Run](bool Eager) {
+    for (uint64_t K = 1; K <= 1000; ++K)
+      if (Run(Eager, K).ok())
+        return K;
+    return uint64_t{0};
+  };
+  const uint64_t K = MinBudget(false);
+  ASSERT_GT(K, 1u);
+  auto Fits = Run(false, K);
+  ASSERT_TRUE(Fits.ok());
+  EXPECT_EQ(Fits.value(), 120u); // Leaf ids 0..15, each summed once.
+  auto Short = Run(false, K - 1);
+  ASSERT_FALSE(Short.ok());
+  EXPECT_EQ(Short.fault().Code, FaultCode::BudgetExceeded);
+  EXPECT_EQ(MinBudget(true), K);
+}
+
+/// A chain of \p Depth fork-joins: every level forks the next and gets
+/// its result, so \p Depth gets wait at once.
+Par<uint64_t> forkJoinChain(ParCtx<D> Ctx, unsigned Depth) {
+  if (Depth == 0)
+    co_return 0;
+  auto Next = newIVar<uint64_t>(Ctx);
+  fork(Ctx, [Next, Depth](ParCtx<D> C) -> Par<void> {
+    uint64_t V = co_await forkJoinChain(C, Depth - 1);
+    put(C, *Next, V + 1);
+  });
+  uint64_t V = co_await get(Ctx, *Next);
+  co_return V;
+}
+
+TEST(LazyWait, NestingPastTheCapParks) {
+  // One worker holds at most 64 lazy waits (Scheduler::LazyWaitCap); the
+  // gets beyond that park, and each is woken by its child's put.
+  constexpr unsigned Depth = 200, Cap = 64;
+  SchedulerStats Stats;
+  uint64_t V = runPar<D>(
+      [](ParCtx<D> Ctx) -> Par<uint64_t> {
+        uint64_t Got = co_await forkJoinChain(Ctx, Depth);
+        co_return Got;
+      },
+      oneWorker(false, Stats));
+  EXPECT_EQ(V, Depth);
+  EXPECT_EQ(Stats.TasksCreated, Depth + 1u);
+  EXPECT_EQ(Stats.Parks, Depth - Cap);
+  EXPECT_EQ(Stats.Wakes, Depth - Cap);
 }
 
 TEST(CancelNode, TransitiveCancellation) {

@@ -38,34 +38,58 @@ constexpr EffectSet D = Eff::Det;
 
 TEST(SchedulerStatsTest, SingleWorkerCountsAreExact) {
   constexpr int Forks = 10;
-  SchedulerStats Stats;
-  RunOptions Opts = RunOptions::CollectStats(Stats);
-  Opts.Config = SchedulerConfig{1};
-  int Sum = runPar<D>(
-      [](ParCtx<D> Ctx) -> Par<int> {
-        auto IV = newIVar<int>(Ctx);
-        for (int I = 0; I < Forks; ++I)
-          fork(Ctx, [IV, I](ParCtx<D> C) -> Par<void> {
-            if (I == 0)
-              put(C, *IV, 42);
-            co_return;
-          });
-        int V = co_await get(Ctx, *IV);
-        co_return V;
-      },
-      Opts);
-  EXPECT_EQ(Sum, 42);
-  // Root + Forks tasks, all executed, none stolen (one worker has no
-  // victims to probe).
-  EXPECT_EQ(Stats.TasksCreated, static_cast<uint64_t>(Forks) + 1);
-  EXPECT_EQ(Stats.TasksExecuted, Stats.TasksCreated);
-  EXPECT_EQ(Stats.StealAttempts, 0u);
-  EXPECT_EQ(Stats.Steals, 0u);
-  EXPECT_EQ(Stats.NumWorkers, 1u);
-  // The root parked once on the IVar get (the forks run after it blocks).
-  EXPECT_GE(Stats.Parks, 1u);
-  EXPECT_GE(Stats.Wakes, 1u);
-  EXPECT_GE(Stats.MaxDequeDepth, 1u);
+  // The root gets an IVar that one of its forks fills; with \p YieldFirst
+  // it then gets a second IVar from a child that yields before its put.
+  auto Session = [](bool YieldFirst) {
+    SchedulerStats Stats;
+    RunOptions Opts = RunOptions::CollectStats(Stats);
+    Opts.Config = SchedulerConfig{1};
+    int Sum = runPar<D>(
+        [YieldFirst](ParCtx<D> Ctx) -> Par<int> {
+          auto IV = newIVar<int>(Ctx);
+          for (int I = 0; I < Forks; ++I)
+            fork(Ctx, [IV, I](ParCtx<D> C) -> Par<void> {
+              if (I == 0)
+                put(C, *IV, 42);
+              co_return;
+            });
+          int V = co_await get(Ctx, *IV);
+          if (YieldFirst) {
+            auto Late = newIVar<int>(Ctx);
+            fork(Ctx, [Late](ParCtx<D> C) -> Par<void> {
+              co_await yield(C);
+              put(C, *Late, 1);
+            });
+            int L = co_await get(Ctx, *Late);
+            V += L;
+          }
+          co_return V;
+        },
+        Opts);
+    EXPECT_EQ(Sum, YieldFirst ? 43 : 42);
+    // Root + forks, all executed, none stolen (one worker has no victims
+    // to probe).
+    EXPECT_EQ(Stats.TasksCreated,
+              static_cast<uint64_t>(Forks) + (YieldFirst ? 2 : 1));
+    EXPECT_EQ(Stats.TasksExecuted, Stats.TasksCreated);
+    EXPECT_EQ(Stats.StealAttempts, 0u);
+    EXPECT_EQ(Stats.Steals, 0u);
+    EXPECT_EQ(Stats.NumWorkers, 1u);
+    EXPECT_GE(Stats.MaxDequeDepth, 1u);
+    return Stats;
+  };
+  // The forks sit in the root's own deque when it gets, so the get waits
+  // lazily and the worker resumes it after the filling fork's slice: no
+  // park, no wake.
+  SchedulerStats ForkJoin = Session(false);
+  EXPECT_EQ(ForkJoin.Parks, 0u);
+  EXPECT_EQ(ForkJoin.Wakes, 0u);
+  // A yielded child goes to the inject queue, outside the deque: the
+  // worker publishes the root's wait before it takes the child, so the
+  // root parks once and the child's put wakes it once.
+  SchedulerStats Yielded = Session(true);
+  EXPECT_EQ(Yielded.Parks, 1u);
+  EXPECT_EQ(Yielded.Wakes, 1u);
 }
 
 TEST(SchedulerStatsTest, PerSessionDeltasOnASharedRuntime) {

@@ -21,7 +21,9 @@
 #              probes racing its growth, and SpawnPathsTest and
 #              ComplexityTest for the scope lists that forks copy across
 #              workers and for the typed per-worker delta vectors that
-#              plain handlers append to while a flush drains them. A
+#              plain handlers append to while a flush drains them, and
+#              SchedulerTest and ServiceRuntimeTest for lazy waits
+#              re-probed and published under the bucket locks puts take. A
 #              second TSan tree, build-ci-tsan-telemetry, keeps
 #              telemetry ON and builds and runs only TelemetryTest and
 #              ComplexityTest, so the per-thread counter blocks (claimed
@@ -43,7 +45,8 @@
 #              diffs of the committed bench/baselines/ pre/post JSON
 #              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post},
 #              micro_lvar_table_{pre,post}, micro_lvar_putpath_{pre,post},
-#              pbbs_handlers_{pre,post}). Reuses the release build.
+#              pbbs_handlers_{pre,post}, micro_lvar_forkjoin_{pre,post}).
+#              Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
 #              failures, delays, and allocation-failure shims across >= 8
@@ -166,6 +169,12 @@ for stage in "${STAGES[@]}"; do
       # a race or a leak there would hide from the suite run above.
       ./build-ci-tsan/tests/SpawnPathsTest
       ./build-ci-tsan/tests/ComplexityTest
+      echo "==== [tsan] lazy waits: re-probe, publish, cancel ===="
+      # A missed get may wait on its worker's lazy stack and be published
+      # later, under the same bucket lock a racing put takes; the lazy-wait
+      # cases and the recycled-task comparison get a pass of their own.
+      ./build-ci-tsan/tests/SchedulerTest
+      ./build-ci-tsan/tests/ServiceRuntimeTest
       echo "==== [tsan] per-thread telemetry counters (telemetry ON) ===="
       # The suite above runs with telemetry compiled out; this tree keeps
       # it in, so block claim, release and reuse and the snapshot's reads
@@ -238,6 +247,12 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report diff \
         bench/baselines/pbbs_handlers_pre.json \
         bench/baselines/pbbs_handlers_post.json \
+        || echo "bench-report diff failed (non-fatal)"
+      # Fork-join at one worker without a park or an aligned allocation:
+      # lazy waits and lean LVars (fork_join_loop and ivar_alloc series).
+      ./build-ci-release/tools/bench-report diff \
+        bench/baselines/micro_lvar_forkjoin_pre.json \
+        bench/baselines/micro_lvar_forkjoin_post.json \
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
