@@ -1,9 +1,9 @@
 //===- bench_pbbs_forest.cpp - PBBS spanning forest on ParST + LVars -------===//
 //
 // The PBBS spanning-forest port (src/pbbs/SpanningForest.h): union-find
-// Kruskal-by-index reference vs parallel Boruvka whose destructive edge
-// relabeling runs in disjoint ParST slices and whose per-component
-// minimum proposals flow through a MinVec, swept over input sizes, both
+// Kruskal-by-index reference vs deterministic reservations, whose per-edge
+// state lives in disjoint ParST slices and whose reservations and unions
+// flow through a MinVec and a UnionFind, swept over input sizes, both
 // graph distributions, and worker counts.
 //
 //===----------------------------------------------------------------------===//
@@ -48,7 +48,7 @@ int main(int argc, char **argv) {
       double SeqSec = Seq.medianSec();
       for (unsigned W : {1u, 2u, 4u, 8u}) {
         bench::Series &S =
-            H.measure(Tag + "_boruvka_w" + std::to_string(W), [&] {
+            H.measure(Tag + "_lvar_w" + std::to_string(W), [&] {
               SchedulerStats Stats;
               RunOptions Opts = RunOptions::CollectStats(Stats);
               Opts.Config.NumWorkers = W;

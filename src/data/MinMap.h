@@ -19,8 +19,8 @@
 ///    vertex's edges until quiescence.
 ///
 ///  * \c MinVec - the dense cousin: a fixed array of min-cells, the shape
-///    Boruvka's minimum-edge selection wants (one cell per component,
-///    proposals join by min, the winner is read after a barrier). No
+///    deterministic reservations want (one cell per component root,
+///    reservations join by min, the winner is read after a barrier). No
 ///    handlers - it pairs with fork-join rounds, not fixpoints - so a cell
 ///    is one padded atomic and a proposal is one CAS loop.
 ///

@@ -27,7 +27,8 @@
 /// union that would merge two classes of a frozen partition is the
 /// put-after-freeze error. There are no handlers or threshold reads: the
 /// partition is read through freeze (mid-session, or on the way out of
-/// runParThenFreeze via \c labels).
+/// runParThenFreeze via \c labels), or, once the writers have joined, one
+/// vertex at a time through \c rootOf.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,6 +79,15 @@ public:
                                             std::memory_order_acquire))
         return;
     }
+  }
+
+  /// The root (minimum vertex) of \p V's class. Deterministic once the
+  /// writers have joined (a fork-join barrier) or after freezing, like
+  /// \c MinVec::peekAt. Not a put: it may halve paths on the way, as
+  /// \c unite does, which moves no vertex to another class.
+  uint32_t rootOf(uint32_t V) {
+    assert(V < Parent.size() && "UnionFind vertex out of range");
+    return find(V);
   }
 
   /// label[v] = the minimum vertex of v's class; call after freezing. One

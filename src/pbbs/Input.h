@@ -52,8 +52,9 @@ struct Graph {
 
 /// An undirected edge list (each edge once, U < V); the spanning-forest
 /// input shape. The *position* of an edge is its identity: index-as-weight
-/// makes the minimum spanning forest unique, which is what lets a
-/// parallel Boruvka and a sequential Kruskal-by-index agree exactly.
+/// makes the minimum spanning forest unique, which is what lets parallel
+/// deterministic reservations and a sequential Kruskal-by-index agree
+/// exactly.
 struct EdgeList {
   uint32_t NumVertices = 0;
   std::vector<std::pair<uint32_t, uint32_t>> Edges;

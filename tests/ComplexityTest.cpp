@@ -16,7 +16,8 @@
 //    1/2/4 workers and under explored schedules. The
 //    pbbs_rounds kernels (histogram, removeDuplicates, bfsLevels, spanning
 //    forest) are pinned at one worker: puts, no-op joins and tasks created
-//    each equal a closed form over the input.
+//    each equal a closed form over the input. The forest's reservation
+//    attempts stay within two per edge on adversarial inputs too.
 //  * Fork-join at one worker costs a task per fork and nothing more: a
 //    sumSquares tree and a parallelFor make their closed-form task
 //    counts, and no get parks or is woken.
@@ -33,6 +34,7 @@
 #include "src/sched/Scheduler.h"
 #include "src/sched/Task.h"
 #include "src/trans/Deadlock.h"
+#include "tests/ForestInputs.h"
 
 #include <gtest/gtest.h>
 
@@ -40,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -315,7 +318,7 @@ TEST(ComplexityTest, HandlerFixpointsCreateTasksPerWorkerNotPerVertex) {
 //===----------------------------------------------------------------------===//
 
 /// The [begin, end) ranges of the leaves of a halving loop (parallelFor,
-/// or relabelAndPropose's forkSTSplit recursion) at grain \p G, left to
+/// or a spanning-forest pass's forkSTSplit recursion) at grain \p G, left to
 /// right.
 void splitLeaves(size_t Begin, size_t End, size_t G,
                  std::vector<std::pair<size_t, size_t>> &Out) {
@@ -439,71 +442,116 @@ TEST(ComplexityTest, BfsLevelsInsertsEachUnreachedNeighbourOncePerRound) {
     }
 }
 
-TEST(ComplexityTest, SpanningForestProposesTwicePerExternalEdgePerRound) {
+/// spanningForestLVar at one worker, replayed: its counts, and the edges
+/// that reached putMinAt (each reserves two cells).
+struct ForestReplay {
+  KernelCounts Counts;
+  uint64_t Attempts = 0;
+};
+
+/// Rounds take the (at most 4,096) lowest undecided edges in index
+/// order. Each reserve and commit pass is a forkSTSplit tree at grain
+/// 512. At one worker a split runs its right half before its forked left
+/// half, so leaves reserve from the highest indices down, ascending
+/// within a leaf; a round's keys are below every earlier round's, so each
+/// leaf's first reservation of a root lowers its cell and the leaf's later
+/// ones are no-op joins. An edge commits (one unite) when it is the
+/// lowest of the round to reserve either of its roots.
+ForestReplay replayForest(const EdgeList &EL) {
+  std::vector<uint32_t> Parent(EL.NumVertices);
+  std::iota(Parent.begin(), Parent.end(), 0u);
+  auto Find = [&Parent](uint32_t V) {
+    while (Parent[V] != V)
+      V = Parent[V];
+    return V;
+  };
+  const size_t M = EL.Edges.size();
+  std::vector<uint32_t> Prefix;
+  size_t Next = 0;
+  uint64_t Attempts = 0, Lowered = 0, Commits = 0, Forks = 0;
+  while (!Prefix.empty() || Next < M) {
+    while (Prefix.size() < 4096 && Next < M)
+      Prefix.push_back(static_cast<uint32_t>(Next++));
+    std::vector<std::pair<size_t, size_t>> Leaves;
+    splitLeaves(0, Prefix.size(), pickGrain(512, Prefix.size()), Leaves);
+    Forks += 2 * (Leaves.size() - 1);
+    std::vector<std::pair<uint32_t, uint32_t>> Roots(Prefix.size());
+    std::map<uint32_t, uint32_t> Holder; // Root -> its lowest reserver.
+    for (auto [B, E] : Leaves) {
+      std::set<uint32_t> Touched;
+      for (size_t I = B; I < E; ++I) {
+        Roots[I] = {Find(EL.Edges[Prefix[I]].first),
+                    Find(EL.Edges[Prefix[I]].second)};
+        if (Roots[I].first == Roots[I].second)
+          continue;
+        ++Attempts;
+        for (uint32_t C : {Roots[I].first, Roots[I].second}) {
+          Touched.insert(C);
+          Holder.try_emplace(C, Prefix[I]);
+        }
+      }
+      Lowered += Touched.size();
+    }
+    std::vector<uint32_t> Pending;
+    for (size_t I = 0; I < Prefix.size(); ++I) {
+      auto [U, V] = Roots[I];
+      if (U == V)
+        continue;
+      if (Holder[U] != Prefix[I] && Holder[V] != Prefix[I]) {
+        Pending.push_back(Prefix[I]);
+        continue;
+      }
+      uint32_t RU = Find(U), RV = Find(V);
+      Parent[std::max(RU, RV)] = std::min(RU, RV);
+      ++Commits;
+    }
+    Prefix = std::move(Pending);
+  }
+  return {{2 * Attempts + Commits + Forks, 2 * Attempts - Lowered,
+           1 + Forks},
+          Attempts};
+}
+
+/// Reservation attempts of one spanningForestLVar run: the puts left
+/// after one barrier put per fork (tasks - 1) and one unite per forest
+/// edge, two per attempt. Exact on any schedule.
+uint64_t forestAttempts(const EdgeList &EL, unsigned Workers) {
+  SchedulerStats Stats;
+  RunOptions O = RunOptions::CollectStats(Stats);
+  O.Config.NumWorkers = Workers;
+  size_t ForestEdges = 0;
+  Counts C = countDuring(
+      [&] { ForestEdges = spanningForestLVar(EL, O).size(); });
+  return (C.Puts - (Stats.TasksCreated - 1) - ForestEdges) / 2;
+}
+
+TEST(ComplexityTest, SpanningForestReservesLinearlyInEdges) {
   if constexpr (!obs::TelemetryEnabled)
     GTEST_SKIP() << "telemetry compiled out";
   for (uint32_t N : {400u, 800u}) {
     SCOPED_TRACE(::testing::Message() << "n=" << N);
     const EdgeList EL = toEdgeList(makeUniformGraph(N, 6, 41));
-    // Replays spanningForestLVar's Boruvka rounds. At one worker a split
-    // runs its right half before its forked left half, so leaves propose
-    // from the highest edge indices down, and indices ascend within a
-    // leaf: each leaf's first proposal to a component lowers its cell,
-    // and the leaf's later proposals to it are no-op joins.
-    std::vector<uint32_t> Parent(N);
-    std::iota(Parent.begin(), Parent.end(), 0u);
-    auto Find = [&Parent](uint32_t V) {
-      while (Parent[V] != V)
-        V = Parent[V];
-      return V;
-    };
-    std::vector<uint32_t> Live(EL.Edges.size());
-    std::iota(Live.begin(), Live.end(), 0u);
-    uint64_t Proposals = 0, Lowered = 0, Accepted = 0, Forks = 0;
-    while (!Live.empty()) {
-      const size_t Grain = pickGrain(512, Live.size());
-      std::vector<std::pair<size_t, size_t>> Leaves;
-      splitLeaves(0, Live.size(), Grain, Leaves);
-      Forks += Leaves.size() - 1;
-      std::vector<uint64_t> Min(N, ~uint64_t{0});
-      for (auto [B, E] : Leaves) {
-        std::set<uint32_t> Touched;
-        for (size_t I = B; I < E; ++I) {
-          uint32_t CU = Find(EL.Edges[Live[I]].first);
-          uint32_t CV = Find(EL.Edges[Live[I]].second);
-          if (CU == CV)
-            continue;
-          Proposals += 2;
-          for (uint32_t C : {CU, CV}) {
-            Touched.insert(C);
-            Min[C] = std::min<uint64_t>(Min[C], Live[I]);
-          }
-        }
-        Lowered += Touched.size();
-      }
-      for (uint32_t C = 0; C < N; ++C) {
-        if (Min[C] == ~uint64_t{0})
-          continue;
-        uint32_t RU = Find(EL.Edges[Min[C]].first);
-        uint32_t RV = Find(EL.Edges[Min[C]].second);
-        if (RU == RV)
-          continue;
-        Parent[std::max(RU, RV)] = std::min(RU, RV);
-        ++Accepted;
-      }
-      Live.erase(std::remove_if(Live.begin(), Live.end(),
-                                [&](uint32_t I) {
-                                  return Find(EL.Edges[I].first) ==
-                                         Find(EL.Edges[I].second);
-                                }),
-                 Live.end());
-    }
+    ForestReplay Want = replayForest(EL);
     KernelCounts Got =
         oneWorker([&](const RunOptions &O) { spanningForestLVar(EL, O); });
-    expectCounts(Got,
-                 {Proposals + Accepted + Forks, Proposals - Lowered,
-                  1 + Forks},
-                 N + EL.Edges.size());
+    expectCounts(Got, Want.Counts, N + EL.Edges.size());
+  }
+  // Inputs that pile a round's reservations onto few roots. Every edge is
+  // decided after at most two reservations in all, the same count on
+  // every schedule; a rule that commits only edges holding both
+  // reservations decides one star or path edge per round instead.
+  for (const NamedEdgeList &In : adversarialForests(3000)) {
+    SCOPED_TRACE(In.Name);
+    ForestReplay Want = replayForest(In.EL);
+    KernelCounts Got = oneWorker(
+        [&](const RunOptions &O) { spanningForestLVar(In.EL, O); });
+    expectCounts(Got, Want.Counts, In.EL.NumVertices + In.EL.Edges.size());
+    for (unsigned W : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "workers=" << W);
+      const uint64_t Attempts = forestAttempts(In.EL, W);
+      EXPECT_EQ(Attempts, Want.Attempts);
+      EXPECT_LE(Attempts, 2 * In.EL.Edges.size());
+    }
   }
 }
 

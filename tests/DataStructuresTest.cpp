@@ -25,6 +25,7 @@
 #include <atomic>
 #include <concepts>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -480,6 +481,51 @@ TEST(UnionFind, UnionOrderDoesNotChangeLabels) {
           SchedulerConfig{W});
       EXPECT_EQ(Frozen->labels(), Want) << "workers=" << W;
     }
+}
+
+TEST(UnionFind, RootOfAfterJoinIsTheClassMinimum) {
+  // Racing unites under a fork-join barrier, then rootOf for every vertex:
+  // each read is its class's minimum vertex, the label freeze reports.
+  // The path over 150..199, listed from 199 down, links roots into chains,
+  // so some vertices sit several parents below their root.
+  constexpr uint32_t N = 200;
+  using Edge = std::pair<uint32_t, uint32_t>;
+  std::vector<Edge> Edges;
+  for (uint32_t I = 0; I < 120; ++I)
+    Edges.push_back({(I * 37 + 11) % 150, (I * 91 + 5) % 150});
+  for (uint32_t V = N - 1; V > 150; --V)
+    Edges.push_back({V, V - 1});
+  std::vector<uint32_t> Want(N);
+  std::iota(Want.begin(), Want.end(), 0u);
+  auto Find = [&Want](uint32_t V) {
+    while (Want[V] != V)
+      V = Want[V];
+    return V;
+  };
+  for (const Edge &E : Edges) {
+    uint32_t A = Find(E.first), B = Find(E.second);
+    Want[std::max(A, B)] = std::min(A, B);
+  }
+  for (uint32_t V = 0; V < N; ++V)
+    Want[V] = Find(V);
+  using Reads = std::pair<std::vector<uint32_t>, std::vector<uint32_t>>;
+  for (unsigned W : {1u, 4u}) {
+    Reads Got = runParIO<Eff::QuasiDet>(
+        [&Edges](ParCtx<Eff::QuasiDet> Ctx) -> Par<Reads> {
+          auto UF = newUnionFind(Ctx, N);
+          auto Unite = [UF, &Edges](ParCtx<Eff::QuasiDet> C, size_t I) {
+            unite(C, *UF, Edges[I].first, Edges[I].second);
+          };
+          co_await parallelFor(Ctx, 0, Edges.size(), 4, Unite);
+          std::vector<uint32_t> Roots(N);
+          for (uint32_t V = 0; V < N; ++V)
+            Roots[V] = UF->rootOf(V);
+          co_return Reads{Roots, freezeUnionFind(Ctx, *UF)};
+        },
+        SchedulerConfig{W});
+    EXPECT_EQ(Got.first, Want) << "workers=" << W;
+    EXPECT_EQ(Got.second, Want) << "workers=" << W;
+  }
 }
 
 TEST(UnionFind, OnlyMergingUnionAfterFreezeFaults) {

@@ -136,8 +136,8 @@ TEST_P(LatticeLawsP, MinLabelMapJoinLaws) {
   checkJoinLaws<MinLabelMapLattice>(States);
 }
 
-// The spanning forest's "monotone union structure": a grow-only set of
-// accepted edge indices (operationally an ISet<uint64_t>), join = union.
+// A grow-only set of accepted edge indices (operationally an
+// ISet<uint64_t>), join = union.
 struct EdgeSetUnionLattice {
   using ValueType = std::set<uint64_t>;
   static ValueType bottom() { return {}; }
@@ -160,10 +160,10 @@ TEST_P(LatticeLawsP, EdgeSetUnionJoinLaws) {
     States.push_back(std::move(S));
   }
   checkJoinLaws<EdgeSetUnionLattice>(States);
-  // Threshold shape used by the forest: "edge I is in the forest" is a
-  // one-element lower set; distinct singletons are compatible (their join
-  // is fine), which is why the forest reads only after a global freeze
-  // rather than via per-element thresholds on incompatible states.
+  // Threshold shape: "edge I is accepted" is a one-element lower set.
+  // Distinct singletons are compatible (their join is fine), so such a set
+  // cannot answer "edge I was rejected" by a threshold read; a reader of
+  // rejections waits for a global freeze or a fork-join barrier.
   for (const auto &A : States)
     for (const auto &B : States) {
       auto J = EdgeSetUnionLattice::join(A, B);

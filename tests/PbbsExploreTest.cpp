@@ -19,6 +19,7 @@
 
 #include "src/explore/Explorer.h"
 #include "src/pbbs/Pbbs.h"
+#include "tests/ForestInputs.h"
 
 #include <gtest/gtest.h>
 
@@ -124,6 +125,19 @@ TEST(PbbsExplored, Histogram) { exploreSweep("histogram", runHistogram); }
 TEST(PbbsExplored, RemoveDuplicates) { exploreSweep("dedup", runDedup); }
 TEST(PbbsExplored, SpanningForest) { exploreSweep("forest", runForest); }
 
+TEST(PbbsExplored, SpanningForestAdversarial) {
+  // Stars, paths, K_64 and K_{2,n}: many edges of a round reserve one
+  // root, so commits and retries race on few cells.
+  for (const NamedEdgeList &In : adversarialForests(24)) {
+    SCOPED_TRACE(In.Name);
+    auto Program = [&In](const RunOptions &O) {
+      return spanningForestLVar(In.EL, O);
+    };
+    EXPECT_EQ(reference(Program), spanningForestSeq(In.EL));
+    exploreSweep(In.Name, Program);
+  }
+}
+
 // -- The pinned corpus -----------------------------------------------------
 // One schedule per problem, chosen by a PCT engine (priority preemptions
 // - the adversarial shape), committed as a replay string. Each pin must
@@ -180,8 +194,9 @@ const PinEntry Corpus[] = {
     {"dedup", checkDedup,
      "lvx1:w2:h566163ad14b8f924:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0"},
     {"forest", checkForest,
-     "lvx1:w2:h5b7b6b42ac782acb:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1."
-     "1.1.1.1.1.1.1"},
+     "lvx1:w2:h5f22bb5f60d63b83:0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1."
+     "1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1."
+     "1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1"},
 };
 
 TEST(PbbsExplored, PinnedSchedulesReproduce) {

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/pbbs/Pbbs.h"
+#include "tests/ForestInputs.h"
 
 #include <gtest/gtest.h>
 
@@ -195,6 +196,24 @@ TEST(PbbsGolden, SpanningForestMatchesSequential) {
       EXPECT_EQ(spanningForestLVar(EL, schedOptions(P)), Ref);
     }
   });
+}
+
+TEST(PbbsGolden, SpanningForestAdversarialMatchesSequential) {
+  // Inputs that pile each round's reservations onto few roots, plus a
+  // uniform graph of more than three 4,096-edge prefixes, so retried
+  // edges cross rounds.
+  std::vector<NamedEdgeList> Inputs = adversarialForests(5000);
+  Inputs.push_back({"uniform-5000", toEdgeList(makeUniformGraph(5000, 6, 7))});
+  ASSERT_GT(Inputs.back().EL.Edges.size(), 3u * 4096u);
+  for (const NamedEdgeList &In : Inputs) {
+    SCOPED_TRACE(In.Name);
+    auto Ref = spanningForestSeq(In.EL);
+    for (const SchedParam &P : Schedules) {
+      SCOPED_TRACE(::testing::Message() << "workers=" << P.Workers
+                                        << " steal=" << P.StealSeed);
+      EXPECT_EQ(spanningForestLVar(In.EL, schedOptions(P)), Ref);
+    }
+  }
 }
 
 TEST(PbbsGolden, HistogramMatchesSequential) {

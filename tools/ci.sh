@@ -45,8 +45,8 @@
 #              diffs of the committed bench/baselines/ pre/post JSON
 #              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post},
 #              micro_lvar_table_{pre,post}, micro_lvar_putpath_{pre,post},
-#              pbbs_handlers_{pre,post}, micro_lvar_forkjoin_{pre,post}).
-#              Reuses the release build.
+#              pbbs_handlers_{pre,post}, micro_lvar_forkjoin_{pre,post},
+#              pbbs_forest_{pre,post}). Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
 #              failures, delays, and allocation-failure shims across >= 8
@@ -253,6 +253,12 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report diff \
         bench/baselines/micro_lvar_forkjoin_pre.json \
         bench/baselines/micro_lvar_forkjoin_post.json \
+        || echo "bench-report diff failed (non-fatal)"
+      # Spanning forest by deterministic reservations instead of Boruvka
+      # rounds (bench_pbbs_forest's lvar series).
+      ./build-ci-release/tools/bench-report diff \
+        bench/baselines/pbbs_forest_pre.json \
+        bench/baselines/pbbs_forest_post.json \
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
