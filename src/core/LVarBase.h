@@ -80,7 +80,6 @@
 #include <atomic>
 #include <concepts>
 #include <coroutine>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -88,12 +87,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#ifdef LVISH_TRACE_DEBUG
-#define LVISH_TRACE2(...) std::fprintf(stderr, __VA_ARGS__)
-#else
-#define LVISH_TRACE2(...) (void)0
-#endif
 
 namespace lvish {
 
@@ -420,7 +413,8 @@ protected:
     if (ToWake.empty())
       return;
     if (ToWake.size() > 1)
-      ToWake.front()->Sched->explorePermuteBackpressure(ToWake);
+      ToWake.front()->Sched->explorePermute(
+          ToWake, &explore::ScheduleCtl::onBackpressure);
     for (Task *T : ToWake)
       T->Sched->wake(T, Waker);
   }
@@ -524,7 +518,6 @@ private:
         return false;
       }
     }
-    LVISH_TRACE2("park lv=%p task=%p\n", (void *)this, (void *)T);
     T->ParkedOn = this;
     T->ParkedSlot = W.Slot;
     // Park bookkeeping last, under the lock (session-quiescence protocol).
@@ -609,12 +602,10 @@ private:
       return;
     obs::count(obs::Event::ThresholdWakeups, ToWake.size());
     if (ToWake.size() > 1)
-      ToWake.front()->Sched->explorePermuteWakes(ToWake);
-    for (Task *T : ToWake) {
-      LVISH_TRACE2("notify lv=%p wake task=%p resume=%p\n", (void *)this,
-                   (void *)T, T->Resume.address());
+      ToWake.front()->Sched->explorePermute(ToWake,
+                                             &explore::ScheduleCtl::onPick);
+    for (Task *T : ToWake)
       T->Sched->wake(T, Waker);
-    }
   }
 
   mutable std::atomic<KeyBucket *> KeyBuckets{nullptr};

@@ -65,16 +65,9 @@
 #include "src/support/Assert.h"
 
 #include <coroutine>
-#include <cstdio>
 #include <optional>
 #include <type_traits>
 #include <utility>
-
-#ifdef LVISH_TRACE_DEBUG
-#define LVISH_TRACE(...) std::fprintf(stderr, __VA_ARGS__)
-#else
-#define LVISH_TRACE(...) (void)0
-#endif
 
 namespace lvish {
 
@@ -99,8 +92,6 @@ template <typename Promise> struct FinalAwaiter {
   std::coroutine_handle<>
   await_suspend(std::coroutine_handle<Promise> H) noexcept {
     Promise &P = H.promise();
-    LVISH_TRACE("final %p cont=%p task=%p\n", H.address(),
-                P.Continuation.address(), (void *)P.OwnerTask);
     Task *Cur = Scheduler::currentTask();
     if (Cur && Cur->FaultPoisoned) {
       // A FaultSignal unwound this coroutine (see FaultSignal.h): the
@@ -190,8 +181,6 @@ public:
   std::coroutine_handle<>
   await_suspend(std::coroutine_handle<> Awaiting) noexcept {
     assert(Handle && "co_await on an empty Par");
-    LVISH_TRACE("awaitT %p -> child %p\n", Awaiting.address(),
-                Handle.address());
     Handle.promise().Continuation = Awaiting;
     return Handle; // Symmetric transfer: start the child immediately.
   }
@@ -251,8 +240,6 @@ public:
   std::coroutine_handle<>
   await_suspend(std::coroutine_handle<> Awaiting) noexcept {
     assert(Handle && "co_await on an empty Par");
-    LVISH_TRACE("awaitV %p -> child %p\n", Awaiting.address(),
-                Handle.address());
     Handle.promise().Continuation = Awaiting;
     return Handle;
   }

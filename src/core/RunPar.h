@@ -24,8 +24,7 @@
 /// sessions - should hold a service::Runtime and use Runtime::run /
 /// Runtime::submit directly. (The pre-Runtime borrowed-scheduler surface
 /// - RunOptions::Borrowed/::On and the *On wrappers - is gone; the
-/// lvish-analyze rule deprecated-borrowed-scheduler now simply rejects
-/// any resurrection of those names.)
+/// compiler rejects those names.)
 ///
 /// Sessions run to *full* quiescence before returning: every forked task
 /// has either finished or is permanently blocked (and is then reaped; see

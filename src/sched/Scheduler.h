@@ -185,17 +185,14 @@ public:
   void waitSessionQuiescent(SessionState &S);
 
   /// Explore mode: reorders a batch of tasks about to be woken together
-  /// (multi-task threshold wakeups, handler-pool drains) by repeatedly
-  /// asking the controller which of the remaining tasks fires next. No-op
-  /// (one null check) outside explore mode or for batches of one.
-  void explorePermuteWakes(std::vector<Task *> &ToWake);
-
-  /// Explore mode: reorders a batch of parked producers about to be
-  /// resumed by a BoundedStream capacity credit. Identical mechanics to
-  /// explorePermuteWakes but routed through ScheduleCtl::onBackpressure so
-  /// the choice is recorded (and replayed) as its own decision kind. No-op
-  /// outside explore mode or for batches of one.
-  void explorePermuteBackpressure(std::vector<Task *> &ToWake);
+  /// by repeatedly asking the controller, through \p Ask, which of the
+  /// remaining tasks fires next. Threshold wakeups and scope drains ask
+  /// ScheduleCtl::onPick; a BoundedStream capacity credit asks
+  /// ScheduleCtl::onBackpressure, so its choice is recorded (and
+  /// replayed) as its own decision kind. No-op (one null check) outside
+  /// explore mode or for batches of one.
+  void explorePermute(std::vector<Task *> &ToWake,
+                      unsigned (explore::ScheduleCtl::*Ask)(unsigned));
 
   /// The session's schedule controller, or null outside explore mode.
   explore::ScheduleCtl *exploreCtl() const { return ExploreCtl; }
@@ -288,6 +285,11 @@ private:
 
   void workerLoop(unsigned Index);
   Task *findWork(unsigned Index);
+  /// The dispatch step both workerLoop and exploreRun take for a task
+  /// \p Me just acquired: charge the step budget, reap \p T if it was
+  /// cancelled, else resume its slice, then retire what the slice handed
+  /// to deferRetire.
+  void dispatch(Worker &Me, Task *T);
   /// Re-probes \p Me's innermost lazy wait; pops and returns its task when
   /// the threshold holds, else null.
   Task *resumeLazy(Worker &Me);
@@ -302,8 +304,9 @@ private:
   /// for unbudgeted sessions.
   void chargeBudgetStep(Task *T);
   /// Explore mode's session driver: runs on the waitSessionQuiescent
-  /// caller, masquerading as each virtual worker in turn.
-  void exploreRun();
+  /// caller, masquerading as each virtual worker in turn, until \p S is
+  /// quiescent.
+  void exploreRun(SessionState &S);
   /// Counts one event in the calling thread's counter block: the worker's
   /// own (single writer) when called on a worker of this scheduler, else
   /// the shared external block (runPar roots and wakes arrive from
@@ -312,17 +315,16 @@ private:
   Task *tryInjected();
   /// Enqueues \p T on its session's inject queue (round-robin drained).
   void pushInjected(Task *T);
-  /// Bumps \p T's session pending count (and, in explore mode only, the
-  /// global PendingWork).
+  /// Bumps \p T's session pending count.
   void addPending(Task *T);
-  /// Drops the counts for a still-live task (park path).
-  void removePending(Task *T);
-  /// Drops the counts when the task may already be destroyed (retire
-  /// paths capture the shared session state first). Fires the session's
-  /// quiescence CV/observer when its count hits zero.
-  void removePendingFor(const std::shared_ptr<SessionState> &S);
+  /// Drops \p S's pending count; fires the session's quiescence
+  /// CV/observer when it hits zero.
+  void removePending(SessionState &S);
   /// Destroys \p T (scopes, registry, frame) and recycles its storage.
   void retire(Task *T);
+  /// Retires a finished or cancelled \p T, then drops it from its
+  /// session's pending count.
+  void retireAndRelease(Task *T);
   void sliceEnd(Task *T);
   void sliceBegin(Task *T);
   /// Ends the current slice and opens a new one (at fork and wake points);
@@ -335,12 +337,6 @@ private:
 
   std::vector<std::unique_ptr<Worker>> Workers;
   std::atomic<bool> Shutdown{false};
-
-  /// Explore mode only: tasks that are runnable or running, across ALL
-  /// sessions; the explore driver loops until it is zero. Threaded runs
-  /// never touch it, saving a shared RMW on every schedule and finish:
-  /// their quiescence is SessionState::Pending alone.
-  std::atomic<int64_t> PendingWork{0};
 
   std::atomic<uint64_t> NextSessionId{1};
 

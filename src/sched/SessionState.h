@@ -53,9 +53,8 @@ public:
   /// session is quiescent: nothing of this session can ever create work
   /// again. A task waiting lazily on its worker's lazy stack counts as
   /// running: it leaves the count only when the worker publishes its wait
-  /// and it parks. Threaded quiescence is this counter alone; the scheduler's
-  /// global PendingWork is kept only in explore mode, where the explore
-  /// driver loops on it.
+  /// and it parks. Quiescence is this counter alone, threaded or explored:
+  /// the explore driver steps the session until it reaches zero.
   std::atomic<int64_t> Pending{0};
 
   /// Guards TaskHead and the intrusive Task::RegPrev/RegNext links of
@@ -94,7 +93,7 @@ public:
   /// Guards SessionFault / Observer / ObserverFired and backs CV.
   std::mutex Mutex;
 
-  /// Signalled when Pending hits zero (see Scheduler::removePendingFor).
+  /// Signalled when Pending hits zero (see Scheduler::removePending).
   std::condition_variable CV;
 
   /// Lattice-least fault recorded for this session, if any.

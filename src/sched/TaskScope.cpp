@@ -24,7 +24,8 @@ void TaskScope::exitOne() {
   // Drain order is a scheduling decision point: in explore mode the
   // controller chooses which quiesce waiter resumes first.
   if (ToWake.size() > 1)
-    ToWake.front()->Sched->explorePermuteWakes(ToWake);
+    ToWake.front()->Sched->explorePermute(ToWake,
+                                             &explore::ScheduleCtl::onPick);
   for (Task *T : ToWake)
     T->Sched->wake(T, Scheduler::currentTask());
 }

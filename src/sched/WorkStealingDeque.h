@@ -13,6 +13,14 @@
 /// top. This is the substrate under the LVish Par scheduler, mirroring the
 /// "custom work-stealing scheduler provided by LVish" (Section 2).
 ///
+/// Publication: every store to Bottom is a release and a thief loads
+/// Bottom and Buf with acquire, so what the owner wrote into an item
+/// before pushing it happens-before the thief's reads of it. That is the
+/// paper's release fence in push, stated on the store itself, which
+/// ThreadSanitizer models (it does not model fences); on x86 both compile
+/// to the same plain moves. The seq_cst fences in pop and steal order
+/// the Bottom/Top race over the last item and stay as the paper has them.
+///
 /// Growth notes: the circular buffer doubles on overflow. Retired buffers
 /// are kept until the deque is destroyed, because a concurrent thief may
 /// still hold a pointer into an old buffer; this classic leak-until-teardown
@@ -28,48 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#ifdef LVISH_LOCKED_DEQUE
-#include <deque>
-#include <mutex>
-namespace lvish {
-/// Mutex-based reference deque: used to cross-check the lock-free
-/// implementation under sanitizers (enable with -DLVISH_LOCKED_DEQUE).
-template <typename T> class WorkStealingDeque {
-public:
-  explicit WorkStealingDeque(uint64_t = 8) {}
-  WorkStealingDeque(const WorkStealingDeque &) = delete;
-  WorkStealingDeque &operator=(const WorkStealingDeque &) = delete;
-  void push(T *Item) {
-    std::lock_guard<std::mutex> L(Mu);
-    Q.push_back(Item);
-  }
-  T *pop() {
-    std::lock_guard<std::mutex> L(Mu);
-    if (Q.empty())
-      return nullptr;
-    T *V = Q.back();
-    Q.pop_back();
-    return V;
-  }
-  T *steal() {
-    std::lock_guard<std::mutex> L(Mu);
-    if (Q.empty())
-      return nullptr;
-    T *V = Q.front();
-    Q.pop_front();
-    return V;
-  }
-  uint64_t sizeApprox() const {
-    std::lock_guard<std::mutex> L(Mu);
-    return Q.size();
-  }
-private:
-  mutable std::mutex Mu;
-  std::deque<T *> Q;
-};
-} // namespace lvish
-#else // !LVISH_LOCKED_DEQUE
 
 namespace lvish {
 
@@ -117,20 +83,19 @@ public:
     if (B - Tp > static_cast<int64_t>(A->capacity()) - 1)
       A = grow(B, Tp);
     A->put(B, Item);
-    std::atomic_thread_fence(std::memory_order_release);
-    Bottom.store(B + 1, std::memory_order_relaxed);
+    Bottom.store(B + 1, std::memory_order_release);
   }
 
   /// Owner-only: pops from the bottom (LIFO). Returns nullptr when empty.
   T *pop() {
     int64_t B = Bottom.load(std::memory_order_relaxed) - 1;
     Buffer *A = Buf.load(std::memory_order_relaxed);
-    Bottom.store(B, std::memory_order_relaxed);
+    Bottom.store(B, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     int64_t Tp = Top.load(std::memory_order_relaxed);
     if (Tp > B) {
       // Deque was already empty; restore.
-      Bottom.store(B + 1, std::memory_order_relaxed);
+      Bottom.store(B + 1, std::memory_order_release);
       return nullptr;
     }
     T *Item = A->get(B);
@@ -140,7 +105,7 @@ public:
     if (!Top.compare_exchange_strong(Tp, Tp + 1, std::memory_order_seq_cst,
                                      std::memory_order_relaxed))
       Item = nullptr; // Lost to a thief.
-    Bottom.store(B + 1, std::memory_order_relaxed);
+    Bottom.store(B + 1, std::memory_order_release);
     return Item;
   }
 
@@ -152,7 +117,7 @@ public:
     int64_t B = Bottom.load(std::memory_order_acquire);
     if (Tp >= B)
       return nullptr;
-    Buffer *A = Buf.load(std::memory_order_consume);
+    Buffer *A = Buf.load(std::memory_order_acquire);
     T *Item = A->get(Tp);
     if (!Top.compare_exchange_strong(Tp, Tp + 1, std::memory_order_seq_cst,
                                      std::memory_order_relaxed))
@@ -190,7 +155,5 @@ private:
 };
 
 } // namespace lvish
-
-#endif // LVISH_LOCKED_DEQUE
 
 #endif // LVISH_SCHED_WORKSTEALINGDEQUE_H

@@ -232,11 +232,6 @@ inline Fault makeAdmissionFault(FaultCode Code, const char *Reason) {
   return F;
 }
 
-/// Legacy spelling for the plain SessionRejected refusal.
-inline Fault makeRejectedFault(const char *Reason) {
-  return makeAdmissionFault(FaultCode::SessionRejected, Reason);
-}
-
 /// The deterministic double-consume Fault for SessionFuture::get(); fires
 /// in NDEBUG builds too (the old assert vanished there and a second get()
 /// blocked forever).

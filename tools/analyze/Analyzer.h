@@ -22,15 +22,20 @@
 ///    alive, the LVar keeps its pool alive);
 ///  * park-under-lock - a lock-guard scope containing a suspension point
 ///    (co_await / awaited get / waitSize): parking a coroutine while
-///    holding a mutex deadlocks the worker that later resumes it.
+///    holding a mutex deadlocks the worker that later resumes it;
+///  * co-await-temporary - a lambda capturing by value written directly
+///    as an argument of a `co_await`ed call. GCC 12 destroys such a
+///    temporary twice when the callee suspends (tools/
+///    gcc12_coawait_temp_bug.cpp), silently; bind it to a named local.
 ///
 /// Every pass looks for something the compiler cannot see. Effect levels
 /// are not re-checked here: the `requires(has...(E))` clause on every
 /// public operation is the static effect check, pinned by the probe table
 /// in tests/DataStructuresTest.cpp.
 ///
-/// Findings carry a rule id, severity, file:line, and a stable key used by
-/// the committed baseline file for grandfathered findings.
+/// Every finding is an error. Findings carry a rule id, file:line, and a
+/// stable key used by the committed baseline file for grandfathered
+/// findings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,9 +54,7 @@ namespace analyze {
 
 /// One diagnostic produced by a pass.
 struct Finding {
-  enum Severity : uint8_t { Error, Note };
   std::string Rule;
-  Severity Sev = Error;
   std::string File;
   uint32_t Line = 0; ///< 1-based.
   std::string Message;
@@ -69,6 +72,7 @@ void runTokenRules(const FileModel &M, std::vector<Finding> &Out);
 void runCtxEscape(const FileModel &M, std::vector<Finding> &Out);
 void runHandlerCycle(const FileModel &M, std::vector<Finding> &Out);
 void runParkUnderLock(const FileModel &M, std::vector<Finding> &Out);
+void runCoAwaitTemporary(const FileModel &M, std::vector<Finding> &Out);
 
 /// Models \p Contents as the file at \p Path and runs every pass over it,
 /// returning the findings in line order.

@@ -22,6 +22,7 @@ std::vector<Finding> analyzeContents(const std::string &Path,
   runCtxEscape(M, Out);
   runHandlerCycle(M, Out);
   runParkUnderLock(M, Out);
+  runCoAwaitTemporary(M, Out);
   std::stable_sort(Out.begin(), Out.end(),
                    [](const Finding &A, const Finding &B) {
                      return A.Line < B.Line;
@@ -85,7 +86,7 @@ std::string findingsToJson(const std::vector<Finding> &Findings,
     W.key("rule");
     W.value(F.Rule);
     W.key("severity");
-    W.value(F.Sev == Finding::Error ? "error" : "note");
+    W.value("error");
     W.key("file");
     W.value(F.File);
     W.key("line");
@@ -98,9 +99,7 @@ std::string findingsToJson(const std::vector<Finding> &Findings,
   }
   W.endArray();
   W.key("errors");
-  W.value(static_cast<uint64_t>(std::count_if(
-      Findings.begin(), Findings.end(),
-      [](const Finding &F) { return F.Sev == Finding::Error; })));
+  W.value(static_cast<uint64_t>(Findings.size()));
   W.key("baselined");
   W.value(static_cast<uint64_t>(BaselinedCount < 0 ? 0 : BaselinedCount));
   W.endObject();

@@ -1,4 +1,4 @@
-//===- ScopePasses.cpp - ctx-escape, handler-cycle, park-under-lock -------===//
+//===- ScopePasses.cpp - Capture, lifetime and suspension passes ----------===//
 //
 // Part of lvish-cpp, a C++ reproduction of the LVish deterministic
 // parallelism library (Kuper et al., PLDI 2014).
@@ -22,6 +22,10 @@
 ///  * park-under-lock: a lock-guard scope containing a co_await. Parking
 ///    a coroutine while holding a mutex keeps the lock across an
 ///    arbitrary suspension and can deadlock the worker that resumes it.
+///  * co-await-temporary: a lambda that captures by value ([x], [x = e],
+///    [=]) written directly as an argument of a co_await-ed call. GCC 12
+///    destroys such a temporary twice when the callee suspends, and the
+///    program runs on with freed captures and no diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,6 +123,36 @@ std::vector<std::pair<size_t, size_t>> callArgs(const FileModel &M,
   if (Start < Close)
     Args.push_back({Start, Close});
   return Args;
+}
+
+/// When the call whose '(' is at \p Open is the operand of a co_await -
+/// its callee (a name, optionally qualified, reached through `.`/`->`, or
+/// followed by template arguments) directly follows one - the index of
+/// the callee's last name; else Npos.
+size_t awaitedCallee(const FileModel &M, size_t Open) {
+  const std::vector<Token> &T = M.Toks;
+  size_t Callee = Npos;
+  size_t I = Open;
+  for (;;) {
+    if (I > 0 && T[I - 1].Text == ">") {
+      int Depth = 0;
+      do {
+        --I;
+        Depth += T[I].Text == ">" ? 1 : T[I].Text == "<" ? -1 : 0;
+      } while (I > 0 && Depth > 0);
+    }
+    if (I == 0 || T[I - 1].K != Token::Ident)
+      return Npos;
+    --I;
+    if (Callee == Npos)
+      Callee = I;
+    if (I == 0)
+      return Npos;
+    const std::string &Prev = T[I - 1].Text;
+    if (Prev != "::" && Prev != "." && Prev != "->")
+      return Prev == "co_await" ? Callee : Npos;
+    --I;
+  }
 }
 
 } // namespace
@@ -280,6 +314,38 @@ void runParkUnderLock(const FileModel &M, std::vector<Finding> &Out) {
       Out.push_back(std::move(F));
       break; // One finding per guard scope.
     }
+  }
+}
+
+void runCoAwaitTemporary(const FileModel &M, std::vector<Finding> &Out) {
+  for (const Lambda &L : M.Lambdas) {
+    if (!L.DefaultCopy && L.ValCaptures.empty())
+      continue;
+    // Directly an argument: the innermost '(' around the lambda is the
+    // call's, with no brace (another lambda's body) opened in between.
+    size_t Paren = M.EnclosingParen[L.IntroTok];
+    if (Paren == Npos ||
+        M.EnclosingBrace[L.IntroTok] != M.EnclosingBrace[Paren])
+      continue;
+    size_t CalleeTok = awaitedCallee(M, Paren);
+    if (CalleeTok == Npos)
+      continue;
+    uint32_t Line = M.Toks[L.IntroTok].Line;
+    if (M.suppressed(Line - 1, "co-await-temporary"))
+      continue;
+    const std::string &Callee = M.Toks[CalleeTok].Text;
+    Finding F;
+    F.Rule = "co-await-temporary";
+    F.File = M.Path;
+    F.Line = Line;
+    F.Detail = Callee;
+    F.Message = "lambda capturing by value is a temporary argument of the "
+                "co_await-ed call `" +
+                Callee +
+                "`: GCC 12 destroys it twice when the callee suspends "
+                "(tools/gcc12_coawait_temp_bug.cpp); bind it to a named "
+                "local and pass that";
+    Out.push_back(std::move(F));
   }
 }
 

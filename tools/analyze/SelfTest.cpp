@@ -35,10 +35,7 @@ int selfTest() {
     }
   };
   auto Errors = [](const std::string &Path, const std::string &Contents) {
-    int N = 0;
-    for (const Finding &F : analyzeContents(Path, Contents))
-      N += F.Sev == Finding::Error;
-    return N;
+    return static_cast<int>(analyzeContents(Path, Contents).size());
   };
 
   // ---- Ported lvish-lint expectations (must not regress). ----
@@ -234,6 +231,42 @@ int selfTest() {
                 "  };\n"
                 "}\n"),
          0, "park-under-lock: nested lambda bodies are deferred work");
+
+  // ---- co-await-temporary. ----
+  Expect(Errors("src/pbbs/X.cpp",
+                "Par<void> f(ParCtx<Eff::Det> Ctx) {\n"
+                "  co_await parallelFor(Ctx, 0, N, 1,\n"
+                "                       [UF](ParCtx<Eff::Det> C, size_t I) {\n"
+                "                         use(UF);\n"
+                "                       });\n"
+                "}\n"),
+         1, "co-await-temporary: by-value capture as an awaited argument");
+  Expect(Errors("src/pbbs/X.cpp",
+                "Par<void> f(ParCtx<Eff::Det> Ctx) {\n"
+                "  co_await lvish::forEach<Eff::Det>(Ctx, [=](int I) {});\n"
+                "}\n"),
+         1, "co-await-temporary: [=] through a qualified template callee");
+  Expect(Errors("src/pbbs/X.cpp",
+                "Par<void> f(ParCtx<Eff::Det> Ctx) {\n"
+                "  auto Body = [UF](ParCtx<Eff::Det> C, size_t I) {};\n"
+                "  co_await parallelFor(Ctx, 0, N, 1, Body);\n"
+                "}\n"),
+         0, "co-await-temporary: a named local is the sanctioned idiom");
+  Expect(Errors("src/pbbs/X.cpp",
+                "Par<void> f(ParCtx<Eff::Det> Ctx) {\n"
+                "  co_await parallelFor(Ctx, 0, N, 1,\n"
+                "                       [&](ParCtx<Eff::Det> C, size_t I) {});\n"
+                "}\n"),
+         0, "co-await-temporary: reference captures own nothing");
+  Expect(Errors("src/pbbs/X.cpp",
+                "Par<void> f(ParCtx<Eff::Det> Ctx) {\n"
+                "  auto P = parallelFor(Ctx, 0, N, 1, [UF](size_t I) {});\n"
+                "  co_await fork(Ctx, [&](ParCtx<Eff::Det> C) -> Par<void> {\n"
+                "    auto G = [UF]() {};\n"
+                "    co_return;\n"
+                "  });\n"
+                "}\n"),
+         0, "co-await-temporary: unawaited calls and nested bodies pass");
 
   // ---- Baseline round-trip and JSON output. ----
   {

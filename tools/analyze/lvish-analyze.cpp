@@ -135,7 +135,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  int NewErrors = 0, Baselined = 0, NoteCount = 0;
+  int NewErrors = 0, Baselined = 0;
   for (const Finding &F : All) {
     bool Grandfathered = false;
     auto It = Baseline.find(F.key());
@@ -144,15 +144,11 @@ int main(int Argc, char **Argv) {
       Grandfathered = true;
       ++Baselined;
     }
-    if (F.Sev == Finding::Note)
-      ++NoteCount;
-    else if (!Grandfathered)
+    if (!Grandfathered)
       ++NewErrors;
     std::fprintf(stderr, "%s:%u: %s[%s] %s\n", F.File.c_str(), F.Line,
-                 Grandfathered ? "(baselined) "
-                 : F.Sev == Finding::Note ? "note "
-                                          : "",
-                 F.Rule.c_str(), F.Message.c_str());
+                 Grandfathered ? "(baselined) " : "", F.Rule.c_str(),
+                 F.Message.c_str());
   }
 
   if (!WriteBaselinePath.empty()) {
@@ -176,9 +172,9 @@ int main(int Argc, char **Argv) {
 
   if (NewErrors > 0) {
     std::fprintf(stderr,
-                 "lvish-analyze: %d new error(s) (%d baselined, %d "
-                 "note(s)) across %zu file(s)\n",
-                 NewErrors, Baselined, NoteCount, Files.size());
+                 "lvish-analyze: %d new error(s) (%d baselined) across "
+                 "%zu file(s)\n",
+                 NewErrors, Baselined, Files.size());
     return 1;
   }
   return 0;
