@@ -16,7 +16,7 @@
 ///  * the machine-readable result: `--json` writes an `lvish-bench-v1`
 ///    document - bench name, git revision, config, every series with its
 ///    raw per-rep times, the final SchedulerStats snapshot, and the
-///    process-wide telemetry snapshot (empty object when compiled out).
+///    process-wide telemetry snapshot.
 ///
 /// Typical shape:
 ///
@@ -307,10 +307,6 @@ public:
     W.endObject();
     W.key("telemetry");
     W.beginObject();
-    // Preprocessor gate, not `if constexpr`: the discarded branch of a
-    // constexpr-if in a non-template function is still type-checked, and
-    // the disabled TelemetrySnapshot has no members.
-#if LVISH_TELEMETRY
     obs::TelemetrySnapshot T = obs::telemetrySnapshot();
     for (unsigned I = 0; I < obs::NumEvents; ++I) {
       W.key(obs::eventName(static_cast<obs::Event>(I)));
@@ -320,7 +316,6 @@ public:
     W.value(T.QuiesceWaitNanos);
     W.key("session_latency_nanos");
     W.value(T.SessionLatencyNanos);
-#endif
     W.endObject();
     W.endObject();
     return W.take();

@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -39,17 +38,6 @@ std::atomic<ViolationHandler> Handler{nullptr};
 std::atomic<uint64_t>
     Counts[static_cast<unsigned>(ViolationKind::NumKinds)];
 
-uint64_t initialSamplePeriod() {
-  if (const char *Env = std::getenv("LVISH_CHECK_SAMPLE")) {
-    char *End = nullptr;
-    unsigned long long N = std::strtoull(Env, &End, 10);
-    if (End != Env && N >= 1)
-      return N;
-  }
-  return 64;
-}
-
-std::atomic<uint64_t> Period{0}; // 0 = not yet initialized from env.
 std::atomic<uint64_t> SampleClock{0};
 
 } // namespace
@@ -106,24 +94,11 @@ void resetViolationCounts() {
     Counts[I].store(0, std::memory_order_relaxed);
 }
 
-uint64_t samplePeriod() {
-  uint64_t P = Period.load(std::memory_order_acquire);
-  if (P == 0) {
-    P = initialSamplePeriod();
-    Period.store(P, std::memory_order_release);
-  }
-  return P;
-}
-
-void setSamplePeriod(uint64_t N) {
-  Period.store(N >= 1 ? N : 1, std::memory_order_release);
-}
-
 bool sampleHit() {
-  uint64_t P = samplePeriod();
-  if (P == 1)
+  if (Handler.load(std::memory_order_relaxed))
     return true;
-  return SampleClock.fetch_add(1, std::memory_order_relaxed) % P == 0;
+  uint64_t Tick = SampleClock.fetch_add(1, std::memory_order_relaxed);
+  return Tick % SamplePeriod == 0;
 }
 
 // -- DisjointnessChecker ----------------------------------------------------

@@ -64,12 +64,16 @@ struct ViolationReport {
 /// Handler signature; see \c setViolationHandler.
 using ViolationHandler = void (*)(const ViolationReport &);
 
+/// Without a violation handler, \c sampleHit admits one call in this many.
+inline constexpr uint64_t SamplePeriod = 64;
+
 #if LVISH_CHECK
 
 /// Installs a violation handler (tests only) and returns the previous one.
 /// With a handler installed, \c reportViolation records and *returns*
-/// instead of aborting, so a test can observe the diagnostic. Pass null to
-/// restore the default abort behavior.
+/// instead of aborting, so a test can observe the diagnostic, and
+/// \c sampleHit admits every call, so the test observes every violation.
+/// Pass null to restore the default abort behavior and sampling.
 ViolationHandler setViolationHandler(ViolationHandler H);
 
 /// Reports a discipline violation: formats printf-style, bumps the
@@ -88,17 +92,11 @@ uint64_t violationCountTotal();
 /// Resets all violation counters (test fixtures).
 void resetViolationCounts();
 
-/// True on every Nth call (N = samplePeriod), cheap enough for hot put and
+/// True on every \c SamplePeriod-th call process-wide (on every call while
+/// a violation handler is installed), cheap enough for hot put and
 /// VecView-access paths. Sampling keeps the Debug-mode overhead of the
 /// law/shadow checks bounded while still catching systematic violations.
 bool sampleHit();
-
-/// Current sampling period. Initialized once from the environment variable
-/// \c LVISH_CHECK_SAMPLE (default 64; clamped to >= 1).
-uint64_t samplePeriod();
-
-/// Overrides the sampling period (tests set 1 for exhaustive checking).
-void setSamplePeriod(uint64_t N);
 
 #else // !LVISH_CHECK - inline no-op stubs so call sites need no guards.
 
@@ -110,8 +108,6 @@ inline uint64_t violationCount(ViolationKind) { return 0; }
 inline uint64_t violationCountTotal() { return 0; }
 inline void resetViolationCounts() {}
 inline bool sampleHit() { return false; }
-inline uint64_t samplePeriod() { return 0; }
-inline void setSamplePeriod(uint64_t) {}
 
 #endif // LVISH_CHECK
 

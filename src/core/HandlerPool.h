@@ -365,31 +365,26 @@ public:
     // Stamp the wait start *before* parking: once parkUntilDrained
     // publishes the task, another worker may resume it (and run
     // await_resume) concurrently with this frame.
-    if constexpr (obs::TelemetryEnabled)
-      WaitStart = nowNanos();
+    WaitStart = nowNanos();
     bool Parked = Pool->Scope.parkUntilDrained(Tsk);
-    if constexpr (obs::TelemetryEnabled) {
-      if (Parked)
-        obs::count(obs::Event::QuiesceWaits);
-      else
-        WaitStart = 0; // Already drained: no wait to attribute. Safe to
-                       // clear - the task was never published.
-    }
+    if (Parked)
+      obs::count(obs::Event::QuiesceWaits);
+    else
+      WaitStart = 0; // Already drained: no wait to attribute. Safe to
+                     // clear - the task was never published.
     return Parked;
   }
 
   void await_resume() const noexcept {
-    if constexpr (obs::TelemetryEnabled) {
-      if (WaitStart)
-        obs::addQuiesceWaitNanos(nowNanos() - WaitStart);
-    }
+    if (WaitStart)
+      obs::addQuiesceWaitNanos(nowNanos() - WaitStart);
   }
 
 private:
   std::shared_ptr<HandlerPool> Pool;
   Task *Tsk;
-  /// Wall-clock park time of a real quiescence wait (telemetry only; 0
-  /// when the pool was already drained).
+  /// Wall-clock park time of a real quiescence wait (0 when the pool was
+  /// already drained).
   uint64_t WaitStart = 0;
 };
 

@@ -120,7 +120,6 @@ auto runParOnImpl(const RunOptions &Opts, F Body) {
   service::SessionOptions SOpts;
   SOpts.FreezeOnExit = Opts.FreezeOnExit;
   SOpts.StatsOut = Opts.StatsOut;
-  SOpts.Explore = Opts.Config.Explore;
   SOpts.MaxSteps = Opts.SessionBudget;
   service::RuntimeConfig RC;
   RC.Sched = Opts.Config;

@@ -14,7 +14,7 @@
 /// Counters here are always on: they sit on paths that already pay an
 /// atomic (scheduling, stealing, parking), so one extra relaxed add per
 /// event is noise. The *LVar-level* event counters, which sit on put fast
-/// paths, live behind LVISH_TELEMETRY instead (src/obs/Telemetry.h).
+/// paths, live in src/obs/Telemetry.h instead.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -74,8 +74,6 @@ const char *obs::eventName(Event E) {
 
 const char *obs::gitRevision() { return LVISH_GIT_REV; }
 
-#if LVISH_TELEMETRY
-
 thread_local constinit obs::detail::CounterBlock *obs::detail::MyBlock =
     nullptr;
 std::atomic<uint64_t> obs::detail::QuiesceWaitNanosTotal{0};
@@ -187,5 +185,3 @@ void obs::resetTelemetry() {
   detail::QuiesceWaitNanosTotal.store(0, std::memory_order_relaxed);
   detail::SessionLatencyNanosTotal.store(0, std::memory_order_relaxed);
 }
-
-#endif // LVISH_TELEMETRY

@@ -6,9 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Library-level telemetry behind the LVISH_TELEMETRY switch (ON by
-/// default; -DLVISH_TELEMETRY=OFF compiles every hook down to an empty
-/// inline function and an empty snapshot struct).
+/// Library-level telemetry, compiled into every build.
 ///
 /// Event counters: process-wide counts of the semantic events the paper's
 /// effect zoo is made of: puts, no-op joins (a put that did not change
@@ -33,14 +31,10 @@
 #include <atomic>
 #include <cstdint>
 
-#ifndef LVISH_TELEMETRY
-#define LVISH_TELEMETRY 0
-#endif
-
 namespace lvish {
 namespace obs {
 
-/// The LVar/session event kinds counted under LVISH_TELEMETRY.
+/// The LVar/session event kinds the telemetry counts.
 enum class Event : unsigned {
   Puts = 0,           ///< LVar writes (put/insert/bump) that reached the
                       ///< store, including no-op joins.
@@ -92,17 +86,11 @@ inline constexpr unsigned NumEvents = 27;
 const char *eventName(Event E);
 
 /// The commit the binary was built from (CMake bakes it in; "unknown"
-/// outside a git checkout). Lives here so every BENCH_*.json is
-/// attributable to a revision even with telemetry compiled out.
+/// outside a git checkout), so every BENCH_*.json is attributable to a
+/// revision.
 const char *gitRevision();
 
-#if LVISH_TELEMETRY
-
-inline constexpr bool TelemetryEnabled = true;
-
-/// Event totals plus summed quiescence-wait latency. With telemetry
-/// compiled out this struct is empty (see the #else branch) - that is
-/// what TelemetryTest's static_assert pins down.
+/// Event totals plus summed quiescence-wait latency.
 struct TelemetrySnapshot {
   uint64_t Counts[NumEvents] = {};
   uint64_t QuiesceWaitNanos = 0;
@@ -173,22 +161,6 @@ TelemetrySnapshot telemetrySnapshot();
 /// Zeroes every counter (test isolation; do not call concurrently with
 /// counted work).
 void resetTelemetry();
-
-#else // !LVISH_TELEMETRY
-
-inline constexpr bool TelemetryEnabled = false;
-
-/// Empty fallback: with telemetry compiled out the snapshot carries no
-/// data and every hook below is a no-op the optimizer deletes.
-struct TelemetrySnapshot {};
-
-inline void count(Event, uint64_t = 1) {}
-inline void addQuiesceWaitNanos(uint64_t) {}
-inline void addSessionLatencyNanos(uint64_t) {}
-inline TelemetrySnapshot telemetrySnapshot() { return {}; }
-inline void resetTelemetry() {}
-
-#endif // LVISH_TELEMETRY
 
 } // namespace obs
 } // namespace lvish

@@ -52,19 +52,11 @@ Runtime::~Runtime() {
     Finalizer.join();
 }
 
-Runtime::AdmitVeto Runtime::acquireSlotOrVeto(
-    explore::ScheduleCtl *WantExplore) {
-  explore::ScheduleCtl *PoolCtl = Sched.exploreCtl();
-  if (WantExplore && PoolCtl != WantExplore)
-    return {FaultCode::SessionRejected,
-            PoolCtl ? "session demands a different schedule controller than "
-                      "the Runtime's"
-                    : "explore-mode session on a Runtime without controlled "
-                      "scheduling"};
+Runtime::AdmitVeto Runtime::acquireSlotOrVeto() {
   std::unique_lock<std::mutex> Lock(Mu);
   if (Stopping)
     return {FaultCode::RuntimeStopping, StoppingReason};
-  if (PoolCtl) {
+  if (Sched.exploreCtl()) {
     if (Active > 0 || !AdmitQueue.empty() || !DoneQueue.empty())
       return {FaultCode::SessionRejected,
               "controlled-scheduling sessions need the Runtime to "

@@ -40,12 +40,12 @@
 /// finalizer thread performs finishSession / fault take / exit freeze /
 /// future fulfillment, then admits the next queued session.
 ///
-/// Explore-mode sessions (controlled scheduling, DESIGN.md Section 12)
-/// must own every scheduling decision, so they are only honored on a
-/// Runtime constructed with that controller and only while it is
-/// otherwise idle; anything else is rejected deterministically with a
-/// FaultCode::SessionRejected outcome rather than silently sharing the
-/// pool.
+/// A Runtime constructed with a schedule controller (controlled
+/// scheduling, DESIGN.md Section 12) explores every session it runs. An
+/// explored session must own every scheduling decision, so such a Runtime
+/// runs one session at a time and rejects a session started while it is
+/// busy deterministically, with a FaultCode::SessionRejected outcome,
+/// rather than silently sharing the pool.
 ///
 /// Robustness layer (DESIGN.md Section 16): per-session step budgets
 /// (SessionOptions::MaxSteps, counted in scheduler decisions so budget
@@ -126,13 +126,6 @@ struct SessionOptions {
   /// Exact for sessions that do not overlap others on the pool. Must stay
   /// alive until the session's outcome is available.
   SchedulerStats *StatsOut = nullptr;
-  /// When non-null, this session demands controlled scheduling under this
-  /// controller. Honored only when the Runtime itself was constructed in
-  /// explore mode with the SAME controller and is idle; otherwise the
-  /// session is rejected with FaultCode::SessionRejected (an explored
-  /// session must own every scheduling decision, which a busy shared pool
-  /// cannot grant).
-  explore::ScheduleCtl *Explore = nullptr;
   /// Deterministic step budget: the session is killed with
   /// FaultCode::BudgetExceeded after this many scheduler decisions
   /// (task resumes). Counted in steps rather than wall clock so the kill
@@ -526,7 +519,7 @@ public:
   auto runSession(F Body, const SessionOptions &Opts) {
     using RetPar = std::invoke_result_t<F, ParCtx<E>>;
     using R = typename detail::ParValue<RetPar>::type;
-    if (AdmitVeto V = acquireSlotOrVeto(Opts.Explore); V.Reason) {
+    if (AdmitVeto V = acquireSlotOrVeto(); V.Reason) {
       detail::countRejection(V.Code);
       return ParOutcome<R>::failure(detail::makeAdmissionFault(V.Code,
                                                               V.Reason));
@@ -549,11 +542,11 @@ public:
     SessionOptions SOpts = Opts;
     if (!SOpts.MaxSteps)
       SOpts.MaxSteps = DefaultBudget;
-    if (Sched.exploreCtl() || Opts.Explore) {
+    if (Sched.exploreCtl()) {
       // Explore-mode pools have no worker threads: the session executes
       // inline on the submitting thread, exclusively (acquireSlotOrVeto
       // rejects rather than blocks when the pool is busy).
-      if (AdmitVeto V = acquireSlotOrVeto(Opts.Explore); V.Reason) {
+      if (AdmitVeto V = acquireSlotOrVeto(); V.Reason) {
         detail::rejectChannel(*Ch, V.Code, V.Reason);
         return Fut;
       }
@@ -619,9 +612,8 @@ private:
   /// explore-mode pool: claims exclusive use if the pool is idle, else
   /// refuses deterministically (controlled sessions must own every
   /// scheduling decision; blocking behind other tenants would hand
-  /// decisions to OS timing). Also refuses sessions demanding a
-  /// controller the pool was not built with.
-  AdmitVeto acquireSlotOrVeto(explore::ScheduleCtl *WantExplore);
+  /// decisions to OS timing).
+  AdmitVeto acquireSlotOrVeto();
   /// Frees one slot; launches the next in-deadline queued submission.
   void releaseSlot();
   /// Launches now (slot free), queues FIFO, or refuses (stopping / shed).

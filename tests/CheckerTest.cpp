@@ -42,8 +42,8 @@ void recordViolation(const check::ViolationReport &R) {
   Recorded.emplace_back(R.Kind, std::string(R.Message));
 }
 
-/// Installs the recording handler, forces exhaustive sampling, and clears
-/// every piece of global checker state between tests.
+/// Installs the recording handler (which also makes every sampled check
+/// run), and clears every piece of global checker state between tests.
 class CheckerTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -52,14 +52,11 @@ protected:
       Recorded.clear();
     }
     Prev = check::setViolationHandler(&recordViolation);
-    PrevPeriod = check::samplePeriod();
-    check::setSamplePeriod(1);
     check::resetViolationCounts();
     check::DisjointnessChecker::instance().clearAllExtents();
   }
   void TearDown() override {
     check::setViolationHandler(Prev);
-    check::setSamplePeriod(PrevPeriod);
     check::resetViolationCounts();
     check::DisjointnessChecker::instance().clearAllExtents();
   }
@@ -82,7 +79,6 @@ protected:
   }
 
   check::ViolationHandler Prev = nullptr;
-  uint64_t PrevPeriod = 64;
 };
 
 // -- LatticeChecker -----------------------------------------------------
@@ -358,10 +354,11 @@ TEST_F(CheckerDeathTest, UnhandledViolationAborts) {
   EXPECT_DEATH(
       {
         check::setViolationHandler(nullptr);
-        check::setSamplePeriod(1);
         runPar<D>([](ParCtx<D> Ctx) -> Par<void> {
           auto LV = newPureLVar<FirstWinsLattice>(Ctx);
-          putPureLVar(Ctx, *LV, 5);
+          // Without a handler one put in SamplePeriod is checked.
+          for (uint64_t I = 0; I < check::SamplePeriod; ++I)
+            putPureLVar(Ctx, *LV, 5);
           co_return;
         });
       },

@@ -166,22 +166,14 @@ struct Counts {
   uint64_t HandlerInvocations = 0;
 };
 
-/// The telemetry delta across \p Run. The telemetry-off snapshot has no
-/// count(), and a discarded `if constexpr` branch outside a template is
-/// still checked, so this needs the preprocessor; the tests below skip
-/// before calling it when telemetry is off.
+/// The telemetry delta across \p Run.
 Counts countDuring(const std::function<void()> &Run) {
-#if LVISH_TELEMETRY
   obs::TelemetrySnapshot Before = obs::telemetrySnapshot();
   Run();
   obs::TelemetrySnapshot After = obs::telemetrySnapshot();
   auto Delta = [&](obs::Event E) { return After.count(E) - Before.count(E); };
   return Counts{Delta(obs::Event::Puts), Delta(obs::Event::NoOpJoins),
                 Delta(obs::Event::HandlerInvocations)};
-#else
-  Run();
-  return Counts{};
-#endif
 }
 
 /// The schedules every count is checked under: threaded runs at 1/2/4
@@ -227,8 +219,6 @@ Graph edgeless(uint32_t N) {
 }
 
 TEST(ComplexityTest, ComponentsPutsAreExactlyTheEdges) {
-  if constexpr (!obs::TelemetryEnabled)
-    GTEST_SKIP() << "telemetry compiled out";
   for (uint32_t N : {150u, 300u})
     for (bool PowerLaw : {false, true}) {
       SCOPED_TRACE(::testing::Message()
@@ -252,8 +242,6 @@ TEST(ComplexityTest, ComponentsPutsAreExactlyTheEdges) {
 }
 
 TEST(ComplexityTest, BfsReachInvokesOneHandlerPerReachedVertex) {
-  if constexpr (!obs::TelemetryEnabled)
-    GTEST_SKIP() << "telemetry compiled out";
   for (uint32_t N : {150u, 300u})
     for (bool PowerLaw : {false, true}) {
       SCOPED_TRACE(::testing::Message()
@@ -366,8 +354,6 @@ void expectCounts(const KernelCounts &Got, const KernelCounts &Want,
 }
 
 TEST(ComplexityTest, HistogramBumpsEachNonzeroBucketOncePerBlock) {
-  if constexpr (!obs::TelemetryEnabled)
-    GTEST_SKIP() << "telemetry compiled out";
   constexpr uint64_t Buckets = 16;
   for (size_t N : {3000u, 6000u}) {
     SCOPED_TRACE(::testing::Message() << "n=" << N);
@@ -390,8 +376,6 @@ TEST(ComplexityTest, HistogramBumpsEachNonzeroBucketOncePerBlock) {
 }
 
 TEST(ComplexityTest, RemoveDuplicatesPutsEveryKeyOnce) {
-  if constexpr (!obs::TelemetryEnabled)
-    GTEST_SKIP() << "telemetry compiled out";
   for (size_t N : {3000u, 6000u}) {
     SCOPED_TRACE(::testing::Message() << "n=" << N);
     const std::vector<uint64_t> Keys = makeSkewedKeys(N, 1024, 31);
@@ -405,8 +389,6 @@ TEST(ComplexityTest, RemoveDuplicatesPutsEveryKeyOnce) {
 }
 
 TEST(ComplexityTest, BfsLevelsInsertsEachUnreachedNeighbourOncePerRound) {
-  if constexpr (!obs::TelemetryEnabled)
-    GTEST_SKIP() << "telemetry compiled out";
   for (uint32_t N : {400u, 800u})
     for (bool PowerLaw : {false, true}) {
       SCOPED_TRACE(::testing::Message()
@@ -526,8 +508,6 @@ uint64_t forestAttempts(const EdgeList &EL, unsigned Workers) {
 }
 
 TEST(ComplexityTest, SpanningForestReservesLinearlyInEdges) {
-  if constexpr (!obs::TelemetryEnabled)
-    GTEST_SKIP() << "telemetry compiled out";
   for (uint32_t N : {400u, 800u}) {
     SCOPED_TRACE(::testing::Message() << "n=" << N);
     const EdgeList EL = toEdgeList(makeUniformGraph(N, 6, 41));

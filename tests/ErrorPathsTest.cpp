@@ -437,13 +437,15 @@ TEST(FaultOutcomeTest, DeadlockLeakedTasksContained) {
 #if LVISH_CHECK
 TEST(FaultOutcomeTest, CheckerViolationContained) {
   check::setViolationHandler(nullptr);
-  check::setSamplePeriod(1);
   expectStableFault(
       [](SchedulerConfig C) {
         auto O = tryRunPar<D>(
             [](ParCtx<D> Ctx) -> Par<void> {
               auto LV = newPureLVar<BrokenJoinLattice>(Ctx);
-              putPureLVar(Ctx, *LV, 5); // Join laws fire on the root.
+              // One put in SamplePeriod is checked: join laws fire on the
+              // root.
+              for (uint64_t I = 0; I < check::SamplePeriod; ++I)
+                putPureLVar(Ctx, *LV, 5);
               co_return;
             },
             C);

@@ -458,7 +458,6 @@ TEST(ExploreTest, ComposesWithFaultInjection) {
 }
 
 TEST(ExploreTest, ExplorerStatsAccumulate) {
-#if LVISH_TELEMETRY
   obs::TelemetrySnapshot Before = obs::telemetrySnapshot();
   explore::SearchOptions O;
   O.Schedules = 4;
@@ -469,9 +468,6 @@ TEST(ExploreTest, ExplorerStatsAccumulate) {
             Before.count(obs::Event::ExploreSchedules) + 4);
   EXPECT_GE(After.count(obs::Event::ExploreSteps),
             Before.count(obs::Event::ExploreSteps) + 4 * 3);
-#else
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
 }
 
 } // namespace

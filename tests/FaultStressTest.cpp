@@ -356,10 +356,6 @@ TEST(FaultStressTest, SpawnAllocationFailureIsDeterministic) {
   }
 }
 
-// The discarded branch of a non-template `if constexpr` is still
-// semantically checked, and the telemetry-off TelemetrySnapshot has no
-// count(); this one needs the preprocessor.
-#if LVISH_TELEMETRY
 TEST(FaultStressTest, InjectionCountsInTelemetry) {
   if constexpr (!fault::InjectionEnabled) {
     GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
@@ -381,10 +377,5 @@ TEST(FaultStressTest, InjectionCountsInTelemetry) {
               Before.count(obs::Event::FaultsContained) + 1);
   }
 }
-#else
-TEST(FaultStressTest, InjectionCountsInTelemetry) {
-  GTEST_SKIP() << "configure with -DLVISH_TELEMETRY=ON";
-}
-#endif
 
 } // namespace

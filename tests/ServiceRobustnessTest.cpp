@@ -479,7 +479,6 @@ TEST(ServiceRobustness, RetryAgainstRealRuntimeEventuallyAdmits) {
 // Telemetry
 //===----------------------------------------------------------------------===//
 
-#if LVISH_TELEMETRY
 TEST(ServiceRobustness, RobustnessCountersTickOnEachPath) {
   auto Before = obs::telemetrySnapshot();
   {
@@ -527,6 +526,5 @@ TEST(ServiceRobustness, RobustnessCountersTickOnEachPath) {
   EXPECT_GE(After.count(obs::Event::SessionsRejected),
             Before.count(obs::Event::SessionsRejected) + 1);
 }
-#endif // LVISH_TELEMETRY
 
 } // namespace

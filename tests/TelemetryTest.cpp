@@ -2,10 +2,9 @@
 //
 // Covers the src/obs/ subsystem: SchedulerStats exactness on a single
 // worker (where counts are deterministic), per-session stats deltas on a
-// shared Runtime, the LVar/session telemetry counters (when compiled in),
-// the JSON writer/parser round trip, and the BenchHarness document schema.
-// The compiled-out telemetry configuration (LVISH_TELEMETRY=0, exercised
-// by the tsan CI stage) asserts the zero-size/no-op contract.
+// shared Runtime, the LVar/session telemetry counters (compiled into every
+// build, TSan's included), the JSON writer/parser round trip, and the
+// BenchHarness document schema.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 using namespace lvish;
@@ -172,7 +171,6 @@ TEST(RunOptionsTest, RuntimeRunThenFreezeFreezesResult) {
 // LVar/session telemetry counters
 //===----------------------------------------------------------------------===//
 
-#if LVISH_TELEMETRY
 TEST(TelemetryTest, PutAndNoOpJoinCountsAreExactSingleWorker) {
   obs::resetTelemetry();
   runPar<D>(
@@ -302,20 +300,6 @@ TEST(TelemetryTest, PerThreadBlocksAreReusedAndExitedCountsStay) {
   for (unsigned E = 0; E < obs::NumEvents; ++E)
     EXPECT_EQ(Z.Counts[E], 0u) << obs::eventName(static_cast<obs::Event>(E));
 }
-
-#else
-// Compiled-out contract: the snapshot is an empty struct, so telemetry
-// cannot perturb layout or timing.
-static_assert(std::is_empty_v<lvish::obs::TelemetrySnapshot>,
-              "disabled telemetry snapshot must be zero-size");
-
-TEST(TelemetryTest, DisabledOpsAreNoOps) {
-  obs::count(obs::Event::Puts);
-  obs::addQuiesceWaitNanos(5);
-  obs::resetTelemetry();
-  SUCCEED();
-}
-#endif
 
 //===----------------------------------------------------------------------===//
 // Chrome trace export
@@ -465,7 +449,18 @@ TEST(BenchHarnessTest, EmitsSchemaValidDocument) {
   ASSERT_EQ(Series->Arr.size(), 1u);
   EXPECT_EQ(Series->Arr[0].find("times_sec")->Arr.size(), 3u);
   EXPECT_EQ(Doc.find("scheduler_stats")->find("tasks_created")->Num, 1.0);
-  EXPECT_TRUE(Doc.find("telemetry")->isObject());
+  // Every event counter and both latency sums, as bench-report requires.
+  const obs::JsonValue *Telemetry = Doc.find("telemetry");
+  ASSERT_NE(Telemetry, nullptr);
+  ASSERT_TRUE(Telemetry->isObject());
+  std::vector<std::string> Keys = {"quiesce_wait_nanos",
+                                   "session_latency_nanos"};
+  for (unsigned I = 0; I < obs::NumEvents; ++I)
+    Keys.push_back(obs::eventName(static_cast<obs::Event>(I)));
+  for (const std::string &Key : Keys) {
+    ASSERT_NE(Telemetry->find(Key), nullptr) << Key;
+    EXPECT_TRUE(Telemetry->find(Key)->isNumber()) << Key;
+  }
 }
 
 } // namespace

@@ -8,8 +8,9 @@
 //   bench-report validate FILE.json...
 //       Checks each file against the lvish-bench-v1 schema (required
 //       keys, types, per-series statistics consistent with the raw
-//       samples, non-empty scheduler_stats). Exit 1 on any failure -
-//       this is the CI bench smoke stage's oracle.
+//       samples, non-empty scheduler_stats, every telemetry counter).
+//       Exit 1 on any failure - this is the CI bench smoke stage's
+//       oracle.
 //
 //   bench-report diff OLD.json NEW.json [--threshold PCT]
 //       Prints a per-series regression table (old/new median, delta).
@@ -22,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/obs/Json.h"
+#include "src/obs/Telemetry.h"
 
 #include <cmath>
 #include <cstdio>
@@ -44,6 +46,17 @@ struct Problems {
 
 bool isNonNegNumber(const JsonValue *V) {
   return V && V->isNumber() && V->Num >= 0 && std::isfinite(V->Num);
+}
+
+/// The keys of the telemetry object: every obs::eventName, then the two
+/// latency sums.
+std::vector<std::string> telemetryKeys() {
+  std::vector<std::string> Keys;
+  for (unsigned I = 0; I < lvish::obs::NumEvents; ++I)
+    Keys.push_back(lvish::obs::eventName(static_cast<lvish::obs::Event>(I)));
+  Keys.push_back("quiesce_wait_nanos");
+  Keys.push_back("session_latency_nanos");
+  return Keys;
 }
 
 /// Validates one parsed document against lvish-bench-v1. Collects every
@@ -130,11 +143,15 @@ void validateDoc(const JsonValue &Doc, Problems &P) {
             "not record the scheduler that did the work");
   }
 
-  // telemetry is present but may legitimately be {} when LVISH_TELEMETRY
-  // is compiled out.
+  // telemetry carries every event counter plus the two latency sums.
   const JsonValue *Telemetry = Doc.find("telemetry");
-  if (!Telemetry || !Telemetry->isObject())
+  if (!Telemetry || !Telemetry->isObject()) {
     P.add("telemetry missing or not an object");
+  } else {
+    for (const std::string &Key : telemetryKeys())
+      if (!isNonNegNumber(Telemetry->find(Key)))
+        P.add("telemetry." + Key + " missing or invalid");
+  }
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
@@ -181,23 +198,6 @@ int cmdValidate(const std::vector<std::string> &Files) {
     }
   }
   return Failures ? 1 : 0;
-}
-
-double seriesMedian(const JsonValue &Doc, const std::string &Name,
-                    bool &Found) {
-  Found = false;
-  const JsonValue *Series = Doc.find("series");
-  if (!Series || !Series->isArray())
-    return 0;
-  for (const JsonValue &S : Series->Arr) {
-    const JsonValue *N = S.find("name");
-    const JsonValue *M = S.find("median_sec");
-    if (N && N->isString() && N->Str == Name && M && M->isNumber()) {
-      Found = true;
-      return M->Num;
-    }
-  }
-  return 0;
 }
 
 /// One series' old/new medians, joined by name. A series may exist on
@@ -316,6 +316,9 @@ void Expect(bool Cond, const char *What) {
 
 /// A minimal valid document for mutation tests.
 std::string validDoc() {
+  std::string Telemetry;
+  for (const std::string &Key : telemetryKeys())
+    Telemetry += (Telemetry.empty() ? "\"" : ",\"") + Key + "\":0";
   return R"({"schema":"lvish-bench-v1","name":"t","git_rev":"abc",)"
          R"("config":{},"series":[{"name":"s","config":{},)"
          R"("times_sec":[0.5,0.25],"median_sec":0.5,"min_sec":0.25,)"
@@ -323,7 +326,8 @@ std::string validDoc() {
          R"("scheduler_stats":{"tasks_created":3,"tasks_executed":3,)"
          R"("local_pops":1,"steal_attempts":0,"steals":0,"parks":0,)"
          R"("wakes":0,"max_deque_depth":1,"num_workers":1},)"
-         R"("telemetry":{}})";
+         R"("telemetry":{)" +
+         Telemetry + "}}";
 }
 
 int problemCount(const std::string &Text) {
@@ -356,6 +360,11 @@ int selfTest() {
     std::string Bad = validDoc();
     Bad.replace(Bad.find("\"series\":["), 10, "\"series2\":[");
     Expect(problemCount(Bad) > 0, "missing series is rejected");
+  }
+  {
+    std::string Bad = validDoc();
+    Bad.replace(Bad.find("\"puts\":0"), 8, "\"putz\":0");
+    Expect(problemCount(Bad) > 0, "a missing telemetry counter is rejected");
   }
   Expect(problemCount("[1,2]") > 0, "non-object top level is rejected");
   Expect(problemCount("{") == -1, "parse failure is reported");

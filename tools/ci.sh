@@ -11,9 +11,10 @@
 #   release  - the tier-1 configuration (RelWithDebInfo, checkers
 #              compiled out): what ROADMAP.md's verify command runs.
 #   tsan     - ThreadSanitizer, on the same lock-free Chase-Lev deque
-#              as every other build. Telemetry is compiled out here to
-#              prove the LVISH_TELEMETRY=0 build stays healthy (empty
-#              snapshot struct, no-op counters).
+#              as every other build, with telemetry compiled in as in
+#              every build: the per-thread counter blocks (claimed on a
+#              thread's first count, reused after it exits, summed by
+#              snapshots from any thread) run under TSan in the suite run.
 #              Re-runs ContentionStressTest standalone to stress the
 #              sharded waiter-table publish/probe protocol under TSan,
 #              HandlerRaceTest for handler registration racing puts
@@ -24,12 +25,13 @@
 #              workers and for the typed per-worker delta vectors that
 #              plain handlers append to while a flush drains them, and
 #              SchedulerTest and ServiceRuntimeTest for lazy waits
-#              re-probed and published under the bucket locks puts take. A
-#              second TSan tree, build-ci-tsan-telemetry, keeps
-#              telemetry ON and builds and runs only TelemetryTest and
-#              ComplexityTest, so the per-thread counter blocks (claimed
-#              on a thread's first count, reused after it exits, summed
-#              by snapshots from any thread) run under TSan too.
+#              re-probed and published under the bucket locks puts take.
+#              TSan does not model atomic_thread_fence (GCC prints a
+#              -Wtsan warning for each one), so LVarBase's
+#              publish-then-recheck (a seq_cst fence between the waiter
+#              push and the state recheck) and the deque's last-item
+#              pop/steal race are checked only by the stress tests'
+#              outcome checks, not by TSan.
 #   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
 #              the first report. AddressSanitizer has no stage yet. The
 #              batched handler flush calls plain callbacks in a loop, so
@@ -119,30 +121,47 @@ STAGES=("$@")
   STAGES=(debug release tsan ubsan bench faults explore pbbs streams \
           service chaos analyze)
 
-run_stage() {
+# ensure_tree NAME [BUILD-ARGS...]: configures build-ci-NAME with its
+# flags (spelled here once) if the tree is missing, then always runs an
+# incremental build; BUILD-ARGS (e.g. --target X) go to cmake --build.
+ensure_tree() {
   local name=$1; shift
   local dir="build-ci-$name"
-  echo "==== [$name] configure ===="
-  cmake -B "$dir" -S . "$@" > "$dir.cfg.log" 2>&1 || {
-    cat "$dir.cfg.log"; return 1; }
+  local flags
+  case "$name" in
+    debug)    flags=(-DCMAKE_BUILD_TYPE=Debug
+                     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON) ;;
+    release)  flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo) ;;
+    tsan)     flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                     -DLVISH_SANITIZE=thread) ;;
+    ubsan)    flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                     -DLVISH_SANITIZE=undefined) ;;
+    faults)   flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DLVISH_FAULTS=ON) ;;
+    coverage) flags=(-DCMAKE_BUILD_TYPE=Debug -DLVISH_COVERAGE=ON) ;;
+  esac
+  if [ ! -f "$dir/CMakeCache.txt" ]; then
+    echo "==== [$name] configure ===="
+    cmake -B "$dir" -S . "${flags[@]}" > "$dir.cfg.log" 2>&1 || {
+      cat "$dir.cfg.log"; return 1; }
+  fi
   echo "==== [$name] build ===="
-  cmake --build "$dir" -j "$JOBS"
-  echo "==== [$name] ctest ===="
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
+  cmake --build "$dir" -j "$JOBS" "$@"
+}
+
+# run_stage NAME: builds build-ci-NAME and runs its whole ctest suite.
+run_stage() {
+  ensure_tree "$1"
+  echo "==== [$1] ctest ===="
+  ctest --test-dir "build-ci-$1" --output-on-failure -j "$JOBS"
 }
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    debug)
-      run_stage debug -DCMAKE_BUILD_TYPE=Debug \
-        -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-      ;;
-    release)
-      run_stage release -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    debug|release)
+      run_stage "$stage"
       ;;
     tsan)
-      run_stage tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF
+      run_stage tsan
       echo "==== [tsan] contended waiter-table stress ===="
       # Re-run the sharded put/wake stress on its own: the suite run above
       # shares the machine across tests, this run gives the publish/probe
@@ -177,33 +196,12 @@ for stage in "${STAGES[@]}"; do
       # cases and the recycled-task comparison get a pass of their own.
       ./build-ci-tsan/tests/SchedulerTest
       ./build-ci-tsan/tests/ServiceRuntimeTest
-      echo "==== [tsan] per-thread telemetry counters (telemetry ON) ===="
-      # The suite above runs with telemetry compiled out; this tree keeps
-      # it in, so block claim, release and reuse and the snapshot's reads
-      # of blocks other threads are writing get a TSan pass.
-      cmake -B build-ci-tsan-telemetry -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=ON \
-        > build-ci-tsan-telemetry.cfg.log 2>&1 || {
-        cat build-ci-tsan-telemetry.cfg.log; exit 1; }
-      cmake --build build-ci-tsan-telemetry -j "$JOBS" \
-        --target TelemetryTest ComplexityTest
-      ./build-ci-tsan-telemetry/tests/TelemetryTest
-      ./build-ci-tsan-telemetry/tests/ComplexityTest
       ;;
     ubsan)
-      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-        run_stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DLVISH_SANITIZE=undefined
+      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 run_stage ubsan
       ;;
     bench)
-      # Reuse the release tree when it exists; otherwise build it.
-      if [ ! -x build-ci-release/tools/bench-report ]; then
-        echo "==== [bench] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release
       echo "==== [bench] smoke-running benches with --json ===="
       mkdir -p build-ci-release/bench-json
       for b in build-ci-release/bench/bench_*; do
@@ -264,19 +262,12 @@ for stage in "${STAGES[@]}"; do
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
-      run_stage faults -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLVISH_FAULTS=ON
+      run_stage faults
       echo "==== [faults] seeded fault-injection stress ===="
       ./build-ci-faults/tests/FaultStressTest
       ;;
     explore)
-      # Reuse the release tree when it exists; otherwise build it.
-      if [ ! -x build-ci-release/tests/ExploreTest ]; then
-        echo "==== [explore] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release
       echo "==== [explore] schedule-exploration smoke (budget 100) ===="
       LVISH_EXPLORE_SCHEDULES=100 ./build-ci-release/tests/ExploreTest
       LVISH_EXPLORE_SCHEDULES=100 ./build-ci-release/tests/ExploreRegressionTest
@@ -286,28 +277,12 @@ for stage in "${STAGES[@]}"; do
         --gtest_filter='ContentionStress.Explored*'
       ;;
     pbbs)
-      # Golden tests under the Debug dynamic checkers: reuse the debug
-      # tree when it exists; otherwise build it.
-      if [ ! -x build-ci-debug/tests/PbbsGoldenTest ]; then
-        echo "==== [pbbs] building debug tree ===="
-        cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug \
-          > build-ci-debug.cfg.log 2>&1 || {
-          cat build-ci-debug.cfg.log; exit 1; }
-        cmake --build build-ci-debug -j "$JOBS"
-      fi
+      ensure_tree debug
       echo "==== [pbbs] golden matrix under Debug + LVISH_CHECK ===="
-      LVISH_CHECK=1 ./build-ci-debug/tests/PbbsGoldenTest
+      ./build-ci-debug/tests/PbbsGoldenTest
       echo "==== [pbbs] explored sweeps + pinned replay corpus ===="
       LVISH_EXPLORE_SCHEDULES=100 ./build-ci-debug/tests/PbbsExploreTest
-      # Bench smoke on the release tree; (re)build when the tree or the
-      # pbbs bench binaries are missing (a reused tree may predate them).
-      if [ ! -x build-ci-release/bench/bench_pbbs_bfs ]; then
-        echo "==== [pbbs] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release
       echo "==== [pbbs] bench smoke with --json ===="
       mkdir -p build-ci-release/bench-json
       for b in build-ci-release/bench/bench_pbbs_*; do
@@ -330,45 +305,19 @@ for stage in "${STAGES[@]}"; do
       done
       ;;
     streams)
-      # Checked pass: reuse the debug tree when it exists; otherwise
-      # build it.
-      if [ ! -x build-ci-debug/tests/StreamTest ]; then
-        echo "==== [streams] building debug tree ===="
-        cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug \
-          > build-ci-debug.cfg.log 2>&1 || {
-          cat build-ci-debug.cfg.log; exit 1; }
-        cmake --build build-ci-debug -j "$JOBS"
-      fi
+      ensure_tree debug
       echo "==== [streams] StreamTest under Debug + LVISH_CHECK ===="
-      # The dynamic checkers sample join laws on every appendAt/advance;
+      # The dynamic checkers sample join laws on appendAt/advance;
       # the explored sweeps and the pinned backpressure replay run here
       # under a reduced schedule budget.
-      LVISH_CHECK=1 LVISH_EXPLORE_SCHEDULES=100 \
-        ./build-ci-debug/tests/StreamTest
-      # Race hunt: reuse the tsan tree when it exists; otherwise build it.
-      if [ ! -x build-ci-tsan/tests/StreamTest ]; then
-        echo "==== [streams] building tsan tree ===="
-        cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF \
-          > build-ci-tsan.cfg.log 2>&1 || {
-          cat build-ci-tsan.cfg.log; exit 1; }
-        cmake --build build-ci-tsan -j "$JOBS"
-      fi
+      LVISH_EXPLORE_SCHEDULES=100 ./build-ci-debug/tests/StreamTest
+      ensure_tree tsan
       echo "==== [streams] StreamTest under ThreadSanitizer ===="
       # The producer park / consumer credit handshake (key bucket 1, the
       # publish-then-recheck Dekker protocol) is exactly where a missed
       # fence would hide from the single-threaded explored runs.
       ./build-ci-tsan/tests/StreamTest
-      # Bench smoke on the release tree; (re)build when the tree or the
-      # stream bench binaries are missing (a reused tree may predate
-      # them).
-      if [ ! -x build-ci-release/bench/bench_pipeline_etl ]; then
-        echo "==== [streams] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release
       echo "==== [streams] pipeline bench smoke with --json ===="
       mkdir -p build-ci-release/bench-json
       for b in build-ci-release/bench/bench_pipeline_etl \
@@ -392,28 +341,13 @@ for stage in "${STAGES[@]}"; do
       done
       ;;
     service)
-      # Reuse the tsan tree when it exists; otherwise build it.
-      if [ ! -x build-ci-tsan/tests/ServiceRuntimeTest ]; then
-        echo "==== [service] building tsan tree ===="
-        cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF \
-          > build-ci-tsan.cfg.log 2>&1 || {
-          cat build-ci-tsan.cfg.log; exit 1; }
-        cmake --build build-ci-tsan -j "$JOBS"
-      fi
+      ensure_tree tsan
       echo "==== [service] ServiceRuntimeTest under ThreadSanitizer ===="
       # Concurrent sessions share the waiter table, the per-session inject
       # queues, and the finalizer thread - the exact surfaces where a
       # cross-session data race would hide from the single-session suite.
       ./build-ci-tsan/tests/ServiceRuntimeTest
-      # Reuse the release tree for the traffic bench.
-      if [ ! -x build-ci-release/bench/bench_service_traffic ]; then
-        echo "==== [service] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release
       echo "==== [service] open-loop traffic smoke ===="
       mkdir -p build-ci-release/bench-json
       ./build-ci-release/bench/bench_service_traffic --smoke \
@@ -431,15 +365,7 @@ for stage in "${STAGES[@]}"; do
         || echo "bench-report diff failed (non-fatal)"
       ;;
     chaos)
-      # Reuse the tsan tree when it exists; otherwise build it.
-      if [ ! -x build-ci-tsan/tests/ServiceChaosTest ]; then
-        echo "==== [chaos] building tsan tree ===="
-        cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF \
-          > build-ci-tsan.cfg.log 2>&1 || {
-          cat build-ci-tsan.cfg.log; exit 1; }
-        cmake --build build-ci-tsan -j "$JOBS"
-      fi
+      ensure_tree tsan
       echo "==== [chaos] ServiceChaosTest under ThreadSanitizer ===="
       # The doom-delivery thread vs. finalizer vs. admission machinery is
       # exactly where a shutdown/cancellation race would hide; the test's
@@ -447,14 +373,7 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-tsan/tests/ServiceChaosTest
       echo "==== [chaos] ServiceRobustnessTest under ThreadSanitizer ===="
       ./build-ci-tsan/tests/ServiceRobustnessTest
-      # Reuse the release tree for the overload bench smoke.
-      if [ ! -x build-ci-release/bench/bench_service_traffic ]; then
-        echo "==== [chaos] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release
       echo "==== [chaos] overload bench smoke ===="
       mkdir -p build-ci-release/bench-json
       ./build-ci-release/bench/bench_service_traffic --smoke \
@@ -470,22 +389,15 @@ for stage in "${STAGES[@]}"; do
         || echo "bench-report diff failed (non-fatal)"
       ;;
     analyze)
-      # Reuse the release tree when it exists; otherwise configure it. Only
-      # the analyzer itself is built here.
-      if [ ! -f build-ci-release/CMakeCache.txt ]; then
-        echo "==== [analyze] configuring release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-      fi
-      cmake --build build-ci-release --target lvish-analyze -j "$JOBS"
+      # Only the analyzer itself is built here.
+      ensure_tree release --target lvish-analyze
       echo "==== [analyze] lvish-analyze over src/ bench/ examples/ tests/ ===="
       ./build-ci-release/tools/lvish-analyze \
         --baseline tools/analyze/baseline.json \
         src bench examples tests
       ;;
     coverage)
-      run_stage coverage -DCMAKE_BUILD_TYPE=Debug -DLVISH_COVERAGE=ON
+      run_stage coverage
       echo "==== [coverage] line-coverage summary ===="
       if command -v gcovr >/dev/null 2>&1; then
         gcovr --root . --filter 'src/' --print-summary \
