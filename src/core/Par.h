@@ -60,11 +60,13 @@
 #include "src/check/EffectAuditor.h"
 #include "src/core/Effects.h"
 #include "src/fault/FaultInject.h"
+#include "src/sched/BlockCache.h"
 #include "src/sched/FaultSignal.h"
 #include "src/sched/Scheduler.h"
 #include "src/support/Assert.h"
 
 #include <coroutine>
+#include <cstddef>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -118,6 +120,16 @@ template <typename Promise> struct FinalAwaiter {
 struct PromiseBase {
   std::coroutine_handle<> Continuation; ///< Awaiting coroutine (same task).
   Task *OwnerTask = nullptr;            ///< Set when installed as task root.
+
+  /// Coroutine frames come from the per-thread block cache, like Task
+  /// storage: a fork's frames are freed and reused on the worker that
+  /// joins it instead of going through the allocator.
+  static void *operator new(std::size_t Bytes) {
+    return blockcache::allocate(Bytes);
+  }
+  static void operator delete(void *P, std::size_t Bytes) noexcept {
+    blockcache::release(P, Bytes);
+  }
 
   std::suspend_always initial_suspend() const noexcept { return {}; }
 
@@ -314,12 +326,10 @@ template <EffectSet E, typename F> Par<void> forkBody(F Body) {
 inline void launchTask(
     Scheduler &Sched, Par<void> Body, Task *Parent, uint8_t Fx,
     std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
-    std::shared_ptr<CancelNode> FreshCancel,
-    std::shared_ptr<SessionState> Session) {
+    CancelNode *FreshCancel, SessionState *Session) {
   auto H = Body.release();
   assert(H && "launching an empty Par as a task");
-  Task *T = Sched.createTask(H, Parent, Scopes, std::move(FreshCancel),
-                             std::move(Session));
+  Task *T = Sched.createTask(H, Parent, Scopes, FreshCancel, Session);
   H.promise().OwnerTask = T;
   check::declareTaskEffects(T, Fx);
   Sched.schedule(T);

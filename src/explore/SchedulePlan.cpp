@@ -134,7 +134,9 @@ unsigned Engine::pickPct(const StepOption *Options, unsigned N) {
 
 unsigned Engine::decide(unsigned N, DecisionKind Kind, uint32_t ContinueIdx,
                         const StepOption *Options) {
-  unsigned Chosen;
+  // Set on every path below; the switch covers every Mode without a
+  // default, so -Wswitch still flags a new one.
+  unsigned Chosen = 0;
   size_t Slot = Log.size();
   if (Slot < Input.size()) {
     Chosen = Input[Slot];

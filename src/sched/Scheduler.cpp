@@ -4,21 +4,13 @@
 
 #include "src/fault/FaultPlan.h"
 #include "src/obs/Telemetry.h"
+#include "src/sched/BlockCache.h"
 #include "src/support/Assert.h"
 #include "src/support/Timer.h"
 
 #include <cassert>
 #include <new>
 #include <utility>
-
-#if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/asan_interface.h>
-#define LVISH_POISON_TASK(P) ASAN_POISON_MEMORY_REGION((P), sizeof(Task))
-#define LVISH_UNPOISON_TASK(P) ASAN_UNPOISON_MEMORY_REGION((P), sizeof(Task))
-#else
-#define LVISH_POISON_TASK(P) (void)(P)
-#define LVISH_UNPOISON_TASK(P) (void)(P)
-#endif
 
 using namespace lvish;
 
@@ -34,70 +26,9 @@ thread_local unsigned WorkerIndexTL = ~0u;
 // bounding how long a fan-out-heavy session can starve injected siblings.
 constexpr unsigned FairnessStride = 61;
 
-// Per-thread cache of retired Task storage: retire parks up to
-// TaskCacheCap blocks here and createTask takes them back, so a fork does
-// not pay an aligned new/delete pair. The bound is a constant, not a knob:
-// a fork-heavy worker reuses a handful of blocks, and a larger cache only
-// holds memory (a cap of 1024 raised peak RSS where 64 lowered it). The
-// storage is scheduler-agnostic and every creation constructs a fresh
-// Task in it. Cached blocks are poisoned under ASan, so a use after
-// retire still faults.
-constexpr unsigned TaskCacheCap = 64;
-struct TaskCache {
-  void *Blocks[TaskCacheCap];
-  unsigned Count;
-  bool Armed;  // The exit-time drain below is registered.
-  bool Closed; // Set once the thread's cache has been drained at exit.
-};
-// Trivially destructible, so it stays usable after the reaper below has
-// run (a late retire on an exiting thread then frees directly).
-thread_local TaskCache TaskCacheTL;
-
-void freeTaskBlock(void *P) {
-  ::operator delete(P, std::align_val_t(alignof(Task)));
-}
-
-struct TaskCacheReaper {
-  ~TaskCacheReaper() {
-    TaskCache &C = TaskCacheTL;
-    while (C.Count) {
-      void *P = C.Blocks[--C.Count];
-      LVISH_UNPOISON_TASK(P);
-      freeTaskBlock(P);
-    }
-    C.Closed = true;
-  }
-};
-thread_local TaskCacheReaper TaskCacheReaperTL;
-
-void *allocTaskBlock() {
-  TaskCache &C = TaskCacheTL;
-  if (C.Count) {
-    void *P = C.Blocks[--C.Count];
-    LVISH_UNPOISON_TASK(P);
-    return P;
-  }
-  return ::operator new(sizeof(Task), std::align_val_t(alignof(Task)));
-}
-
-void recycleTaskBlock(void *P) {
-  TaskCache &C = TaskCacheTL;
-  if (C.Closed || C.Count == TaskCacheCap) {
-    freeTaskBlock(P);
-    return;
-  }
-  if (!C.Armed) {
-    // First use on this thread registers the reaper's exit-time drain.
-    static_cast<void>(&TaskCacheReaperTL);
-    C.Armed = true;
-  }
-  LVISH_POISON_TASK(P);
-  C.Blocks[C.Count++] = P;
-}
-
-// Links T into / out of its session's task registry.
-void registryAdd(Task *T) {
-  SessionState *S = T->Session.get();
+// Links T into / out of its session's registry of parked tasks.
+void registryLink(Task *T) {
+  SessionState *S = T->Session;
   std::lock_guard<std::mutex> Lock(S->TasksMutex);
   T->RegPrev = nullptr;
   T->RegNext = S->TaskHead;
@@ -106,8 +37,8 @@ void registryAdd(Task *T) {
   S->TaskHead = T;
 }
 
-void registryRemove(Task *T) {
-  SessionState *S = T->Session.get();
+void registryUnlink(Task *T) {
+  SessionState *S = T->Session;
   std::lock_guard<std::mutex> Lock(S->TasksMutex);
   if (T->RegPrev)
     T->RegPrev->RegNext = T->RegNext;
@@ -139,7 +70,7 @@ std::shared_ptr<SessionState> Scheduler::beginSession(
 void Scheduler::setSessionObserver(SessionState &S,
                                    std::function<void()> OnQuiescent) {
   std::lock_guard<std::mutex> Lock(S.Mutex);
-  assert(!S.ObserverFired && "observer installed after quiescence");
+  assert(!S.Quiesced && "observer installed after quiescence");
   S.Observer = std::move(OnQuiescent);
 }
 
@@ -170,7 +101,7 @@ void Scheduler::raiseFault(Fault F) {
 }
 
 void Scheduler::chargeBudgetStep(Task *T) {
-  SessionState *S = T->Session.get();
+  SessionState *S = T->Session;
   if (S->StepBudget == 0)
     return;
   // Every pop of a session task - including reaps of already-cancelled
@@ -271,9 +202,11 @@ Scheduler::~Scheduler() {
 Task *Scheduler::createTask(
     std::coroutine_handle<> Root, Task *Parent,
     std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
-    std::shared_ptr<CancelNode> FreshCancel,
-    std::shared_ptr<SessionState> Session) {
-  Task *T = new (allocTaskBlock()) Task();
+    CancelNode *FreshCancel, SessionState *Session) {
+  static_assert(sizeof(Task) <= blockcache::MaxBytes &&
+                    alignof(Task) <= blockcache::ClassBytes,
+                "Task storage must come from the block cache");
+  Task *T = new (blockcache::allocate(sizeof(Task))) Task();
   T->Root = Root;
   T->Resume = Root;
   T->Sched = this;
@@ -281,7 +214,7 @@ Task *Scheduler::createTask(
     assert(Parent->Sched == this && "cross-scheduler fork");
     T->SessionId = Parent->SessionId;
     T->Session = Parent->Session;
-    T->Cancel = FreshCancel ? std::move(FreshCancel) : Parent->Cancel;
+    T->Cancel = FreshCancel ? FreshCancel : Parent->Cancel;
     T->Scopes = Parent->Scopes;
     T->Layers.reserve(Parent->Layers.size());
     for (auto &L : Parent->Layers)
@@ -296,8 +229,8 @@ Task *Scheduler::createTask(
   } else {
     assert(Session && "a session root needs its session");
     T->SessionId = Session->Id;
-    T->Cancel = Session->CancelRoot;
-    T->Session = std::move(Session);
+    T->Cancel = Session->CancelRoot.get();
+    T->Session = Session;
   }
   if constexpr (fault::InjectionEnabled) {
     if (fault::planActive())
@@ -314,7 +247,6 @@ Task *Scheduler::createTask(
         Parent ? sliceCut(Parent) : TraceRecorder::None;
     T->TraceId = Recorder.onTaskCreated(ParentSlice);
   }
-  registryAdd(T);
   return T;
 }
 
@@ -335,6 +267,7 @@ void Scheduler::schedule(Task *T) {
 
 void Scheduler::wake(Task *T, Task *Waker) {
   bumpCounter(&obs::WorkerCounters::Wakes);
+  registryUnlink(T);
   T->scopesOnUnpark();
   if (Tracing && Waker && Waker->TraceId != ~0u && T->TraceId != ~0u) {
     // The put that satisfied T's threshold precedes T's next slice.
@@ -361,6 +294,7 @@ void Scheduler::onTaskParked(Task *T) {
   bumpCounter(&obs::WorkerCounters::Parks);
   sliceEnd(T);
   T->scopesOnPark();
+  registryLink(T);
   removePending(*T->Session);
 }
 
@@ -421,9 +355,9 @@ void Scheduler::deferRetire(Task *T) {
 }
 
 void Scheduler::retireAndRelease(Task *T) {
-  // retire() destroys T; keep the session state alive for the decrement
-  // (which may fire the session's quiescence observer).
-  std::shared_ptr<SessionState> S = T->Session;
+  // retire() destroys T; S stays alive through the decrement, which is
+  // T's own pending count (see SessionState's lifetime paragraph).
+  SessionState *S = T->Session;
   retire(T);
   removePending(*S);
 }
@@ -431,11 +365,12 @@ void Scheduler::retireAndRelease(Task *T) {
 void Scheduler::retire(Task *T) {
   sliceEnd(T);
   T->scopesOnFinish();
-  registryRemove(T);
+  // No registry work: a task is linked only while parked, and the one
+  // path that retires a parked task, finishSession, unlinks it first.
   if (T->Root)
     T->Root.destroy();
   T->~Task();
-  recycleTaskBlock(T);
+  blockcache::release(T, sizeof(Task));
 }
 
 void Scheduler::waitSessionQuiescent(SessionState &S) {
@@ -445,10 +380,11 @@ void Scheduler::waitSessionQuiescent(SessionState &S) {
     exploreRun(S);
     return;
   }
+  // Quiesced, not Pending == 0: the flag is set under S.Mutex by the
+  // decrement that reached zero, so once this returns that notifier is
+  // done with S and the caller may free it.
   std::unique_lock<std::mutex> Lock(S.Mutex);
-  S.CV.wait(Lock, [&S] {
-    return S.Pending.load(std::memory_order_acquire) == 0;
-  });
+  S.CV.wait(Lock, [&S] { return S.Quiesced; });
 }
 
 void Scheduler::explorePermute(
@@ -537,7 +473,7 @@ void Scheduler::exploreRun(SessionState &S) {
     assert(T && "explore step chose an empty source");
     assert(T->DebugQueued.exchange(0, std::memory_order_acq_rel) == 1 &&
            "popped task was not queued");
-    assert(T->Session.get() == &S && "explore runs one session");
+    assert(T->Session == &S && "explore runs one session");
     ExploreCtl->onResume(T->Ped);
     dispatch(Me, T);
   }
@@ -549,13 +485,17 @@ void Scheduler::exploreRun(SessionState &S) {
 size_t Scheduler::finishSession(SessionState &S) {
   assert(S.Pending.load(std::memory_order_acquire) == 0 &&
          "finishSession before the session quiesced");
-  // Phase 0: snapshot THIS session's leftover tasks from its own
-  // registry. Sibling sessions' registries are never visited.
+  // Phase 0: take THIS session's leftover tasks - its parked ones - out
+  // of its own registry. Sibling sessions' registries are never visited.
   std::vector<Task *> Leftover;
   {
     std::lock_guard<std::mutex> Lock(S.TasksMutex);
-    for (Task *T = S.TaskHead; T; T = T->RegNext)
+    for (Task *T = S.TaskHead, *Next; T; T = Next) {
+      Next = T->RegNext;
+      T->RegPrev = T->RegNext = nullptr;
       Leftover.push_back(T);
+    }
+    S.TaskHead = nullptr;
   }
   // Phase 1: detach every leftover task from its park site while all task
   // frames (and therefore all LVars) are still alive. LVars are session-
@@ -593,15 +533,16 @@ void Scheduler::removePending(SessionState &S) {
   // observer runs after the unlock and may itself run under a park-site
   // lock (the decrement can come from onTaskParked), so it must only
   // enqueue (see SessionState::Observer).
+  // Nothing here touches S after the unlock: a blocking waiter may free
+  // S as soon as it sees Quiesced, and an async session's observer holds
+  // its own reference.
   std::function<void()> Obs;
   {
     std::lock_guard<std::mutex> Lock(S.Mutex);
+    assert(!S.Quiesced && "a session quiesced twice");
+    S.Quiesced = true;
     S.CV.notify_all();
-    if (S.Observer && !S.ObserverFired) {
-      S.ObserverFired = true;
-      Obs = std::move(S.Observer);
-      S.Observer = nullptr;
-    }
+    Obs = std::move(S.Observer);
   }
   if (Obs)
     Obs();

@@ -28,19 +28,26 @@
 /// Session protocol (driven by the service runtime in src/service, which
 /// runPar wraps):
 ///   1. beginSession() allocates a SessionState (id, per-session pending
-///      count, fault slot, cancel root); the root task is tagged with it
-///      and scheduled;
-///   2. waitSessionQuiescent(S) blocks until no task OF THAT SESSION is
-///      runnable or running - sibling sessions sharing the pool keep
-///      running; async submitters install a quiescence observer instead;
-///   3. finishSession(S) reaps the session's permanently parked tasks. A
-///      task that is still parked at quiescence can never be woken (only
-///      tasks perform puts, and LVars are session-local), so destroying it
-///      cannot change any observable outcome; this is how cancelled-and-
-///      forgotten or speculatively blocked tasks are collected, matching
-///      GC of blocked green threads in the Haskell original. If the *root*
-///      never produced a result, the program has a deterministic deadlock,
-///      which the session driver reports as a Fault.
+///      count, fault slot, cancel root) and enters it in the session
+///      table, which owns it until finishSession; the root task points at
+///      it and is scheduled, and every task forked under the root borrows
+///      the same pointer;
+///   2. waitSessionQuiescent(S) blocks until the decrement that took the
+///      session's pending count to zero has marked it Quiesced - no task
+///      OF THAT SESSION is runnable or running, while sibling sessions
+///      sharing the pool keep running; async submitters install a
+///      quiescence observer instead;
+///   3. finishSession(S) reaps the session's permanently parked tasks -
+///      exactly the tasks in its registry, which holds a task from the
+///      park that links it to the wake that unlinks it. A task that is
+///      still parked at quiescence can never be woken (only tasks perform
+///      puts, and LVars are session-local), so destroying it cannot change
+///      any observable outcome; this is how cancelled-and-forgotten or
+///      speculatively blocked tasks are collected, matching GC of blocked
+///      green threads in the Haskell original. If the *root* never
+///      produced a result, the program has a deterministic deadlock, which
+///      the session driver reports as a Fault. Every task of the session
+///      is retired by the time it returns.
 ///
 /// Fairness across sessions: externally submitted and yielded tasks land
 /// in per-session inject queues drained round-robin (one task per session
@@ -89,8 +96,7 @@ namespace detail {
 inline void launchTask(
     Scheduler &Sched, Par<void> Body, Task *Parent, uint8_t Fx,
     std::initializer_list<std::shared_ptr<TaskScope>> Scopes = {},
-    std::shared_ptr<CancelNode> FreshCancel = nullptr,
-    std::shared_ptr<SessionState> Session = nullptr);
+    CancelNode *FreshCancel = nullptr, SessionState *Session = nullptr);
 
 } // namespace detail
 
@@ -131,17 +137,19 @@ public:
   /// Makes \p T runnable for the first time, or again after a park.
   void schedule(Task *T);
 
-  /// Wakes a parked task; \p Waker (may be null) is recorded as the
-  /// dataflow edge source when tracing.
+  /// Wakes a parked task - the only way a task leaves its park - and
+  /// unlinks it from its session's registry; \p Waker (may be null) is
+  /// recorded as the dataflow edge source when tracing.
   void wake(Task *T, Task *Waker);
 
   /// Requeues a task that is yielding cooperatively: it never parked, so
   /// the pending-work count and scope counts are untouched.
   void wakeKeepPending(Task *T);
 
-  /// Bookkeeping for a task that just parked itself on a waiter list;
-  /// called by the parking awaiter under the park site's lock (see
-  /// LVarBase for the exact publication protocol).
+  /// Bookkeeping for a task that just parked itself on a waiter list:
+  /// links it into its session's registry, then drops it from the
+  /// session's pending count. Called by the parking awaiter under the
+  /// park site's lock (see LVarBase for the exact publication protocol).
   void onTaskParked(Task *T);
 
   /// True when a threshold read that just missed may wait lazily instead
@@ -179,9 +187,10 @@ public:
   void setSessionObserver(SessionState &S, std::function<void()> OnQuiescent);
 
   /// Blocks the calling (non-worker) thread until no task of session \p S
-  /// is runnable or running; sibling sessions keep executing. In explore
-  /// mode this is where the session actually executes: the calling thread
-  /// single-steps the virtual workers to quiescence.
+  /// is runnable or running and the decrement that made it so is done
+  /// with \p S (SessionState::Quiesced); sibling sessions keep executing.
+  /// In explore mode this is where the session actually executes: the
+  /// calling thread single-steps the virtual workers to quiescence.
   void waitSessionQuiescent(SessionState &S);
 
   /// Explore mode: reorders a batch of tasks about to be woken together
@@ -197,10 +206,11 @@ public:
   /// The session's schedule controller, or null outside explore mode.
   explore::ScheduleCtl *exploreCtl() const { return ExploreCtl; }
 
-  /// Reaps every task of session \p S still registered (all are
-  /// permanently parked at this point), unregisters the session from the
-  /// table, and returns how many tasks were reaped. Requires the session
-  /// to be quiescent (Pending == 0). Walks only \p S's own registry, so
+  /// Reaps every task of session \p S still in its registry of parked
+  /// tasks (all are permanently parked at this point), unregisters the
+  /// session from the table, and returns how many tasks were reaped.
+  /// Requires the session to be quiescent. Walks only \p S's own
+  /// registry, so
   /// its cost is O(this session's leftovers) and sibling sessions are
   /// neither visited nor touched: LVars are session-local
   /// (LVarBase::checkSession), so reaping one session's park sites can
@@ -248,23 +258,22 @@ private:
   /// Only launchTask creates tasks: it also declares and schedules them.
   friend void detail::launchTask(
       Scheduler &, Par<void>, Task *, uint8_t,
-      std::initializer_list<std::shared_ptr<TaskScope>>,
-      std::shared_ptr<CancelNode>, std::shared_ptr<SessionState>);
+      std::initializer_list<std::shared_ptr<TaskScope>>, CancelNode *,
+      SessionState *);
 
   /// Creates (but does not schedule) a task owning coroutine \p Root. A
   /// child of \p Parent inherits its session, cancellation node (unless
   /// \p FreshCancel replaces it), scopes and a split of every transformer
   /// layer; a session root (null \p Parent) takes \p Session's id and
-  /// CancelRoot. The task then enters \p Scopes and joins its session's
-  /// registry.
+  /// CancelRoot. The task then enters \p Scopes. Its storage comes from
+  /// the calling thread's block cache (src/sched/BlockCache.h).
   Task *createTask(std::coroutine_handle<> Root, Task *Parent,
                    std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
-                   std::shared_ptr<CancelNode> FreshCancel,
-                   std::shared_ptr<SessionState> Session);
+                   CancelNode *FreshCancel, SessionState *Session);
 
   /// Lazy waits one worker may hold; beyond it a missed read parks. A
-  /// constant, like the task cache's bound: a fork-join nest deeper than
-  /// this pays a park per extra level.
+  /// constant, like the block cache's bounds: a fork-join nest deeper
+  /// than this pays a park per extra level.
   static constexpr unsigned LazyWaitCap = 64;
 
   struct alignas(64) Worker {
@@ -320,7 +329,8 @@ private:
   /// Drops \p S's pending count; fires the session's quiescence
   /// CV/observer when it hits zero.
   void removePending(SessionState &S);
-  /// Destroys \p T (scopes, registry, frame) and recycles its storage.
+  /// Destroys \p T (scopes, frame) and returns its storage to the block
+  /// cache. \p T must not be in its session's registry.
   void retire(Task *T);
   /// Retires a finished or cancelled \p T, then drops it from its
   /// session's pending count.
@@ -358,8 +368,10 @@ private:
   std::condition_variable IdleCV;
   std::atomic<int> SleeperCount{0};
 
-  // Live sessions, keyed by id (raiseFault routes through this). Each
-  // session keeps its own task registry (SessionState::TaskHead).
+  // Live sessions, keyed by id (raiseFault routes through this). The
+  // table owns each session's state until finishSession; tasks borrow it.
+  // Each session keeps its own registry of parked tasks
+  // (SessionState::TaskHead).
   mutable std::mutex SessionsMutex;
   std::unordered_map<uint64_t, std::shared_ptr<SessionState>> Sessions;
 };

@@ -14,11 +14,27 @@
 /// quiescence, the recorded fault and the cancellation root it fires, the
 /// quiescence condition variable - lives here, one instance per session.
 ///
-/// Lifetime: created by Scheduler::beginSession, shared (shared_ptr)
-/// between the scheduler's session table, every Task of the session, and
-/// the submitter's completion plumbing. Tasks hold a shared_ptr so the
-/// retire path can decrement \c Pending after the task is destroyed even
-/// if the session table entry is concurrently erased.
+/// Lifetime: created by Scheduler::beginSession and owned (shared_ptr) by
+/// the scheduler's session table and the submitter's completion plumbing.
+/// Tasks only borrow it: \c Task::Session and \c Task::Cancel are plain
+/// pointers, and a fork touches no reference count. Why that is safe:
+///
+///  * The session table owns S until finishSession, and finishSession
+///    runs only after the session quiesced. Every task is retired by the
+///    time it returns: a task that is not parked is counted in
+///    \c Pending, and a parked one is in the registry and reaped there.
+///  * A task's pending count is released after the task is retired
+///    (Scheduler::retireAndRelease), so S outlives every task that can
+///    still decrement it. The last thing that touches S after its last
+///    decrement is Scheduler::removePending's notify under \c Mutex; it
+///    sets \c Quiesced there, and Scheduler::waitSessionQuiescent waits
+///    for that flag, not for \c Pending == 0. A waiter that read 0 early
+///    could free S while the notifier was still about to lock it. An
+///    async session's observer holds its own reference through the call.
+///  * Every CancelNode a task can point at is either \c CancelRoot or a
+///    node that forkCancelable registered under its parent's node
+///    (CancelNode::addChild) before launching the task, so the root's
+///    tree - owned by S - owns them all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,17 +74,20 @@ public:
   std::atomic<int64_t> Pending{0};
 
   /// Guards TaskHead and the intrusive Task::RegPrev/RegNext links of
-  /// this session's tasks.
+  /// this session's parked tasks. Taken on park and on wake only, so a
+  /// task that never parks takes no session lock.
   std::mutex TasksMutex;
 
-  /// The session's task registry: every live task of THIS session (an
+  /// The session's registry: every parked task of THIS session (an
   /// intrusive list through Task::RegPrev/RegNext), so finishSession
   /// reaps its leftovers without visiting any sibling session's tasks.
-  /// Every task, the root included, joins at createTask.
+  /// Scheduler::onTaskParked links a task under its park site's lock;
+  /// Scheduler::wake, the only unpark path, unlinks it.
   Task *TaskHead = nullptr;
 
   /// The session root's cancellation node: what raiseFault cancels to
-  /// contain a fault to this session.
+  /// contain a fault to this session. Its tree owns every cancellation
+  /// node a task of the session points at.
   std::shared_ptr<CancelNode> CancelRoot;
 
   /// Deterministic step budget: maximum number of scheduler decisions
@@ -90,11 +109,15 @@ public:
   /// (concurrent sessions' events land in the same worker counters).
   SchedulerStats StartStats;
 
-  /// Guards SessionFault / Observer / ObserverFired and backs CV.
+  /// Guards SessionFault / Observer / Quiesced and backs CV.
   std::mutex Mutex;
 
   /// Signalled when Pending hits zero (see Scheduler::removePending).
   std::condition_variable CV;
+
+  /// Set, under Mutex, by the decrement that took Pending to zero; see the
+  /// file comment for why waiters wait for it rather than for Pending.
+  bool Quiesced = false;
 
   /// Lattice-least fault recorded for this session, if any.
   std::optional<Fault> SessionFault;
@@ -105,7 +128,6 @@ public:
   /// runtime pushes the session onto its completion queue here; heavy
   /// finalization (finishSession) happens on the finalizer thread.
   std::function<void()> Observer;
-  bool ObserverFired = false;
 };
 
 } // namespace lvish

@@ -56,9 +56,10 @@ public:
 };
 
 /// The scheduler's unit of work; see file comment. Tasks are owned by the
-/// scheduler from creation to retirement; their storage is recycled
-/// through a small per-thread cache (Scheduler::createTask / retire), and
-/// every creation constructs a fresh Task in it.
+/// scheduler from creation to retirement; their storage comes from the
+/// per-thread block cache (src/sched/BlockCache.h) that Par coroutine
+/// frames also draw from, and every creation constructs a fresh Task in
+/// it.
 class alignas(64) Task {
 public:
   Task() = default;
@@ -81,16 +82,17 @@ public:
   /// the paper's `s` type parameter).
   uint64_t SessionId = 0;
 
-  /// Shared per-session accounting (pending count, fault slot, quiescence
-  /// CV/observer). A session root is launched with it; children inherit
-  /// it on fork. Shared ownership keeps the state alive through the
-  /// retire-then-decrement ordering even when the scheduler's session
-  /// table entry is gone.
-  std::shared_ptr<SessionState> Session;
+  /// Per-session accounting (pending count, fault slot, registry,
+  /// quiescence CV/observer), borrowed: the scheduler's session table
+  /// owns it and outlives every task of the session (see SessionState's
+  /// lifetime paragraph). A session root is launched with it; children
+  /// inherit it on fork.
+  SessionState *Session = nullptr;
 
-  /// Cancellation-tree node (always non-null once attached to a scheduler;
-  /// a session root gets its session's CancelRoot).
-  std::shared_ptr<CancelNode> Cancel;
+  /// Cancellation-tree node, borrowed from the session's cancel tree
+  /// (always non-null once attached to a scheduler; a session root gets
+  /// its session's CancelRoot).
+  CancelNode *Cancel = nullptr;
 
   /// Scopes counting this task (handler pools, deadlock scopes), each at
   /// most once (see addScope); copied to children on fork, so the list is
@@ -119,7 +121,7 @@ public:
   uint64_t SliceStart = 0;  ///< Start timestamp of the open slice.
   uint64_t SliceBytes = 0;  ///< noteBytes accumulated in the open slice.
 
-  // -- Intrusive registry list (guarded by SessionState::TasksMutex) ------
+  // -- Session registry links, set while parked (SessionState::TasksMutex) -
   Task *RegPrev = nullptr;
   Task *RegNext = nullptr;
 
@@ -177,7 +179,7 @@ public:
   /// Makes \p S count this not-yet-scheduled task: appends \p S and
   /// enters it, unless the task already inherited \p S from its parent -
   /// then it is already counted once, and adding it again would only grow
-  /// the list. Called by Scheduler::createTask for TaskLaunch::Scopes.
+  /// the list. Called by Scheduler::createTask for launchTask's Scopes.
   void addScope(const std::shared_ptr<TaskScope> &S);
 
   /// Scope notifications (bodies in Task.cpp to keep TaskScope out of this

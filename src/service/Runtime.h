@@ -292,7 +292,7 @@ std::shared_ptr<SessionState> launchSession(Scheduler &Sched, F Body,
   obs::count(obs::Event::SessionsSubmitted);
   lvish::detail::launchTask(Sched, std::move(RootPar), /*Parent=*/nullptr,
                             check::effectMask(E), /*Scopes=*/{},
-                            /*FreshCancel=*/nullptr, S);
+                            /*FreshCancel=*/nullptr, S.get());
   return S;
 }
 

@@ -65,6 +65,8 @@ namespace detail {
 template <EffectSet ChildE, typename T, EffectSet E, typename F>
 CFuture<T> forkCancelableImpl(ParCtx<E> Ctx, F Body) {
   auto Result = std::make_shared<IVar<T>>(Ctx.sessionId());
+  // Registered under the parent's node before launch: the session's
+  // cancel tree owns the node the child task borrows.
   auto Node = std::make_shared<CancelNode>();
   Ctx.task()->Cancel->addChild(Node);
   Par<void> Wrapper = forkBody<ChildE>(
@@ -80,7 +82,7 @@ CFuture<T> forkCancelableImpl(ParCtx<E> Ctx, F Body) {
       });
   // The fresh node replaces the inherited one: a new cancellable scope.
   launchTask(*Ctx.sched(), std::move(Wrapper), Ctx.task(),
-             check::effectMask(ChildE), /*Scopes=*/{}, Node);
+             check::effectMask(ChildE), /*Scopes=*/{}, Node.get());
   return CFuture<T>(std::move(Result), std::move(Node));
 }
 

@@ -99,9 +99,10 @@ TEST_P(LatticeLawsP, MinUint64JoinLaws) {
     for (const auto &B : States) {
       EXPECT_EQ(latticeLeq<MinUint64Lattice>(A, B), A >= B);
       for (const auto &T : States)
-        if (A <= T) // Threshold fired at A...
+        if (A <= T) { // Threshold fired at A...
           EXPECT_LE(MinUint64Lattice::join(A, B), T)
               << "...so it must stay fired at every later state";
+        }
     }
 }
 
@@ -266,9 +267,10 @@ TEST_P(LatticeLawsP, StreamPrefixMapJoinLaws) {
   for (const auto &A : States)
     for (const auto &B : States) {
       auto J = StreamCellLattice::join(A, B);
-      if (!StreamCellLattice::isTop(J))
+      if (!StreamCellLattice::isTop(J)) {
         EXPECT_GE(prefixLenOf(J), std::max(prefixLenOf(A), prefixLenOf(B)))
             << "filled prefix shrank under join";
+      }
     }
   // Conflicting rebind of one index is the cell's top; equal rebind is a
   // no-op - the exact pair of behaviors Stream::appendAt implements as
@@ -411,8 +413,9 @@ TEST_P(LatticeLawsP, RandomCompatibleTriggersAreRejectedByCheck) {
     bool AB = latticeLeq<MaxUint64Lattice>(A, B);
     bool BA = latticeLeq<MaxUint64Lattice>(B, A);
     EXPECT_TRUE(AB || BA) << "max lattice is a total order";
-    if (AB && BA)
+    if (AB && BA) {
       EXPECT_EQ(A, B) << "antisymmetry";
+    }
     EXPECT_TRUE(latticeLeq<MaxUint64Lattice>(A, A)) << "reflexivity";
   }
 }

@@ -1,13 +1,17 @@
 //===- SchedulerTest.cpp - Scheduler, scopes, and cancellation plumbing ----===//
 
 #include "src/core/LVish.h"
+#include "src/sched/BlockCache.h"
 #include "src/trans/Cancel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <thread>
+#include <vector>
 
 using namespace lvish;
 
@@ -337,6 +341,81 @@ TEST(CancelNode, ReadAndCancelConflictDetected) {
   N->cancel();
   EXPECT_TRUE(N->noteRead());
   EXPECT_TRUE(N->noteCancelConflict());
+}
+
+// -- The per-thread block cache behind tasks and coroutine frames ---------
+// Counts are read relative to what the calling thread already cached:
+// earlier tests leave blocks in the main thread's cache.
+
+TEST(BlockCache, ReusesABlockOfTheSameClass) {
+  void *P = blockcache::allocate(100);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % blockcache::ClassBytes, 0u);
+  const unsigned Before = blockcache::cachedHere(100);
+  blockcache::release(P, 100);
+  // 65..128 bytes share one class.
+  EXPECT_EQ(blockcache::cachedHere(128), Before + 1);
+  void *Q = blockcache::allocate(65);
+  EXPECT_EQ(Q, P) << "the last block freed in a class is the next one used";
+  blockcache::release(Q, 65);
+  void *R = blockcache::allocate(129);
+  EXPECT_NE(R, P) << "a block served a size of another class";
+  EXPECT_EQ(blockcache::cachedHere(100), Before + 1);
+  blockcache::release(R, 129);
+}
+
+TEST(BlockCache, KeepsAtMostCapBlocksPerClass) {
+  constexpr size_t Bytes = 448;
+  std::vector<void *> Blocks;
+  for (unsigned I = 0; I < blockcache::Cap + 8; ++I)
+    Blocks.push_back(blockcache::allocate(Bytes));
+  EXPECT_EQ(blockcache::cachedHere(Bytes), 0u);
+  for (void *P : Blocks)
+    blockcache::release(P, Bytes);
+  EXPECT_EQ(blockcache::cachedHere(Bytes), blockcache::Cap);
+  // Past MaxBytes nothing is cached.
+  constexpr size_t Big = blockcache::MaxBytes + 1;
+  blockcache::release(blockcache::allocate(Big), Big);
+  EXPECT_EQ(blockcache::cachedHere(Big), 0u);
+}
+
+TEST(BlockCache, AFreeOnAnotherThreadJoinsThatThreadsCache) {
+  void *P = blockcache::allocate(200);
+  const unsigned Here = blockcache::cachedHere(200);
+  const uint64_t Drained = blockcache::drainedAtExit();
+  unsigned There = 0;
+  std::thread([P, &There] {
+    blockcache::release(P, 200);
+    There = blockcache::cachedHere(200);
+  }).join();
+  EXPECT_EQ(There, 1u);
+  EXPECT_EQ(blockcache::cachedHere(200), Here);
+  EXPECT_EQ(blockcache::drainedAtExit(), Drained + 1)
+      << "the exiting thread kept the block it was handed";
+}
+
+TEST(BlockCache, AnExitingThreadReturnsItsBlocks) {
+  const uint64_t Drained = blockcache::drainedAtExit();
+  std::thread([] {
+    std::vector<void *> Blocks;
+    for (unsigned I = 0; I < 10; ++I)
+      Blocks.push_back(blockcache::allocate(64 * (I % 3 + 1)));
+    for (unsigned I = 0; I < 10; ++I)
+      blockcache::release(Blocks[I], 64 * (I % 3 + 1));
+  }).join();
+  EXPECT_EQ(blockcache::drainedAtExit(), Drained + 10);
+
+  // A Runtime's workers cache the tasks and frames they retire; stopping
+  // the Runtime returns them.
+  const uint64_t BeforeRuntime = blockcache::drainedAtExit();
+  {
+    service::Runtime RT({.Sched = {.NumWorkers = 2}});
+    RT.run<D>([](ParCtx<D> Ctx) -> Par<void> {
+        for (int I = 0; I < 100; ++I)
+          fork(Ctx, [](ParCtx<D> C) -> Par<void> { co_return; });
+        co_return;
+      }).valueOrAbort();
+  }
+  EXPECT_GT(blockcache::drainedAtExit(), BeforeRuntime);
 }
 
 } // namespace

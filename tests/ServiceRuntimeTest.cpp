@@ -13,10 +13,12 @@
 /// neighbors finish untouched; explore-mode sessions either own the
 /// Runtime's scheduling outright or are rejected deterministically; and
 /// MaxActiveSessions really bounds concurrency with FIFO admission.
-/// Finishing a session reaps its leftovers from its own task registry
-/// without touching a sibling's tasks, and a pool whose Task storage was
-/// recycled through faulted, cancelled, and layered sessions runs the
-/// next session exactly like a fresh one.
+/// Finishing a session reaps its leftovers from its own registry of
+/// parked tasks without touching a sibling's tasks; a task sits in that
+/// registry only while parked; the session state the tasks borrow
+/// outlives every retire; and a pool whose Task storage was recycled
+/// through faulted, cancelled, and layered sessions runs the next
+/// session exactly like a fresh one.
 ///
 /// The ci.sh `service` stage reruns this binary under ThreadSanitizer -
 /// the cross-session code paths (shared waiter buckets, per-session
@@ -39,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -397,6 +400,107 @@ TEST(ServiceRuntime, FinishReapsOnlyTheSessionsOwnTasks) {
   auto OB = FB.get();
   ASSERT_TRUE(OB.ok()) << OB.fault().Message;
   EXPECT_EQ(OB.value(), static_cast<uint64_t>(Spinners));
+}
+
+/// Tasks in the registry of \p T's session: its parked tasks.
+size_t registrySize(const Task *T) {
+  SessionState &S = *T->Session;
+  std::lock_guard<std::mutex> Lock(S.TasksMutex);
+  size_t N = 0;
+  for (const Task *P = S.TaskHead; P; P = P->RegNext)
+    ++N;
+  return N;
+}
+
+TEST(ServiceRuntime, RegistryHoldsParkedTasksOnly) {
+  // Forked and joined children never stay in the registry: a join that
+  // parks is unlinked by its wake, and a task that never parks is never
+  // linked.
+  constexpr uint64_t Children = 1000;
+  service::Runtime RT({.Sched = {.NumWorkers = 2}});
+  auto Joined = RT.run<D>([](ParCtx<D> Ctx) -> Par<uint64_t> {
+    std::vector<std::shared_ptr<IVar<uint64_t>>> Outs;
+    for (uint64_t I = 0; I < Children; ++I) {
+      Outs.push_back(newIVar<uint64_t>(Ctx));
+      fork(Ctx, [Out = Outs.back(), I](ParCtx<D> C) -> Par<void> {
+        put(C, *Out, I);
+        co_return;
+      });
+    }
+    uint64_t Sum = 0;
+    for (const auto &Out : Outs)
+      Sum += co_await get(Ctx, *Out);
+    co_return Sum + 1000000 * registrySize(Ctx.task());
+  });
+  ASSERT_TRUE(Joined.ok()) << Joined.fault().Message;
+  EXPECT_EQ(Joined.value(), Children * (Children - 1) / 2)
+      << "the registry was not empty after every child was joined";
+
+  // K children park on an IVar nobody fills. At one worker the root's
+  // yield runs after all of them have parked, so the registry holds
+  // exactly K; then the root parks too, and the reap finds the K children
+  // and the root: the deadlock fault is the one a leaked session always
+  // reported.
+  constexpr size_t K = 6;
+  service::Runtime RT1({.Sched = {.NumWorkers = 1}});
+  size_t Seen = 0;
+  auto Stuck = RT1.run<D>([&Seen](ParCtx<D> Ctx) -> Par<int> {
+    auto Never = newIVar<int>(Ctx);
+    for (size_t I = 0; I < K; ++I)
+      fork(Ctx, [Never](ParCtx<D> C) -> Par<void> {
+        int V = co_await get(C, *Never);
+        (void)V;
+      });
+    co_await yield(Ctx);
+    Seen = registrySize(Ctx.task());
+    co_return co_await get(Ctx, *Never);
+  });
+  EXPECT_EQ(Seen, K);
+  ASSERT_FALSE(Stuck.ok());
+  EXPECT_EQ(Stuck.fault().Code, FaultCode::DeadlockLeakedTasks);
+  EXPECT_EQ(Stuck.fault().Message,
+            "runPar: deterministic deadlock (the main computation blocked "
+            "forever; " + std::to_string(K) +
+                " other blocked task(s) leaked) [code=deadlock_leaked_tasks, "
+                "session=" + std::to_string(Stuck.fault().SessionId) +
+                ", pedigree=<root>]");
+}
+
+TEST(ServiceRuntime, SessionStateOutlivesEveryRetire) {
+  // Tasks borrow their session's state; the Runtime frees it when the
+  // session is finalized. In a one-fork session the last retire - the
+  // child's or the root's, on any of four workers - races the finalizer
+  // (async) or the blocked submitter (run) that frees the state. TSan and
+  // ASan builds see a use after free here; the values check every
+  // session finished exactly once.
+  constexpr int Async = 20000;
+  constexpr int Wave = 500;
+  constexpr int BlockingPerWave = 50;
+  service::Runtime RT({.Sched = {.NumWorkers = 4}});
+  auto OneFork = [](ParCtx<D> Ctx) -> Par<int> {
+    auto IV = newIVar<int>(Ctx);
+    fork(Ctx, [IV](ParCtx<D> C) -> Par<void> {
+      put(C, *IV, 41);
+      co_return;
+    });
+    co_return co_await get(Ctx, *IV) + 1;
+  };
+  int Ok = 0;
+  for (int Done = 0; Done < Async; Done += Wave) {
+    std::vector<service::SessionFuture<int>> Futs;
+    Futs.reserve(Wave);
+    for (int I = 0; I < Wave; ++I)
+      Futs.push_back(RT.submit<D>(OneFork));
+    for (int I = 0; I < BlockingPerWave; ++I) {
+      auto O = RT.run<D>(OneFork);
+      Ok += O.ok() && O.value() == 42;
+    }
+    for (auto &F : Futs) {
+      auto O = F.get();
+      Ok += O.ok() && O.value() == 42;
+    }
+  }
+  EXPECT_EQ(Ok, Async + Async / Wave * BlockingPerWave);
 }
 
 /// Fork tree of depth \p Depth; leaf \p Slot records its task's pedigree.

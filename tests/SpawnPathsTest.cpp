@@ -66,9 +66,9 @@ Seen see(const Task *T) {
     S.Scopes.push_back(Sc.get());
     S.ScopeModes.push_back(Sc->mode());
   }
-  S.Cancel = T->Cancel.get();
+  S.Cancel = T->Cancel;
   S.SessionId = T->SessionId;
-  S.Session = T->Session.get();
+  S.Session = T->Session;
   S.SessionStateId = T->Session->Id;
   S.SessionCancelRoot = T->Session->CancelRoot.get();
   S.Pedigree = T->pedigreeString();

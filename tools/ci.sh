@@ -49,7 +49,8 @@
 #              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post},
 #              micro_lvar_table_{pre,post}, micro_lvar_putpath_{pre,post},
 #              pbbs_handlers_{pre,post}, micro_lvar_forkjoin_{pre,post},
-#              pbbs_forest_{pre,post}). Reuses the release build.
+#              pbbs_forest_{pre,post}, micro_lvar_forkpath_{pre,post}).
+#              Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
 #              failures, delays, and allocation-failure shims across >= 8
@@ -122,28 +123,33 @@ STAGES=("$@")
           service chaos analyze)
 
 # ensure_tree NAME [BUILD-ARGS...]: configures build-ci-NAME with its
-# flags (spelled here once) if the tree is missing, then always runs an
-# incremental build; BUILD-ARGS (e.g. --target X) go to cmake --build.
+# flags (spelled here once; re-applied to an existing tree, which is
+# cheap), then runs an incremental build; BUILD-ARGS (e.g. --target X) go
+# to cmake --build. Every tree but coverage builds warning-free under
+# -Werror. The tsan tree exempts -Wtsan: TSan does not model
+# atomic_thread_fence, and GCC warns once per fence.
 ensure_tree() {
   local name=$1; shift
   local dir="build-ci-$name"
   local flags
   case "$name" in
-    debug)    flags=(-DCMAKE_BUILD_TYPE=Debug
+    debug)    flags=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror
                      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON) ;;
-    release)  flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo) ;;
+    release)  flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                     -DCMAKE_CXX_FLAGS=-Werror) ;;
     tsan)     flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                     "-DCMAKE_CXX_FLAGS=-Werror -Wno-error=tsan"
                      -DLVISH_SANITIZE=thread) ;;
     ubsan)    flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                     -DCMAKE_CXX_FLAGS=-Werror
                      -DLVISH_SANITIZE=undefined) ;;
-    faults)   flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DLVISH_FAULTS=ON) ;;
+    faults)   flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                     -DCMAKE_CXX_FLAGS=-Werror -DLVISH_FAULTS=ON) ;;
     coverage) flags=(-DCMAKE_BUILD_TYPE=Debug -DLVISH_COVERAGE=ON) ;;
   esac
-  if [ ! -f "$dir/CMakeCache.txt" ]; then
-    echo "==== [$name] configure ===="
-    cmake -B "$dir" -S . "${flags[@]}" > "$dir.cfg.log" 2>&1 || {
-      cat "$dir.cfg.log"; return 1; }
-  fi
+  echo "==== [$name] configure ===="
+  cmake -B "$dir" -S . "${flags[@]}" > "$dir.cfg.log" 2>&1 || {
+    cat "$dir.cfg.log"; return 1; }
   echo "==== [$name] build ===="
   cmake --build "$dir" -j "$JOBS" "$@"
 }
@@ -259,6 +265,12 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report diff \
         bench/baselines/pbbs_forest_pre.json \
         bench/baselines/pbbs_forest_post.json \
+        || echo "bench-report diff failed (non-fatal)"
+      # A fork without a session lock, a refcount or a malloc: parked-only
+      # registries, borrowed session pointers, the per-thread block cache.
+      ./build-ci-release/tools/bench-report diff \
+        bench/baselines/micro_lvar_forkpath_pre.json \
+        bench/baselines/micro_lvar_forkpath_post.json \
         || echo "bench-report diff failed (non-fatal)"
       ;;
     faults)
