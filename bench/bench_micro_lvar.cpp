@@ -3,7 +3,8 @@
 // Micro-measurements of the primitives the paper's engineering notes
 // discuss: lub puts, threshold gets, non-idempotent bumps (Section 3's
 // single-memory-location counter), insert-only hash-table inserts, and the
-// footnote-6 asymmetric gate versus a plain mutex on the put fast path.
+// footnote-6 asymmetric gate versus a plain mutex on the put fast path,
+// and Section 6's bulk-retry loop against a plain parallel for.
 //
 // Measured through bench/BenchHarness.h like every other bench: each
 // series times `Ops` operations per rep and reports ns/op as a metric.
@@ -13,11 +14,13 @@
 #include "bench/BenchHarness.h"
 #include "src/core/HandlerPool.h"
 #include "src/core/LVish.h"
+#include "src/core/ParFor.h"
 #include "src/service/Runtime.h"
 #include "src/data/Counter.h"
 #include "src/data/IMap.h"
 #include "src/data/ISet.h"
 #include "src/data/InsertOnlyTable.h"
+#include "src/trans/BulkRetry.h"
 #include "src/support/AsymmetricGate.h"
 
 #include <atomic>
@@ -121,6 +124,30 @@ int main(int argc, char **argv) {
                       }).valueOrAbort();
                   }),
         Loop);
+
+  // forSpeculative's own cost per iteration, with bodies that do nothing:
+  // its two passes and the retry pack, next to one parallelFor over the
+  // same range at the same grain.
+  const auto EmptyLoop = [](ParCtx<D>, size_t I) { Sink = I; };
+  perOp(H.measure("parallel_for_iter",
+                  [&] {
+                    RT.run<D>([Tight, EmptyLoop](ParCtx<D> Ctx) -> Par<void> {
+                        co_await parallelFor(Ctx, 0, Tight, 512, EmptyLoop);
+                      }).valueOrAbort();
+                  }),
+        Tight);
+  const auto Accept = [](ParCtx<D>, uint64_t, size_t, uint8_t &) {
+    return true;
+  };
+  perOp(H.measure("for_speculative_iter",
+                  [&] {
+                    RT.run<D>([Tight, Accept](ParCtx<D> Ctx) -> Par<void> {
+                        SpecResult R = co_await forSpeculative<uint8_t>(
+                            Ctx, 0, Tight, Accept, Accept);
+                        Sink = R.Rounds;
+                      }).valueOrAbort();
+                  }),
+        Tight);
 
   perOp(H.measure("counter_bump",
                   [&] {

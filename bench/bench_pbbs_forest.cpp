@@ -1,10 +1,11 @@
-//===- bench_pbbs_forest.cpp - PBBS spanning forest on ParST + LVars -------===//
+//===- bench_pbbs_forest.cpp - PBBS spanning forest by BulkRetryT ----------===//
 //
-// The PBBS spanning-forest port (src/pbbs/SpanningForest.h): union-find
-// Kruskal-by-index reference vs deterministic reservations, whose per-edge
-// state lives in disjoint ParST slices and whose reservations and unions
-// flow through a MinVec and a UnionFind, swept over input sizes, both
-// graph distributions, and worker counts.
+// The PBBS spanning-forest port (src/pbbs/SpanningForest.h), the paper's
+// Section 6 BulkRetryT story: union-find Kruskal-by-index reference vs
+// deterministic reservations through forSpeculative, whose per-edge
+// slots hold the endpoints' roots and whose reservations and unions flow
+// through a MinVec and a UnionFind, swept over input sizes, both graph
+// distributions, and worker counts.
 //
 //===----------------------------------------------------------------------===//
 

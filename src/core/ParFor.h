@@ -28,6 +28,18 @@
 
 namespace lvish {
 
+/// Chunk grain that still forks on small inputs: \p Default capped at
+/// N/8, floored at 1. Large inputs keep the tuned grain; the tiny inputs
+/// of the golden and explored tests still split into ~8 chunks, so worker
+/// sweeps and virtual schedules exercise real parallel structure instead
+/// of degenerating to one sequential task.
+inline size_t pickGrain(size_t Default, size_t N) {
+  size_t Adaptive = N / 8;
+  if (Adaptive < 1)
+    Adaptive = 1;
+  return Default < Adaptive ? Default : Adaptive;
+}
+
 /// Parallel for over [Begin, End): calls \p Fn(Ctx, I) for every index,
 /// a plain call in the task that owns the leaf. The body may put, bump,
 /// insert or fork through the context, but cannot await; iterations must

@@ -83,18 +83,6 @@ std::vector<uint64_t> makeSkewedKeys(size_t N, uint64_t Universe,
 std::vector<uint64_t> makeUniformKeys(size_t N, uint64_t Universe,
                                       uint64_t Seed);
 
-/// Chunk grain that still forks on small inputs: \p Default capped at
-/// N/8, floored at 1. Bench-sized inputs keep the tuned grain; the tiny
-/// graphs of the golden and explored tests still split into ~8 chunks,
-/// so worker sweeps and virtual schedules exercise real parallel
-/// structure instead of degenerating to one sequential task.
-inline size_t pickGrain(size_t Default, size_t N) {
-  size_t Adaptive = N / 8;
-  if (Adaptive < 1)
-    Adaptive = 1;
-  return Default < Adaptive ? Default : Adaptive;
-}
-
 } // namespace pbbs
 } // namespace lvish
 

@@ -1,4 +1,4 @@
-//===- SpanningForest.h - PBBS spanning forest on ParST + LVars -*- C++ -*-===//
+//===- SpanningForest.h - PBBS spanning forest by BulkRetryT ----*- C++ -*-===//
 //
 // Part of lvish-cpp, a C++ reproduction of the LVish deterministic
 // parallelism library (Kuper et al., PLDI 2014).
@@ -6,24 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// PBBS spanning forest by deterministic reservations (Blelloch, Fineman,
-/// Gibbons, Shun, PPoPP 2012; the PBBS loop of SNIPPETS.md snippet 1),
-/// combining the two halves of the paper's Section 5 story (DESIGN.md
-/// Section 17). Each round takes a prefix of at most 4,096 undecided
-/// edges in index order (last round's retries first) and makes two
-/// passes over it:
+/// PBBS spanning forest as the paper's Section 6 \c BulkRetryT story:
+/// deterministic reservations (Blelloch, Fineman, Gibbons, Shun, PPoPP
+/// 2012) run by \c forSpeculative (src/trans/BulkRetry.h), with one edge
+/// per iteration and the edge's endpoint roots as its slot state. Each
+/// round takes the lowest undecided edges in index order and makes two
+/// passes over them:
 ///
-///  * Reserve. \c forkSTSplit partitions the prefix's records, and each
-///    leaf *mutates its own disjoint slice in place*: an edge stores the
-///    current roots of its endpoints (\c UnionFind::rootOf), is dropped if
-///    they agree, and otherwise min-writes its key into both roots' cells
-///    of one \c MinVec (putMinAt, a commuting lub). Round r's key is
+///  * Reserve. An edge stores the current roots of its endpoints
+///    (\c UnionFind::rootOf), is dropped if they agree, and otherwise
+///    min-writes its key into both roots' cells of one \c MinVec
+///    (putMinAt, a commuting lub). Round r's key is
 ///    ((2^32 - 1 - r) << 32) | index, so later rounds' keys are smaller
 ///    and one MinVec serves the whole session without a reset.
 ///
 ///  * Commit. After the barrier an edge that holds *either* reservation
 ///    unites its two roots (the \c UnionFind partition, another lub) and
-///    is accepted; every other reserving edge is retried next round.
+///    commits; every other reserving edge is retried next round.
 ///
 /// Determinism does not come from luck: edge *indices* are the weights,
 /// all distinct. An edge holding the reservation of root v is the lowest
@@ -33,8 +32,10 @@
 /// round decides at least one edge. Requiring both reservations would
 /// give the same answer, but decide one edge per round on a star. Reads
 /// of the MinVec and the partition happen only after a fork-join
-/// barrier, so nothing is frozen: the kernel runs at \c Eff::DetST, and
-/// the answer is one scan of per-edge accepted flags, already sorted.
+/// barrier, so nothing is frozen: the kernel runs at \c Eff::Det, and
+/// the answer is one scan of \c forSpeculative's committed flags,
+/// already sorted. Retried edges hold no Bump effect, which is the
+/// idempotence the paper's Section 6 asks of a bulk-retried body.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +55,7 @@ namespace pbbs {
 /// index-as-weight); returns the sorted accepted edge indices.
 std::vector<uint64_t> spanningForestSeq(const EdgeList &EL);
 
-/// Deterministic reservations over ParST edge partitions; equals
+/// Deterministic reservations through \c forSpeculative; equals
 /// \c spanningForestSeq on every schedule.
 std::vector<uint64_t>
 spanningForestLVar(const EdgeList &EL,

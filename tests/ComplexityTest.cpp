@@ -306,8 +306,8 @@ TEST(ComplexityTest, HandlerFixpointsCreateTasksPerWorkerNotPerVertex) {
 //===----------------------------------------------------------------------===//
 
 /// The [begin, end) ranges of the leaves of a halving loop (parallelFor,
-/// or a spanning-forest pass's forkSTSplit recursion) at grain \p G, left to
-/// right.
+/// which also runs each forSpeculative pass of the spanning forest) at
+/// grain \p G, left to right.
 void splitLeaves(size_t Begin, size_t End, size_t G,
                  std::vector<std::pair<size_t, size_t>> &Out) {
   if (End - Begin <= G) {
@@ -431,10 +431,10 @@ struct ForestReplay {
   uint64_t Attempts = 0;
 };
 
-/// Rounds take the (at most 4,096) lowest undecided edges in index
-/// order. Each reserve and commit pass is a forkSTSplit tree at grain
-/// 512. At one worker a split runs its right half before its forked left
-/// half, so leaves reserve from the highest indices down, ascending
+/// forSpeculative rounds take the (at most 4,096) lowest undecided edges
+/// in index order. Each reserve and commit pass is a parallelFor tree at
+/// grain 512. At one worker a split runs its right half before its forked
+/// left half, so leaves reserve from the highest indices down, ascending
 /// within a leaf; a round's keys are below every earlier round's, so each
 /// leaf's first reservation of a root lowers its cell and the leaf's later
 /// ones are no-op joins. An edge commits (one unite) when it is the

@@ -609,9 +609,7 @@ constexpr auto Put = &EffectSet::Put, Get = &EffectSet::Get,
 constexpr auto VoidBody = [](auto...) -> Par<void> { co_return; };
 constexpr auto BoolBody = [](auto) -> Par<bool> { co_return true; };
 constexpr auto IntBody = [](auto) -> Par<int> { co_return 0; };
-constexpr auto SpecBody = [](auto, size_t) -> Par<Spec> {
-  co_return Spec::Done;
-};
+constexpr auto SpecBody = [](auto, uint64_t, size_t, int &) { return true; };
 constexpr auto PlainBody = [](auto, size_t) {};
 constexpr auto Leaf = [](size_t I) { return static_cast<int>(I); };
 
@@ -817,7 +815,7 @@ constexpr bool CanParallelReduce = requires(ParCtx<E> C) {
 };
 template <EffectSet E>
 constexpr bool CanForSpeculative =
-    requires(ParCtx<E> C) { forSpeculative(C, 0, 1, SpecBody); };
+    requires(ParCtx<E> C) { forSpeculative<int>(C, 0, 1, SpecBody, SpecBody); };
 
 static_assert(CanAsyncAnd<D> && !CanAsyncAnd<without(D, Put)> &&
               !CanAsyncAnd<without(D, Get)>);
@@ -834,8 +832,10 @@ static_assert(CanParallelForPar<D> && !CanParallelForPar<without(D, Put)> &&
               !CanParallelForPar<without(D, Get)>);
 static_assert(CanParallelReduce<D> && !CanParallelReduce<without(D, Put)> &&
               !CanParallelReduce<without(D, Get)>);
-// Retried iterations must be idempotent, so Bump is refused outright.
-static_assert(CanForSpeculative<D> && !CanForSpeculative<without(D, Put)> &&
+// Retried iterations must be idempotent, so Bump is refused outright; ST
+// bodies are fine.
+static_assert(CanForSpeculative<D> && CanForSpeculative<S> &&
+              !CanForSpeculative<without(D, Put)> &&
               !CanForSpeculative<without(D, Get)> && !CanForSpeculative<DB>);
 
 // Streams. The unbounded put needs Put alone. A bounded put also waits

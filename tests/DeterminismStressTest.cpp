@@ -98,35 +98,49 @@ uint64_t runMemoFib(const RunOptions &Opts) {
       Opts);
 }
 
-std::vector<int> runWavefront(const RunOptions &Opts) {
+/// The wavefront's cell values and its forSpeculative round count.
+using Wavefront = std::pair<size_t, std::vector<int>>;
+
+Wavefront runWavefront(const RunOptions &Opts) {
   return runPar<D>(
-      [](ParCtx<D> Ctx) -> Par<std::vector<int>> {
+      [](ParCtx<D> Ctx) -> Par<Wavefront> {
         // A 2D wavefront: cell i commits once both neighbors (i-1, i-8)
-        // have published; values accumulate deterministically.
+        // committed in earlier rounds; values accumulate deterministically,
+        // and cell (r, c) commits in round r + c, 15 rounds in all.
         constexpr size_t N = 64;
         auto Done = newEmptyMap<size_t, int>(Ctx);
-        auto Body = [Done](ParCtx<D> C, size_t I) -> Par<Spec> {
+        // Reserve reads only earlier rounds' commits and leaves 0 while a
+        // neighbor is missing; commit publishes a ready cell.
+        auto Reserve = [Done](ParCtx<D>, uint64_t, size_t I, int &Value) {
+          Value = 0;
           int Left = 0, Up = 0;
           if (I % 8 != 0) {
             const int *P = Done->lookupNow(I - 1);
             if (!P)
-              co_return Spec::Retry;
+              return true;
             Left = *P;
           }
           if (I >= 8) {
             const int *P = Done->lookupNow(I - 8);
             if (!P)
-              co_return Spec::Retry;
+              return true;
             Up = *P;
           }
-          insert(C, *Done, I, Left + Up + 1);
-          co_return Spec::Done;
+          Value = Left + Up + 1;
+          return true;
         };
-        co_await forSpeculative(Ctx, 0, N, Body, 8);
+        auto Commit = [Done](ParCtx<D> C, uint64_t, size_t I, int &Value) {
+          if (Value == 0)
+            return false;
+          insert(C, *Done, I, Value);
+          return true;
+        };
+        SpecResult Res =
+            co_await forSpeculative<int>(Ctx, 0, N, Reserve, Commit);
         std::vector<int> Out;
         for (size_t I = 0; I < N; ++I)
           Out.push_back(*Done->lookupNow(I));
-        co_return Out;
+        co_return Wavefront{Res.Rounds, std::move(Out)};
       },
       Opts);
 }
@@ -195,8 +209,9 @@ TEST_P(DeterminismSweep, MemoizedFibonacci) {
 }
 
 TEST_P(DeterminismSweep, BulkRetryWavefront) {
-  auto R = runWavefront(config());
-  EXPECT_EQ(R, reference(runWavefront));
+  auto [Rounds, R] = runWavefront(config());
+  EXPECT_EQ(Wavefront(Rounds, R), reference(runWavefront));
+  EXPECT_EQ(Rounds, 15u);
   EXPECT_EQ(R[0], 1);
   EXPECT_EQ(R[9], R[8] + R[1] + 1);
 }

@@ -487,34 +487,45 @@ TEST(Deadlock, CycleIsDetectedAndReported) {
 // -- BulkRetryT ---------------------------------------------------------
 
 TEST(BulkRetry, AllIterationsEventuallyCommit) {
-  // Iteration i commits only once iteration i-1 has published; a chain
-  // that forces multiple rounds.
-  size_t Rounds = runPar<D>(
-      [](ParCtx<D> Ctx) -> Par<size_t> {
-        constexpr size_t N = 20;
+  // A chain: iteration i reserves only once iteration i-1 has committed
+  // in an earlier round, so each round commits exactly one link.
+  static constexpr size_t N = 20;
+  SpecResult Res = runPar<D>(
+      [](ParCtx<D> Ctx) -> Par<SpecResult> {
         auto Done = newISet<size_t>(Ctx);
-        // Named body: GCC 12 co_await temporary discipline (see Par.h).
-        auto Body = [Done](ParCtx<D> C, size_t I) -> Par<Spec> {
-          if (I > 0 && !Done->containsElem(I - 1))
-            co_return Spec::Retry;
-          insert(C, *Done, I);
-          co_return Spec::Done;
+        // Named bodies: GCC 12 co_await temporary discipline (see Par.h).
+        auto Reserve = [Done](ParCtx<D>, uint64_t, size_t I, bool &Ready) {
+          Ready = I == 0 || Done->containsElem(I - 1);
+          return true;
         };
-        size_t R = co_await forSpeculative(Ctx, 0, N, Body, /*Grain=*/4);
+        auto Commit = [Done](ParCtx<D> C, uint64_t, size_t I, bool &Ready) {
+          if (Ready)
+            insert(C, *Done, I);
+          return Ready;
+        };
+        SpecResult R = co_await forSpeculative<bool>(Ctx, 0, N, Reserve,
+                                                     Commit);
         EXPECT_EQ(Done->sizeNow(), N);
         co_return R;
       },
       SchedulerConfig{2});
-  EXPECT_GE(Rounds, 2u); // The chain cannot finish in one round.
+  EXPECT_EQ(Res.Rounds, N);
+  EXPECT_EQ(Res.Committed, std::vector<uint8_t>(N, 1));
 }
 
 TEST(BulkRetry, SingleRoundWhenNothingFails) {
-  size_t Rounds = runPar<D>([](ParCtx<D> Ctx) -> Par<size_t> {
-    co_return co_await forSpeculative(
-        Ctx, 0, 100,
-        [](ParCtx<D> C, size_t I) -> Par<Spec> { co_return Spec::Done; });
+  // Odd iterations drop at reserve; even ones commit at once.
+  SpecResult Res = runPar<D>([](ParCtx<D> Ctx) -> Par<SpecResult> {
+    auto Reserve = [](ParCtx<D>, uint64_t, size_t I, int &) {
+      return I % 2 == 0;
+    };
+    auto Commit = [](ParCtx<D>, uint64_t, size_t, int &) { return true; };
+    co_return co_await forSpeculative<int>(Ctx, 0, 100, Reserve, Commit);
   });
-  EXPECT_EQ(Rounds, 1u);
+  EXPECT_EQ(Res.Rounds, 1u);
+  ASSERT_EQ(Res.Committed.size(), 100u);
+  for (size_t I = 0; I < 100; ++I)
+    EXPECT_EQ(Res.Committed[I], I % 2 == 0 ? 1 : 0) << "i=" << I;
 }
 
 // -- Memo ------------------------------------------------------------------

@@ -45,12 +45,8 @@
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints non-fatal bench-report
-#              diffs of the committed bench/baselines/ pre/post JSON
-#              pairs (micro_lvar_{pre,post}, micro_lvar_lean_{pre,post},
-#              micro_lvar_table_{pre,post}, micro_lvar_putpath_{pre,post},
-#              pbbs_handlers_{pre,post}, micro_lvar_forkjoin_{pre,post},
-#              pbbs_forest_{pre,post}, micro_lvar_forkpath_{pre,post}).
-#              Reuses the release build.
+#              diffs of every committed bench/baselines/*_pre.json
+#              against its *_post.json twin. Reuses the release build.
 #   faults   - RelWithDebInfo with the fault-injection harness armed
 #              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
 #              failures, delays, and allocation-failure shims across >= 8
@@ -220,58 +216,17 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-release/tools/bench-report validate \
         build-ci-release/bench-json/*.json
       echo "==== [bench] baseline drift report (informational) ===="
-      # Non-fatal: prints the committed pre/post sharded-hot-path medians
-      # (bench/baselines/, full-rep runs) so a reviewer sees the tracked
-      # delta without this stage depending on machine-load-sensitive
-      # numbers. Smoke-run JSONs above use reduced sizes and are not
-      # comparable to the committed baselines.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/micro_lvar_pre.json \
-        bench/baselines/micro_lvar_post.json \
-        || echo "bench-report diff failed (non-fatal)"
-      # The lean fork-join pair: gate-free IVars, recycled tasks,
-      # probe-before-publish gets, per-session task registries.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/micro_lvar_lean_pre.json \
-        bench/baselines/micro_lvar_lean_post.json \
-        || echo "bench-report diff failed (non-fatal)"
-      # The insert-only table under ISet/IMap/MinMap: lock-free probes,
-      # repeats outside the gate, growth on the gate's slow side.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/micro_lvar_table_pre.json \
-        bench/baselines/micro_lvar_table_post.json \
-        || echo "bench-report diff failed (non-fatal)"
-      # The put path at the cost of its join: per-thread telemetry blocks
-      # (an unlocked add per count), plain-call parallelFor leaves.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/micro_lvar_putpath_pre.json \
-        bench/baselines/micro_lvar_putpath_post.json \
-        || echo "bench-report diff failed (non-fatal)"
-      # Plain handlers batched per worker and called in the flush loop:
-      # bench_pbbs_bfs's bfsReach series and bench_pbbs_components'
-      # labelprop series.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/pbbs_handlers_pre.json \
-        bench/baselines/pbbs_handlers_post.json \
-        || echo "bench-report diff failed (non-fatal)"
-      # Fork-join at one worker without a park or an aligned allocation:
-      # lazy waits and lean LVars (fork_join_loop and ivar_alloc series).
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/micro_lvar_forkjoin_pre.json \
-        bench/baselines/micro_lvar_forkjoin_post.json \
-        || echo "bench-report diff failed (non-fatal)"
-      # Spanning forest by deterministic reservations instead of Boruvka
-      # rounds (bench_pbbs_forest's lvar series).
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/pbbs_forest_pre.json \
-        bench/baselines/pbbs_forest_post.json \
-        || echo "bench-report diff failed (non-fatal)"
-      # A fork without a session lock, a refcount or a malloc: parked-only
-      # registries, borrowed session pointers, the per-thread block cache.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/micro_lvar_forkpath_pre.json \
-        bench/baselines/micro_lvar_forkpath_post.json \
-        || echo "bench-report diff failed (non-fatal)"
+      # Non-fatal: prints each committed pre/post pair (bench/baselines/,
+      # full-rep runs; CHANGES.md says what each pair tracks), so the
+      # tracked delta shows without this stage depending on
+      # machine-load-sensitive numbers. Smoke-run JSONs above use
+      # reduced sizes and are not comparable to the committed baselines.
+      for pre in bench/baselines/*_pre.json; do
+        echo "---- ${pre%_pre.json}_{pre,post}.json ----"
+        ./build-ci-release/tools/bench-report diff \
+          "$pre" "${pre%_pre.json}_post.json" \
+          || echo "bench-report diff failed (non-fatal)"
+      done
       ;;
     faults)
       run_stage faults
