@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <mutex> // lvish-lint: allow(raw-sync)
+#include <vector>
 
 using namespace lvish;
 
@@ -207,6 +208,21 @@ int main(int argc, char **argv) {
                     for (uint64_t N = 0; N < Sessions; ++N)
                       RT.run<D>([](ParCtx<D> Ctx) -> Par<void> { co_return; })
                           .valueOrAbort();
+                  }),
+        Sessions);
+
+  // The async twin: a burst of empty submits, then their gets, so the
+  // admission, completion queue and finalizer thread are in the path.
+  std::vector<service::SessionFuture<void>> Futures;
+  Futures.reserve(Sessions);
+  perOp(H.measure("session_submit",
+                  [&] {
+                    for (uint64_t N = 0; N < Sessions; ++N)
+                      Futures.push_back(RT.submit<D>(
+                          [](ParCtx<D> Ctx) -> Par<void> { co_return; }));
+                    for (auto &F : Futures)
+                      F.get().valueOrAbort();
+                    Futures.clear();
                   }),
         Sessions);
 

@@ -2,6 +2,9 @@
 
 #include "src/obs/Telemetry.h"
 
+// Generated at build time: defines LVISH_GIT_REV (cmake/GitRevision.cmake).
+#include "GitRevision.h"
+
 #include <mutex>
 #include <type_traits>
 
@@ -67,10 +70,6 @@ const char *obs::eventName(Event E) {
   }
   return "unknown";
 }
-
-#ifndef LVISH_GIT_REV
-#define LVISH_GIT_REV "unknown"
-#endif
 
 const char *obs::gitRevision() { return LVISH_GIT_REV; }
 

@@ -85,9 +85,10 @@ inline constexpr unsigned NumEvents = 27;
 /// Stable lower-snake-case name, used as the JSON key in BENCH_*.json.
 const char *eventName(Event E);
 
-/// The commit the binary was built from (CMake bakes it in; "unknown"
-/// outside a git checkout), so every BENCH_*.json is attributable to a
-/// revision.
+/// The revision the binary was built from: `git describe --always
+/// --dirty` taken at build time ("unknown" outside a git checkout), so
+/// every BENCH_*.json is attributable to a commit, or marked as built
+/// from a modified tree.
 const char *gitRevision();
 
 /// Event totals plus summed quiescence-wait latency.

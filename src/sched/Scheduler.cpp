@@ -56,22 +56,17 @@ int Scheduler::currentWorkerIndex() {
   return WorkerIndexTL == ~0u ? -1 : static_cast<int>(WorkerIndexTL);
 }
 
-std::shared_ptr<SessionState> Scheduler::beginSession(
-    std::shared_ptr<CancelNode> SessionRoot) {
-  auto S = std::make_shared<SessionState>();
-  S->Id = NextSessionId.fetch_add(1, std::memory_order_relaxed);
-  S->CancelRoot = std::move(SessionRoot);
-  S->StartStats = stats();
+void Scheduler::beginSession(std::shared_ptr<SessionState> S,
+                             bool SnapshotStats) {
+  uint64_t Id = NextSessionId.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> Lock(S->Mutex);
+    S->Id = Id;
+  }
+  if (SnapshotStats)
+    S->StartStats = stats();
   std::lock_guard<std::mutex> Lock(SessionsMutex);
-  Sessions.emplace(S->Id, S);
-  return S;
-}
-
-void Scheduler::setSessionObserver(SessionState &S,
-                                   std::function<void()> OnQuiescent) {
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  assert(!S.Quiesced && "observer installed after quiescence");
-  S.Observer = std::move(OnQuiescent);
+  Sessions.emplace(Id, std::move(S));
 }
 
 void Scheduler::raiseFault(Fault F) {
@@ -87,17 +82,14 @@ void Scheduler::raiseFault(Fault F) {
   // cancel or report into; drop it.
   if (!S)
     return;
-  std::shared_ptr<CancelNode> Root;
   {
     std::lock_guard<std::mutex> Lock(S->Mutex);
     if (!S->SessionFault || faultLess(F, *S->SessionFault))
       S->SessionFault = std::move(F);
-    Root = S->CancelRoot;
   }
   // Cancel outside the session lock: the cancel tree takes its own node
-  // locks, and only THIS session's subtree hangs off Root.
-  if (Root)
-    Root->cancel();
+  // locks, and only THIS session's subtree hangs off its root.
+  S->CancelRoot.cancel();
 }
 
 void Scheduler::chargeBudgetStep(Task *T) {
@@ -229,7 +221,7 @@ Task *Scheduler::createTask(
   } else {
     assert(Session && "a session root needs its session");
     T->SessionId = Session->Id;
-    T->Cancel = Session->CancelRoot.get();
+    T->Cancel = &Session->CancelRoot;
     T->Session = Session;
   }
   if constexpr (fault::InjectionEnabled) {
@@ -425,7 +417,7 @@ void Scheduler::exploreRun(SessionState &S) {
     bool HaveInjected;
     {
       std::lock_guard<std::mutex> Lock(InjectMutex);
-      HaveInjected = InjectedCount > 0;
+      HaveInjected = InjectRing != nullptr;
     }
     for (unsigned W = 0; W < N; ++W) {
       if (Workers[W]->Deque.sizeApprox() > 0) {
@@ -527,25 +519,18 @@ void Scheduler::addPending(Task *T) {
 void Scheduler::removePending(SessionState &S) {
   if (S.Pending.fetch_sub(1, std::memory_order_acq_rel) != 1)
     return;
-  // This session just quiesced. Wake blocking waiters and fire the
-  // (one-shot) observer. The notify runs under S.Mutex so a waiter
-  // cannot miss it between its predicate check and its wait; the
-  // observer runs after the unlock and may itself run under a park-site
-  // lock (the decrement can come from onTaskParked), so it must only
-  // enqueue (see SessionState::Observer).
-  // Nothing here touches S after the unlock: a blocking waiter may free
-  // S as soon as it sees Quiesced, and an async session's observer holds
-  // its own reference.
-  std::function<void()> Obs;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    assert(!S.Quiesced && "a session quiesced twice");
-    S.Quiesced = true;
-    S.CV.notify_all();
-    Obs = std::move(S.Observer);
-  }
-  if (Obs)
-    Obs();
+  // This session just quiesced. Wake blocking waiters and call the
+  // session's hook, both under S.Mutex so a waiter cannot miss the notify
+  // between its predicate check and its wait. The hook may run under a
+  // park-site lock (the decrement can come from onTaskParked), so it must
+  // only enqueue (see SessionState::onQuiescent). Nothing here touches S
+  // after the unlock: a blocking waiter may free S as soon as it sees
+  // Quiesced, and an async session's hook took its own reference.
+  std::lock_guard<std::mutex> Lock(S.Mutex);
+  assert(!S.Quiesced && "a session quiesced twice");
+  S.Quiesced = true;
+  S.CV.notify_all();
+  S.onQuiescent();
 }
 
 void Scheduler::sliceEnd(Task *T) {
@@ -575,33 +560,41 @@ uint32_t Scheduler::sliceCut(Task *T) {
 }
 
 void Scheduler::pushInjected(Task *T) {
-  uint64_t Sid = T->SessionId;
+  SessionState *S = T->Session;
   std::lock_guard<std::mutex> Lock(InjectMutex);
-  std::deque<Task *> &Q = InjectBySession[Sid];
-  if (Q.empty())
-    InjectOrder.push_back(Sid);
-  Q.push_back(T);
-  ++InjectedCount;
+  if (S->InjectTail) {
+    S->InjectTail->InjectNext = T;
+  } else {
+    // The session's FIFO was empty: it joins the ring at the back.
+    S->InjectHead = T;
+    S->InjectRingNext = InjectRing ? InjectRing->InjectRingNext : S;
+    if (InjectRing)
+      InjectRing->InjectRingNext = S;
+    InjectRing = S;
+  }
+  S->InjectTail = T;
 }
 
 Task *Scheduler::tryInjected() {
   std::lock_guard<std::mutex> Lock(InjectMutex);
-  if (InjectedCount == 0)
+  if (!InjectRing)
     return nullptr;
   // Deficit round-robin, quantum 1: take one task from the front
   // session, then rotate it behind the other queued sessions.
-  assert(!InjectOrder.empty() && "inject count/order out of sync");
-  uint64_t Sid = InjectOrder.front();
-  InjectOrder.pop_front();
-  auto It = InjectBySession.find(Sid);
-  assert(It != InjectBySession.end() && !It->second.empty());
-  Task *T = It->second.front();
-  It->second.pop_front();
-  if (It->second.empty())
-    InjectBySession.erase(It);
-  else
-    InjectOrder.push_back(Sid);
-  --InjectedCount;
+  SessionState *S = InjectRing->InjectRingNext;
+  Task *T = S->InjectHead;
+  S->InjectHead = T->InjectNext;
+  T->InjectNext = nullptr;
+  if (S->InjectHead) {
+    InjectRing = S;
+  } else {
+    // Its FIFO ran dry: the session leaves the ring.
+    S->InjectTail = nullptr;
+    InjectRing = S == InjectRing ? nullptr : InjectRing;
+    if (InjectRing)
+      InjectRing->InjectRingNext = S->InjectRingNext;
+    S->InjectRingNext = nullptr;
+  }
   return T;
 }
 

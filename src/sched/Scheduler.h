@@ -27,16 +27,17 @@
 ///
 /// Session protocol (driven by the service runtime in src/service, which
 /// runPar wraps):
-///   1. beginSession() allocates a SessionState (id, per-session pending
-///      count, fault slot, cancel root) and enters it in the session
-///      table, which owns it until finishSession; the root task points at
-///      it and is scheduled, and every task forked under the root borrows
-///      the same pointer;
-///   2. waitSessionQuiescent(S) blocks until the decrement that took the
-///      session's pending count to zero has marked it Quiesced - no task
-///      OF THAT SESSION is runnable or running, while sibling sessions
-///      sharing the pool keep running; async submitters install a
-///      quiescence observer instead;
+///   1. the driver allocates its session object - a SessionState subclass
+///      that also holds the body and the outcome - and beginSession()
+///      stamps its id and enters it in the session table, which co-owns it
+///      until finishSession; the root task points at it and is scheduled,
+///      and every task forked under the root borrows the same pointer;
+///   2. the decrement that takes the session's pending count to zero marks
+///      it Quiesced and calls its onQuiescent() hook, both under its
+///      mutex: no task OF THAT SESSION is runnable or running, while
+///      sibling sessions sharing the pool keep running. A blocking driver
+///      waits for the flag in waitSessionQuiescent(S); an async session's
+///      hook enqueues it for the Runtime's finalizer thread;
 ///   3. finishSession(S) reaps the session's permanently parked tasks -
 ///      exactly the tasks in its registry, which holds a task from the
 ///      park that links it to the wake that unlinks it. A task that is
@@ -50,11 +51,12 @@
 ///      is retired by the time it returns.
 ///
 /// Fairness across sessions: externally submitted and yielded tasks land
-/// in per-session inject queues drained round-robin (one task per session
-/// per turn), and every 61st dispatch (the fairness stride, a constant in
-/// Scheduler.cpp) a worker checks the inject queues BEFORE its own deque,
-/// so a fan-out-heavy session whose deques never drain cannot starve
-/// injected siblings.
+/// in their session's own inject FIFO (an intrusive list through
+/// Task::InjectNext); the sessions whose FIFO is not empty form a ring
+/// drained round-robin (one task per session per turn), and every 61st
+/// dispatch (the fairness stride, a constant in Scheduler.cpp) a worker
+/// checks the inject queues BEFORE its own deque, so a fan-out-heavy
+/// session whose deques never drain cannot starve injected siblings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,8 +76,6 @@
 #include <condition_variable>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
@@ -172,19 +172,12 @@ public:
   /// worker loop, immediately after the current resume slice unwinds.
   void deferRetire(Task *T);
 
-  /// Opens a new session: allocates an id, snapshots the stats baseline,
-  /// and registers the state in the session table so raiseFault can route
-  /// to it. \p SessionRoot is the root CancelNode a contained fault
-  /// cancels. Call BEFORE launching the session's root task so the root's
-  /// creation lands inside the session's stats delta.
-  std::shared_ptr<SessionState> beginSession(
-      std::shared_ptr<CancelNode> SessionRoot);
-
-  /// Installs \p OnQuiescent to fire exactly once when the session's
-  /// pending count first reaches zero. Must be installed before the
-  /// session's root is scheduled. The callback may run under a park-site
-  /// lock: it must only enqueue (see SessionState::Observer).
-  void setSessionObserver(SessionState &S, std::function<void()> OnQuiescent);
+  /// Opens session \p S: stamps a fresh id, snapshots the stats baseline
+  /// when \p SnapshotStats (only sessionStats reads it), and registers S
+  /// in the session table so raiseFault can route to it. A contained
+  /// fault cancels S->CancelRoot. Call BEFORE launching the session's root
+  /// task so the root's creation lands inside the session's stats delta.
+  void beginSession(std::shared_ptr<SessionState> S, bool SnapshotStats);
 
   /// Blocks the calling (non-worker) thread until no task of session \p S
   /// is runnable or running and the decrement that made it so is done
@@ -326,8 +319,8 @@ private:
   void pushInjected(Task *T);
   /// Bumps \p T's session pending count.
   void addPending(Task *T);
-  /// Drops \p S's pending count; fires the session's quiescence
-  /// CV/observer when it hits zero.
+  /// Drops \p S's pending count; when it hits zero, marks S Quiesced,
+  /// signals its CV and calls its onQuiescent hook, all under S.Mutex.
   void removePending(SessionState &S);
   /// Destroys \p T (scopes, frame) and returns its storage to the block
   /// cache. \p T must not be in its session's registry.
@@ -354,14 +347,14 @@ private:
   obs::WorkerCounters ExternalCounters;
 
   // External submission queues (session roots; yields; wakes from
-  // non-worker threads), one per session, drained round-robin: each turn
-  // takes ONE task from the front session's queue, then rotates that
+  // non-worker threads): each session's own FIFO, drained round-robin.
+  // InjectRing points at the LAST session of a circular list (through
+  // SessionState::InjectRingNext) of the sessions whose FIFO is not empty;
+  // each turn takes ONE task from the session after it, then rotates that
   // session to the back - deficit round-robin with quantum 1. A single
-  // session degenerates to the old FIFO.
+  // session degenerates to one FIFO.
   std::mutex InjectMutex;
-  std::unordered_map<uint64_t, std::deque<Task *>> InjectBySession;
-  std::deque<uint64_t> InjectOrder;
-  size_t InjectedCount = 0;
+  SessionState *InjectRing = nullptr;
 
   // Idle workers sleep here.
   std::mutex IdleMutex;

@@ -12,12 +12,17 @@
 /// sessions onto one worker pool, so the bookkeeping that used to be
 /// scheduler-global - the outstanding-task count whose zero means
 /// quiescence, the recorded fault and the cancellation root it fires, the
-/// quiescence condition variable - lives here, one instance per session.
+/// quiescence condition variable, the inject FIFO - lives here, one
+/// instance per session.
 ///
-/// Lifetime: created by Scheduler::beginSession and owned (shared_ptr) by
-/// the scheduler's session table and the submitter's completion plumbing.
-/// Tasks only borrow it: \c Task::Session and \c Task::Cancel are plain
-/// pointers, and a fork touches no reference count. Why that is safe:
+/// The service runtime's session object (service::detail::Session) derives
+/// from it, so \c Mutex and \c CV guard and signal its outcome too.
+///
+/// Lifetime: allocated (shared_ptr) by the session's driver; the
+/// scheduler's session table co-owns it from beginSession to
+/// finishSession. Tasks only borrow it: \c Task::Session and \c Task::Cancel
+/// are plain pointers, and a fork touches no reference count. Why that is
+/// safe:
 ///
 ///  * The session table owns S until finishSession, and finishSession
 ///    runs only after the session quiesced. Every task is retired by the
@@ -26,11 +31,14 @@
 ///  * A task's pending count is released after the task is retired
 ///    (Scheduler::retireAndRelease), so S outlives every task that can
 ///    still decrement it. The last thing that touches S after its last
-///    decrement is Scheduler::removePending's notify under \c Mutex; it
-///    sets \c Quiesced there, and Scheduler::waitSessionQuiescent waits
-///    for that flag, not for \c Pending == 0. A waiter that read 0 early
-///    could free S while the notifier was still about to lock it. An
-///    async session's observer holds its own reference through the call.
+///    decrement is Scheduler::removePending's critical section under
+///    \c Mutex: it sets \c Quiesced and calls \c onQuiescent there, and
+///    Scheduler::waitSessionQuiescent waits for that flag, not for
+///    \c Pending == 0. A waiter that read 0 early could free S while the
+///    notifier was still about to lock it.
+///  * From quiescence to finalization an async session is held by the
+///    reference its \c onQuiescent pushed onto the Runtime's completion
+///    queue, a blocking one by its driver, which finalizes it itself.
 ///  * Every CancelNode a task can point at is either \c CancelRoot or a
 ///    node that forkCancelable registered under its parent's node
 ///    (CancelNode::addChild) before launching the task, so the root's
@@ -48,8 +56,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -62,7 +68,13 @@ class Task;
 /// session API).
 class SessionState {
 public:
+  SessionState() = default;
+  SessionState(const SessionState &) = delete;
+  SessionState &operator=(const SessionState &) = delete;
+  virtual ~SessionState() = default;
+
   /// Session id, also stamped on every Task and LVar of the session.
+  /// beginSession writes it under \c Mutex: a future may read it.
   uint64_t Id = 0;
 
   /// Tasks of THIS session that are runnable or running. Zero means the
@@ -85,10 +97,17 @@ public:
   /// Scheduler::wake, the only unpark path, unlinks it.
   Task *TaskHead = nullptr;
 
+  /// The session's inject FIFO (through Task::InjectNext) and its link in
+  /// the scheduler's ring of sessions whose FIFO is not empty; guarded by
+  /// the scheduler's inject lock.
+  Task *InjectHead = nullptr;
+  Task *InjectTail = nullptr;
+  SessionState *InjectRingNext = nullptr;
+
   /// The session root's cancellation node: what raiseFault cancels to
   /// contain a fault to this session. Its tree owns every cancellation
   /// node a task of the session points at.
-  std::shared_ptr<CancelNode> CancelRoot;
+  CancelNode CancelRoot;
 
   /// Deterministic step budget: maximum number of scheduler decisions
   /// (task resumes) this session may consume before it is killed with
@@ -103,16 +122,16 @@ public:
   /// exactly the worker whose fetch_add crossed the budget).
   std::atomic<uint64_t> StepsUsed{0};
 
-  /// Scheduler::stats() snapshot taken at beginSession; the session's
-  /// stats delta is the current snapshot minus this one. Exact when
-  /// sessions run back-to-back; approximate while sessions overlap
+  /// Scheduler::stats() snapshot taken at beginSession if asked for; the
+  /// session's stats delta is the current snapshot minus this one. Exact
+  /// when sessions run back-to-back; approximate while sessions overlap
   /// (concurrent sessions' events land in the same worker counters).
   SchedulerStats StartStats;
 
-  /// Guards SessionFault / Observer / Quiesced and backs CV.
+  /// Guards SessionFault / Quiesced (and the driver's outcome); backs CV.
   std::mutex Mutex;
 
-  /// Signalled when Pending hits zero (see Scheduler::removePending).
+  /// Signalled at quiescence (Scheduler::removePending) and outcome.
   std::condition_variable CV;
 
   /// Set, under Mutex, by the decrement that took Pending to zero; see the
@@ -122,12 +141,15 @@ public:
   /// Lattice-least fault recorded for this session, if any.
   std::optional<Fault> SessionFault;
 
-  /// Fired exactly once when Pending first hits zero, AFTER Mutex is
-  /// released. May run under a park-site lock (the last task of a session
-  /// can park while holding one), so it must only enqueue - the service
-  /// runtime pushes the session onto its completion queue here; heavy
-  /// finalization (finishSession) happens on the finalizer thread.
-  std::function<void()> Observer;
+protected:
+  friend class Scheduler;
+
+  /// Called exactly once, under \c Mutex, by the decrement that took
+  /// Pending to zero. May run under a park-site lock (the last task of a
+  /// session can park while holding one), so it must only enqueue - the
+  /// service runtime pushes an async session onto its completion queue
+  /// here. A no-op for blocking sessions, whose driver waits on \c CV.
+  virtual void onQuiescent() {}
 };
 
 } // namespace lvish

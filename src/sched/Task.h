@@ -82,8 +82,8 @@ public:
   /// the paper's `s` type parameter).
   uint64_t SessionId = 0;
 
-  /// Per-session accounting (pending count, fault slot, registry,
-  /// quiescence CV/observer), borrowed: the scheduler's session table
+  /// Per-session accounting (pending count, fault slot, registry, inject
+  /// FIFO, quiescence CV), borrowed: the scheduler's session table
   /// owns it and outlives every task of the session (see SessionState's
   /// lifetime paragraph). A session root is launched with it; children
   /// inherit it on fork.
@@ -124,6 +124,10 @@ public:
   // -- Session registry links, set while parked (SessionState::TasksMutex) -
   Task *RegPrev = nullptr;
   Task *RegNext = nullptr;
+
+  /// Next task in its session's inject FIFO (SessionState::InjectHead),
+  /// set while the task waits there (the scheduler's inject lock).
+  Task *InjectNext = nullptr;
 
   /// Debug invariant: a task must never be enqueued twice concurrently.
   std::atomic<uint8_t> DebugQueued{0};

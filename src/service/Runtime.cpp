@@ -7,15 +7,14 @@
 //
 // The untemplated half of the Runtime: admission control (slot
 // accounting, FIFO queueing with deadline/shed refusals, explore
-// exclusivity, graceful stop) and the finalizer thread that turns
-// quiescence observations into session outcomes.
+// exclusivity, graceful stop), the blocking session driver, and the
+// finalizer thread that turns quiescent async sessions into outcomes.
 //
 // Lock discipline: Mu guards only the Runtime's own bookkeeping (Active,
-// the two queues, stop flags). Launch, finalize, AND reject closures
-// always run with Mu RELEASED - launches re-enter the Scheduler
-// (beginSession, schedule), a worker finishing the session's last task
-// calls back into enqueueCompletion (which needs Mu), and reject closures
-// take the session channel's own mutex.
+// the two queues, stop flags). A session's launch, finalize AND reject
+// always run with Mu RELEASED - launches re-enter the Scheduler, and
+// finalize and reject take the session's own mutex, which an async
+// session holds while its onQuiescent takes Mu to enqueue it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +39,11 @@ Runtime::Runtime(RuntimeConfig Config)
       MaxQueued(Config.MaxQueuedSessions),
       DeadlineNanos(Config.SubmitDeadlineNanos),
       DefaultBudget(Config.DefaultSessionBudget) {}
+
+void service::detail::SessionBase::onQuiescent() {
+  if (Completions)
+    Completions->enqueueCompletion(shared_from_this());
+}
 
 Runtime::~Runtime() {
   drain();
@@ -82,26 +86,35 @@ Runtime::AdmitVeto Runtime::acquireSlotOrVeto() {
   return {};
 }
 
-std::function<void()> Runtime::admitNextLocked(
-    std::vector<QueuedLaunch> &Expired) {
+void Runtime::runBlocking(detail::SessionBase &S) {
+  if (AdmitVeto V = acquireSlotOrVeto(); V.Reason) {
+    S.reject(V.Code, V.Reason);
+    return;
+  }
+  S.launch(Sched);
+  Sched.waitSessionQuiescent(S);
+  S.finalize(Sched);
+  releaseSlot();
+}
+
+Runtime::SessionPtr Runtime::admitNextLocked(
+    std::vector<SessionPtr> &Expired) {
   while (!AdmitQueue.empty() && (!MaxActive || Active < MaxActive)) {
-    if (DeadlineNanos &&
-        nowNanos() - AdmitQueue.front().EnqueueNanos > DeadlineNanos) {
-      Expired.push_back(std::move(AdmitQueue.front()));
-      AdmitQueue.pop_front();
+    SessionPtr S = std::move(AdmitQueue.front());
+    AdmitQueue.pop_front();
+    if (DeadlineNanos && nowNanos() - S->SubmitNanos > DeadlineNanos) {
+      Expired.push_back(std::move(S));
       continue;
     }
-    std::function<void()> Launch = std::move(AdmitQueue.front().Launch);
-    AdmitQueue.pop_front();
     ++Active;
-    return Launch;
+    return S;
   }
   return nullptr;
 }
 
 void Runtime::releaseSlot() {
-  std::function<void()> Next;
-  std::vector<QueuedLaunch> Expired;
+  SessionPtr Next;
+  std::vector<SessionPtr> Expired;
   {
     std::lock_guard<std::mutex> Lock(Mu);
     assert(Active > 0 && "releaseSlot without a held slot");
@@ -109,13 +122,13 @@ void Runtime::releaseSlot() {
     Next = admitNextLocked(Expired);
     SlotCV.notify_all();
   }
-  for (QueuedLaunch &Q : Expired)
-    Q.Reject(FaultCode::DeadlineExceeded, DeadlineReason);
+  for (SessionPtr &E : Expired)
+    E->reject(FaultCode::DeadlineExceeded, DeadlineReason);
   if (Next)
-    Next();
+    Next->launch(Sched);
 }
 
-void Runtime::routeSubmission(QueuedLaunch Q) {
+void Runtime::routeSubmission(SessionPtr S) {
   FaultCode RefuseCode = FaultCode::SessionRejected;
   const char *RefuseReason = nullptr;
   {
@@ -129,8 +142,7 @@ void Runtime::routeSubmission(QueuedLaunch Q) {
         RefuseReason = ShedReason;
       } else {
         ensureFinalizerLocked();
-        Q.EnqueueNanos = nowNanos();
-        AdmitQueue.push_back(std::move(Q));
+        AdmitQueue.push_back(std::move(S));
         return;
       }
     } else {
@@ -139,17 +151,18 @@ void Runtime::routeSubmission(QueuedLaunch Q) {
     }
   }
   if (RefuseReason)
-    Q.Reject(RefuseCode, RefuseReason);
+    S->reject(RefuseCode, RefuseReason);
   else
-    Q.Launch();
+    S->launch(Sched);
 }
 
-void Runtime::enqueueCompletion(std::function<void()> Fin) {
-  // May run under a park-site lock (the session's last pending-count
-  // decrement can happen inside TaskScope/LVar park bookkeeping), so this
-  // must only enqueue - never touch the Scheduler.
+void Runtime::enqueueCompletion(SessionPtr S) {
+  // Runs under the session's mutex and maybe a park-site lock (the
+  // session's last pending-count decrement can happen inside
+  // TaskScope/LVar park bookkeeping), so this must only enqueue - never
+  // touch the Scheduler.
   std::lock_guard<std::mutex> Lock(Mu);
-  DoneQueue.push_back(std::move(Fin));
+  DoneQueue.push_back(std::move(S));
   WorkCV.notify_one();
 }
 
@@ -169,15 +182,17 @@ void Runtime::finalizerLoop() {
         return;
       continue;
     }
-    std::function<void()> Fin = std::move(DoneQueue.front());
+    SessionPtr S = std::move(DoneQueue.front());
     DoneQueue.pop_front();
-    // The finalized session's slot stays held through Fin (finishSession,
-    // fault take, outcome publication), so drain() cannot complete while
-    // a finalization is mid-flight.
+    // The finalized session's slot stays held through finalize
+    // (finishSession, fault take, outcome publication), so drain() cannot
+    // complete while a finalization is mid-flight. Session references
+    // are dropped outside Mu: the last one destroys the user's body.
     Lock.unlock();
-    Fin();
-    std::function<void()> Next;
-    std::vector<QueuedLaunch> Expired;
+    S->finalize(Sched);
+    S.reset();
+    SessionPtr Next;
+    std::vector<SessionPtr> Expired;
     Lock.lock();
     assert(Active > 0 && "finalized a session without a held slot");
     --Active;
@@ -185,17 +200,19 @@ void Runtime::finalizerLoop() {
     SlotCV.notify_all();
     if (Next || !Expired.empty()) {
       Lock.unlock();
-      for (QueuedLaunch &Q : Expired)
-        Q.Reject(FaultCode::DeadlineExceeded, DeadlineReason);
+      for (SessionPtr &E : Expired)
+        E->reject(FaultCode::DeadlineExceeded, DeadlineReason);
+      Expired.clear();
       if (Next)
-        Next();
+        Next->launch(Sched);
+      Next.reset();
       Lock.lock();
     }
   }
 }
 
 void Runtime::drain() {
-  std::deque<QueuedLaunch> Rejected;
+  std::deque<SessionPtr> Rejected;
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Stopping = true;
@@ -203,8 +220,9 @@ void Runtime::drain() {
     // Wake blocking acquireSlotOrVeto waiters so they observe Stopping.
     SlotCV.notify_all();
   }
-  for (QueuedLaunch &Q : Rejected)
-    Q.Reject(FaultCode::RuntimeStopping, StoppingReason);
+  for (SessionPtr &S : Rejected)
+    S->reject(FaultCode::RuntimeStopping, StoppingReason);
+  Rejected.clear();
   std::unique_lock<std::mutex> Lock(Mu);
   if (Active > 0 || !DoneQueue.empty())
     obs::count(obs::Event::DrainWaits);

@@ -34,11 +34,18 @@
 /// up a private Runtime (the pre-Runtime borrowed-scheduler surface was
 /// removed in their favor).
 ///
+/// One session object (detail::Submission) holds a session's scheduler
+/// state, body, result and outcome; the SessionFuture, the admission and
+/// completion queues and the scheduler's session table share it.
+///
 /// Completion pipeline: a session's last pending-count decrement can
-/// happen under a park-site lock, so the quiescence observer only enqueues
-/// the session onto the Runtime's completion queue; a lazily started
-/// finalizer thread performs finishSession / fault take / exit freeze /
-/// future fulfillment, then admits the next queued session.
+/// happen under a park-site lock, so an async session's onQuiescent hook
+/// only pushes the session onto the Runtime's completion queue; a lazily
+/// started finalizer thread calls its finalize (finishSession / fault take
+/// / exit freeze / outcome publication), then admits the next queued
+/// session. A blocking run (and every session of an explore-mode Runtime)
+/// goes through Runtime::runBlocking instead: admit, launch, wait for
+/// quiescence, finalize on the calling thread, release the slot.
 ///
 /// A Runtime constructed with a schedule controller (controlled
 /// scheduling, DESIGN.md Section 12) explores every session it runs. An
@@ -72,7 +79,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -135,6 +141,8 @@ struct SessionOptions {
   uint64_t MaxSteps = 0;
 };
 
+class Runtime;
+
 namespace detail {
 
 template <typename P> struct ParValue;
@@ -142,48 +150,8 @@ template <typename T> struct ParValue<Par<T>> {
   using type = T;
 };
 
-/// Where the session root deposits its result before finalization.
-template <typename R> struct ResultSlot {
-  std::optional<R> Value;
-  bool produced() const { return Value.has_value(); }
-};
-template <> struct ResultSlot<void> {
-  bool Done = false;
-  bool produced() const { return Done; }
-};
-
-/// Shared state between a SessionFuture and the Runtime's finalizer: the
-/// result slot the root writes, the outcome, and the latency timestamps.
-/// Heap-shared so the root coroutine's out-pointer stays valid however
-/// long the session outlives the submitting frame.
-template <typename R> struct SessionChannel {
-  std::mutex Mutex;
-  std::condition_variable CV;
-  std::optional<ParOutcome<R>> Outcome;
-  /// Set by the first SessionFuture::get(): a second get() returns a
-  /// deterministic FutureConsumed fault instead of blocking forever on an
-  /// Outcome that will never re-appear.
-  bool Consumed = false;
-  ResultSlot<R> Slot;
-  uint64_t SessionId = 0;
-  uint64_t SubmitNanos = 0;
-  uint64_t DoneNanos = 0;
-};
-
-/// Root coroutine: materializes the session context and funnels the
-/// result out to the channel (which outlives the session).
-template <EffectSet E, typename F, typename R>
-Par<void> rootBody(F Body, std::optional<R> *Out) {
-  ParCtx<E> Ctx = lvish::detail::CtxAccess::make<E>(Scheduler::currentTask());
-  *Out = co_await Body(Ctx);
-}
-
 template <EffectSet E, typename F>
-Par<void> rootBodyVoid(F Body, bool *Done) {
-  ParCtx<E> Ctx = lvish::detail::CtxAccess::make<E>(Scheduler::currentTask());
-  co_await Body(Ctx);
-  *Done = true;
-}
+using BodyResult = typename ParValue<std::invoke_result_t<F, ParCtx<E>>>::type;
 
 /// Builds the deadlock Fault for a session whose root never produced a
 /// value and never recorded a fault. \p Leftover counts every task reaped
@@ -251,151 +219,169 @@ inline void countRejection(FaultCode Code) {
     obs::count(obs::Event::DeadlineFaults);
 }
 
-/// Publishes \p Out on the channel and wakes future waiters.
-template <typename R>
-void completeChannel(SessionChannel<R> &Ch, ParOutcome<R> Out) {
-  std::lock_guard<std::mutex> Lock(Ch.Mutex);
-  Ch.DoneNanos = nowNanos();
-  Ch.Outcome.emplace(std::move(Out));
-  Ch.CV.notify_all();
-}
-
-/// Opens a session on \p Sched and schedules its root. \p MakeObserver is
-/// invoked with the fresh SessionState and returns the quiescence
-/// observer to install (or an empty function for blocking drivers that
-/// wait on the session CV instead). Ordering matters: beginSession
-/// snapshots the stats baseline BEFORE the root task is created, so the
-/// root's own creation lands inside the session's delta, and the observer
-/// is installed before the root is scheduled.
-template <EffectSet E, typename R, typename F, typename MakeObs>
-std::shared_ptr<SessionState> launchSession(Scheduler &Sched, F Body,
-                                            SessionChannel<R> &Ch,
-                                            MakeObs MakeObserver,
-                                            uint64_t StepBudget = 0) {
-  std::shared_ptr<SessionState> S =
-      Sched.beginSession(std::make_shared<CancelNode>());
-  // Written before the root is scheduled: workers see the budget via the
-  // schedule() handoff, never a torn value.
-  S->StepBudget = StepBudget;
-  {
-    std::lock_guard<std::mutex> Lock(Ch.Mutex);
-    Ch.SessionId = S->Id;
+/// The untyped face of one session: its scheduler state (the base), its
+/// options and timestamps, and the three steps the Runtime drives it
+/// through. The admission and completion queues hold these.
+class SessionBase : public SessionState,
+                    public std::enable_shared_from_this<SessionBase> {
+public:
+  explicit SessionBase(const SessionOptions &O)
+      : Opts(O), SubmitNanos(nowNanos()) {
+    StepBudget = O.MaxSteps;
   }
-  Par<void> RootPar = [&]() -> Par<void> {
-    if constexpr (std::is_void_v<R>)
-      return rootBodyVoid<E>(std::move(Body), &Ch.Slot.Done);
-    else
-      return rootBody<E, F, R>(std::move(Body), &Ch.Slot.Value);
-  }();
-  if (std::function<void()> Obs = MakeObserver(S))
-    Sched.setSessionObserver(*S, std::move(Obs));
-  obs::count(obs::Event::SessionsSubmitted);
-  lvish::detail::launchTask(Sched, std::move(RootPar), /*Parent=*/nullptr,
-                            check::effectMask(E), /*Scopes=*/{},
-                            /*FreshCancel=*/nullptr, S.get());
-  return S;
-}
 
-/// Finalizes a quiescent session: reaps leftovers, resolves the fault (a
-/// recorded fault wins even if the root produced a value before a sibling
-/// faulted; otherwise a valueless root is a deterministic deadlock),
-/// applies the exit freeze, delivers the stats delta, and publishes the
-/// outcome. Runs on the submitter (blocking runs) or the Runtime's
-/// finalizer thread (async submissions) - never under a park-site lock.
-template <typename R>
-void finalizeSession(Scheduler &Sched, SessionState &S, SessionChannel<R> &Ch,
-                     const SessionOptions &Opts) {
-  size_t Leftover = Sched.finishSession(S);
-  std::optional<Fault> Flt = Sched.takeSessionFault(S);
-  if (!Flt && !Ch.Slot.produced()) {
-    Flt = makeDeadlockFault(Leftover, S.Id);
-    obs::count(obs::Event::FaultsRaised); // Not routed via raiseFault.
-  }
-  if (Flt)
-    obs::count(obs::Event::FaultsContained);
-  if (Opts.StatsOut)
-    *Opts.StatsOut = Sched.sessionStats(S);
-  ParOutcome<R> Out = [&]() -> ParOutcome<R> {
-    if constexpr (std::is_void_v<R>) {
+  /// Opens the session on \p Sched, then creates and schedules its root
+  /// (so the root's creation lands inside the session's stats delta).
+  virtual void launch(Scheduler &Sched) = 0;
+
+  /// Finalizes the quiescent session: reaps leftovers, resolves the fault
+  /// (a recorded fault wins even if the root produced a value before a
+  /// sibling faulted; otherwise a valueless root is a deterministic
+  /// deadlock), applies the exit freeze, delivers the stats delta, and
+  /// publishes the outcome. Runs on the submitter (blocking runs) or the
+  /// Runtime's finalizer thread (async submissions) - never under a
+  /// park-site lock.
+  virtual void finalize(Scheduler &Sched) = 0;
+
+  /// Publishes a deterministic refusal outcome without opening a session.
+  /// \p Code selects the refusal flavor (SessionRejected, Shed,
+  /// DeadlineExceeded, RuntimeStopping) and its counters.
+  virtual void reject(FaultCode Code, const char *Reason) = 0;
+
+  /// The options, with MaxSteps already defaulted to the Runtime's budget.
+  const SessionOptions Opts;
+  /// The Runtime whose completion queue takes this session at quiescence;
+  /// null for blocking sessions, whose driver waits on CV instead.
+  Runtime *Completions = nullptr;
+  /// Creation time; also the admission queue's deadline clock.
+  const uint64_t SubmitNanos;
+  /// When the outcome was published (under Mutex); 0 until then.
+  uint64_t DoneNanos = 0;
+
+protected:
+  /// An async session enqueues itself for the finalizer thread.
+  void onQuiescent() override;
+};
+
+/// A session producing \p R: the result the root writes, and the outcome
+/// a SessionFuture consumes (guarded by SessionState::Mutex).
+template <typename R> class Session : public SessionBase {
+public:
+  using SessionBase::SessionBase;
+
+  /// Where the root deposits the body's result (a done flag for void).
+  std::conditional_t<std::is_void_v<R>, bool, std::optional<R>> Result{};
+  std::optional<ParOutcome<R>> Outcome;
+  /// Set by the first SessionFuture::get(): a second get() returns a
+  /// deterministic FutureConsumed fault instead of blocking forever on an
+  /// Outcome that will never re-appear.
+  bool Consumed = false;
+
+  void finalize(Scheduler &Sched) final {
+    size_t Leftover = Sched.finishSession(*this);
+    std::optional<Fault> Flt = Sched.takeSessionFault(*this);
+    if (!Flt && !Result) {
+      Flt = makeDeadlockFault(Leftover, Id);
+      obs::count(obs::Event::FaultsRaised); // Not routed via raiseFault.
+    }
+    if (Flt)
+      obs::count(obs::Event::FaultsContained);
+    if (Opts.StatsOut)
+      *Opts.StatsOut = Sched.sessionStats(*this);
+    if (Flt) {
+      publish(ParOutcome<R>::failure(std::move(*Flt)));
+    } else if constexpr (std::is_void_v<R>) {
       assert(!Opts.FreezeOnExit &&
              "FreezeOnExit requires the body to return an LVar handle");
-      if (Flt)
-        return ParOutcome<void>::failure(std::move(*Flt));
-      return ParOutcome<void>::success();
+      publish(ParOutcome<void>::success());
     } else {
-      if (Flt)
-        return ParOutcome<R>::failure(std::move(*Flt));
-      if constexpr (requires { (*Ch.Slot.Value)->markFrozen(); }) {
+      if constexpr (requires { (*Result)->markFrozen(); }) {
         // The session is fully quiescent: freezing here cannot race a put.
         if (Opts.FreezeOnExit)
-          (*Ch.Slot.Value)->markFrozen();
+          (*Result)->markFrozen();
       } else {
         assert(!Opts.FreezeOnExit &&
                "FreezeOnExit requires the body to return an LVar handle");
       }
-      return ParOutcome<R>::success(std::move(*Ch.Slot.Value));
+      publish(ParOutcome<R>::success(std::move(*Result)));
     }
-  }();
-  completeChannel(Ch, std::move(Out));
-  obs::count(obs::Event::SessionsCompleted);
-  if (Ch.SubmitNanos)
-    obs::addSessionLatencyNanos(Ch.DoneNanos - Ch.SubmitNanos);
-}
+    obs::count(obs::Event::SessionsCompleted);
+    obs::addSessionLatencyNanos(DoneNanos - SubmitNanos);
+  }
 
-/// Publishes a deterministic refusal outcome without opening a session.
-/// \p Code selects the refusal flavor (SessionRejected, Shed,
-/// DeadlineExceeded, RuntimeStopping) and its counters.
-template <typename R>
-void rejectChannel(SessionChannel<R> &Ch, FaultCode Code,
-                   const char *Reason) {
-  countRejection(Code);
-  completeChannel(Ch, ParOutcome<R>::failure(makeAdmissionFault(Code, Reason)));
-}
+  void reject(FaultCode Code, const char *Reason) final {
+    countRejection(Code);
+    publish(ParOutcome<R>::failure(makeAdmissionFault(Code, Reason)));
+  }
 
-/// Blocking session driver on an arbitrary scheduler: launch, wait on the
-/// session's own quiesce scope, finalize inline. Runtime::run wraps it
-/// with admission.
-template <EffectSet E, typename F>
-auto runSessionOn(Scheduler &Sched, F Body, const SessionOptions &Opts) {
-  using RetPar = std::invoke_result_t<F, ParCtx<E>>;
-  using R = typename ParValue<RetPar>::type;
-  auto Ch = std::make_shared<SessionChannel<R>>();
-  Ch->SubmitNanos = nowNanos();
-  std::shared_ptr<SessionState> S = launchSession<E, R>(
-      Sched, std::move(Body), *Ch,
-      [](const std::shared_ptr<SessionState> &) {
-        return std::function<void()>();
-      },
-      Opts.MaxSteps);
-  Sched.waitSessionQuiescent(*S);
-  finalizeSession<R>(Sched, *S, *Ch, Opts);
-  return std::move(*Ch->Outcome);
-}
+private:
+  /// Publishes \p Out and wakes future waiters.
+  void publish(ParOutcome<R> Out) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    DoneNanos = nowNanos();
+    Outcome.emplace(std::move(Out));
+    CV.notify_all();
+  }
+};
+
+/// The session object a submission allocates: a Session plus its body.
+/// The root coroutine reaches the body through the session, which
+/// outlives every task of it, so the root frame holds no copy.
+template <EffectSet E, typename F, typename R>
+class Submission final : public Session<R> {
+public:
+  Submission(F B, const SessionOptions &O)
+      : Session<R>(O), Body(std::move(B)) {}
+
+  void launch(Scheduler &Sched) override {
+    Sched.beginSession(this->shared_from_this(),
+                       this->Opts.StatsOut != nullptr);
+    obs::count(obs::Event::SessionsSubmitted);
+    lvish::detail::launchTask(Sched, root(this), /*Parent=*/nullptr,
+                              check::effectMask(E), /*Scopes=*/{},
+                              /*FreshCancel=*/nullptr, this);
+  }
+
+private:
+  /// Root coroutine: materializes the session context and deposits the
+  /// body's result in the session's slot.
+  static Par<void> root(Submission *S) {
+    ParCtx<E> Ctx =
+        lvish::detail::CtxAccess::make<E>(Scheduler::currentTask());
+    if constexpr (std::is_void_v<R>) {
+      co_await S->Body(Ctx);
+      S->Result = true;
+    } else {
+      S->Result = co_await S->Body(Ctx);
+    }
+  }
+
+  F Body;
+};
 
 } // namespace detail
 
 /// Handle to an asynchronously submitted session's eventual outcome.
-/// Copyable (all copies share one channel); get() consumes the outcome,
-/// so exactly one consumer should call it.
+/// Copyable (all copies share the session object); get() consumes the
+/// outcome, so exactly one consumer should call it.
 template <typename R> class SessionFuture {
 public:
   SessionFuture() = default;
 
   /// False only for default-constructed futures.
-  bool valid() const { return Ch != nullptr; }
+  bool valid() const { return S != nullptr; }
 
   /// True once the outcome is available (get() will not block). Stays
   /// true after the outcome has been consumed.
   bool ready() const {
-    std::lock_guard<std::mutex> Lock(Ch->Mutex);
-    return Ch->Outcome.has_value() || Ch->Consumed;
+    std::lock_guard<std::mutex> Lock(S->Mutex);
+    return S->Outcome.has_value() || S->Consumed;
   }
 
   /// Blocks until the outcome is available.
   void wait() const {
-    std::unique_lock<std::mutex> Lock(Ch->Mutex);
-    Ch->CV.wait(Lock,
-                [this] { return Ch->Outcome.has_value() || Ch->Consumed; });
+    std::unique_lock<std::mutex> Lock(S->Mutex);
+    S->CV.wait(Lock, [this] { return S->Outcome.has_value() || S->Consumed; });
   }
 
   /// Blocks until the session completes and moves its outcome out (call
@@ -403,34 +389,33 @@ public:
   /// second call does not block: it returns a deterministic
   /// FaultCode::FutureConsumed outcome - in NDEBUG builds too.
   ParOutcome<R> get() {
-    std::unique_lock<std::mutex> Lock(Ch->Mutex);
-    Ch->CV.wait(Lock,
-                [this] { return Ch->Outcome.has_value() || Ch->Consumed; });
-    if (!Ch->Outcome.has_value())
-      return ParOutcome<R>::failure(detail::makeConsumedFault(Ch->SessionId));
-    Ch->Consumed = true;
-    ParOutcome<R> Out = std::move(*Ch->Outcome);
-    Ch->Outcome.reset();
+    std::unique_lock<std::mutex> Lock(S->Mutex);
+    S->CV.wait(Lock, [this] { return S->Outcome.has_value() || S->Consumed; });
+    if (!S->Outcome.has_value())
+      return ParOutcome<R>::failure(detail::makeConsumedFault(S->Id));
+    S->Consumed = true;
+    ParOutcome<R> Out = std::move(*S->Outcome);
+    S->Outcome.reset();
     return Out;
   }
 
   /// The session's id (0 for sessions rejected before admission).
   uint64_t sessionId() const {
-    std::lock_guard<std::mutex> Lock(Ch->Mutex);
-    return Ch->SessionId;
+    std::lock_guard<std::mutex> Lock(S->Mutex);
+    return S->Id;
   }
 
   /// Submit-to-outcome latency; 0 until the outcome is published.
   uint64_t latencyNanos() const {
-    std::lock_guard<std::mutex> Lock(Ch->Mutex);
-    return Ch->DoneNanos ? Ch->DoneNanos - Ch->SubmitNanos : 0;
+    std::lock_guard<std::mutex> Lock(S->Mutex);
+    return S->DoneNanos ? S->DoneNanos - S->SubmitNanos : 0;
   }
 
 private:
   friend class Runtime;
-  explicit SessionFuture(std::shared_ptr<detail::SessionChannel<R>> C)
-      : Ch(std::move(C)) {}
-  std::shared_ptr<detail::SessionChannel<R>> Ch;
+  explicit SessionFuture(std::shared_ptr<detail::Session<R>> Sess)
+      : S(std::move(Sess)) {}
+  std::shared_ptr<detail::Session<R>> S;
 };
 
 /// The multi-tenant service runtime; see file comment.
@@ -517,85 +502,45 @@ public:
 
   template <EffectSet E, typename F>
   auto runSession(F Body, const SessionOptions &Opts) {
-    using RetPar = std::invoke_result_t<F, ParCtx<E>>;
-    using R = typename detail::ParValue<RetPar>::type;
-    if (AdmitVeto V = acquireSlotOrVeto(); V.Reason) {
-      detail::countRejection(V.Code);
-      return ParOutcome<R>::failure(detail::makeAdmissionFault(V.Code,
-                                                              V.Reason));
-    }
-    SessionOptions Eff = Opts;
-    if (!Eff.MaxSteps)
-      Eff.MaxSteps = DefaultBudget;
-    auto Out = detail::runSessionOn<E>(Sched, std::move(Body), Eff);
-    releaseSlot();
-    return Out;
+    auto S = makeSession<E>(std::move(Body), Opts);
+    runBlocking(*S);
+    return std::move(*S->Outcome);
   }
 
   template <EffectSet E, typename F>
   auto submitSession(F Body, const SessionOptions &Opts) {
-    using RetPar = std::invoke_result_t<F, ParCtx<E>>;
-    using R = typename detail::ParValue<RetPar>::type;
-    auto Ch = std::make_shared<detail::SessionChannel<R>>();
-    Ch->SubmitNanos = nowNanos();
-    SessionFuture<R> Fut(Ch);
-    SessionOptions SOpts = Opts;
-    if (!SOpts.MaxSteps)
-      SOpts.MaxSteps = DefaultBudget;
+    auto S = makeSession<E>(std::move(Body), Opts);
+    SessionFuture<detail::BodyResult<E, F>> Fut(S);
     if (Sched.exploreCtl()) {
       // Explore-mode pools have no worker threads: the session executes
       // inline on the submitting thread, exclusively (acquireSlotOrVeto
       // rejects rather than blocks when the pool is busy).
-      if (AdmitVeto V = acquireSlotOrVeto(); V.Reason) {
-        detail::rejectChannel(*Ch, V.Code, V.Reason);
-        return Fut;
-      }
-      auto NoObserver = [](const std::shared_ptr<SessionState> &) {
-        return std::function<void()>();
-      };
-      std::shared_ptr<SessionState> S = detail::launchSession<E, R>(
-          Sched, std::move(Body), *Ch, NoObserver, SOpts.MaxSteps);
-      Sched.waitSessionQuiescent(*S);
-      detail::finalizeSession<R>(Sched, *S, *Ch, SOpts);
-      releaseSlot();
-      return Fut;
+      runBlocking(*S);
+    } else {
+      // Launched now if a slot is free, or later from the finalizer
+      // thread when one frees up; its onQuiescent hook hands it to the
+      // finalizer thread, and admission may refuse it instead (shed,
+      // deadline, stopping).
+      S->Completions = this;
+      routeSubmission(std::move(S));
     }
-    // Deferred launch closure: runs now if a slot is free, or later from
-    // the finalizer thread when one frees up. The quiescence observer
-    // only enqueues the typed finalize closure (it can fire under a
-    // park-site lock); the finalizer thread does the heavy lifting. The
-    // paired Reject closure resolves the future deterministically when
-    // admission refuses the session instead (shed, deadline, stopping).
-    QueuedLaunch Q;
-    Q.Launch = [this, Ch, SOpts, Body = std::move(Body)]() mutable {
-      detail::launchSession<E, R>(
-          Sched, std::move(Body), *Ch,
-          [this, Ch, SOpts](const std::shared_ptr<SessionState> &S) {
-            auto Fin = [this, Ch, SOpts, S] {
-              detail::finalizeSession<R>(Sched, *S, *Ch, SOpts);
-            };
-            return std::function<void()>(
-                [this, Fin] { enqueueCompletion(Fin); });
-          },
-          SOpts.MaxSteps);
-    };
-    Q.Reject = [Ch](FaultCode Code, const char *Reason) {
-      detail::rejectChannel(*Ch, Code, Reason);
-    };
-    routeSubmission(std::move(Q));
     return Fut;
   }
 
 private:
-  /// One queued async submission: the deferred launch closure plus the
-  /// typed rejection closure that resolves its future when admission
-  /// refuses it (shed / deadline / stopping) instead of launching.
-  struct QueuedLaunch {
-    std::function<void()> Launch;
-    std::function<void(FaultCode, const char *)> Reject;
-    /// nowNanos() at enqueue, for the lazy SubmitDeadlineNanos check.
-    uint64_t EnqueueNanos = 0;
-  };
+  friend class detail::SessionBase;
+  using SessionPtr = std::shared_ptr<detail::SessionBase>;
+
+  /// Allocates the session object, the one allocation a session needs
+  /// besides its node in the scheduler's session table.
+  template <EffectSet E, typename F>
+  auto makeSession(F Body, SessionOptions Opts) {
+    if (!Opts.MaxSteps)
+      Opts.MaxSteps = DefaultBudget;
+    return std::make_shared<
+        detail::Submission<E, F, detail::BodyResult<E, F>>>(std::move(Body),
+                                                              Opts);
+  }
 
   /// Admission verdict: Reason == nullptr means admitted (the caller owns
   /// one slot and must releaseSlot()); otherwise Code/Reason describe the
@@ -614,18 +559,21 @@ private:
   /// scheduling decision; blocking behind other tenants would hand
   /// decisions to OS timing).
   AdmitVeto acquireSlotOrVeto();
+  /// The one blocking session driver: admit (or reject), launch, wait on
+  /// the session's own quiesce scope, finalize inline, release the slot.
+  void runBlocking(detail::SessionBase &S);
   /// Frees one slot; launches the next in-deadline queued submission.
   void releaseSlot();
   /// Launches now (slot free), queues FIFO, or refuses (stopping / shed).
-  void routeSubmission(QueuedLaunch Q);
+  void routeSubmission(SessionPtr S);
   /// Caller must hold Mu. Pops admission-queue entries while a slot is
   /// free: expired ones (past SubmitDeadlineNanos) are moved to
   /// \p Expired for the caller to reject OUTSIDE Mu; the first in-deadline
-  /// entry claims the slot and its launch closure is returned.
-  std::function<void()> admitNextLocked(std::vector<QueuedLaunch> &Expired);
-  /// Called by session observers: queue a finalize closure for the
-  /// finalizer thread. Safe under park-site locks (enqueue only).
-  void enqueueCompletion(std::function<void()> Fin);
+  /// entry claims the slot and is returned for the caller to launch.
+  SessionPtr admitNextLocked(std::vector<SessionPtr> &Expired);
+  /// Called by an async session's onQuiescent: queue it for the finalizer
+  /// thread. Safe under park-site locks (enqueue only).
+  void enqueueCompletion(SessionPtr S);
   void finalizerLoop();
   /// Caller must hold Mu.
   void ensureFinalizerLocked();
@@ -644,9 +592,9 @@ private:
   /// Sessions admitted but not yet finalized.
   unsigned Active = 0;
   /// Async submissions waiting for a slot (FIFO admission).
-  std::deque<QueuedLaunch> AdmitQueue;
-  /// Finalize closures for quiescent sessions.
-  std::deque<std::function<void()>> DoneQueue;
+  std::deque<SessionPtr> AdmitQueue;
+  /// Quiescent async sessions awaiting finalization.
+  std::deque<SessionPtr> DoneQueue;
   /// Set by drain(): admission is closed for good.
   bool Stopping = false;
   bool ShuttingDown = false;

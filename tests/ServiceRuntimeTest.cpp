@@ -18,7 +18,10 @@
 /// registry only while parked; the session state the tasks borrow
 /// outlives every retire; and a pool whose Task storage was recycled
 /// through faulted, cancelled, and layered sessions runs the next
-/// session exactly like a fresh one.
+/// session exactly like a fresh one. An empty session allocates its
+/// session object and its session-table node and little else (this binary
+/// replaces the global operator new with a counting one), and an
+/// explore-mode Runtime runs a submitted session inline.
 ///
 /// The ci.sh `service` stage reruns this binary under ThreadSanitizer -
 /// the cross-session code paths (shared waiter buckets, per-session
@@ -40,12 +43,38 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+// Counting replacements of the global (unaligned) allocation functions:
+// every plain heap allocation in this process, on any thread, bumps
+// NewCalls. The nothrow forms call these by default. The over-aligned
+// forms stay the library's: the block cache (src/sched/BlockCache.h)
+// draws task and frame blocks through them, and it is not the session
+// object's allocation.
+namespace {
+std::atomic<uint64_t> NewCalls{0};
+
+void *countedAlloc(std::size_t N) {
+  NewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(N ? N : 1))
+    return P;
+  throw std::bad_alloc();
+}
+} // namespace
+
+void *operator new(std::size_t N) { return countedAlloc(N); }
+void *operator new[](std::size_t N) { return countedAlloc(N); }
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 using namespace lvish;
 
@@ -254,6 +283,49 @@ TEST(ServiceRuntime, ExploreSessionOwnsAMatchingRuntime) {
   });
   ASSERT_TRUE(O.ok()) << O.fault().Message;
   EXPECT_EQ(O.value(), sumSquaresSeq(0, 40));
+}
+
+TEST(ServiceRuntime, ExploreSubmitRunsInline) {
+  // An explore-mode Runtime has no worker threads: submit runs the
+  // session on the submitting thread through the same blocking driver as
+  // run, so the future is ready when submit returns. A submit from inside
+  // a running explored session is refused exactly like a nested runIO.
+  explore::Engine Eng = explore::Engine::random(7, 2);
+  service::RuntimeConfig RC;
+  RC.Sched.NumWorkers = 2;
+  RC.Sched.Explore = &Eng;
+  service::Runtime RT(RC);
+  auto F = RT.submit<D>([](ParCtx<D> Ctx) -> Par<uint64_t> {
+    co_return co_await sumSquares(Ctx, 0, 40);
+  });
+  EXPECT_TRUE(F.ready()) << "an explore-mode submit must run inline";
+  auto O = F.get();
+  ASSERT_TRUE(O.ok()) << O.fault().Message;
+  EXPECT_EQ(O.value(), sumSquaresSeq(0, 40));
+
+  bool InnerReady = false;
+  std::vector<Fault> Refusals;
+  auto Outer = RT.runIO<IOE>(
+      [&RT, &InnerReady, &Refusals](ParCtx<IOE> Ctx) -> Par<int> {
+        auto Inner =
+            RT.submit<D>([](ParCtx<D> C) -> Par<int> { co_return 1; });
+        InnerReady = Inner.ready();
+        auto Submitted = Inner.get();
+        if (!Submitted.ok())
+          Refusals.push_back(Submitted.fault());
+        auto Ran =
+            RT.runIO<IOE>([](ParCtx<IOE> C) -> Par<int> { co_return 1; });
+        if (!Ran.ok())
+          Refusals.push_back(Ran.fault());
+        co_return 1;
+      });
+  ASSERT_TRUE(Outer.ok()) << Outer.fault().Message;
+  EXPECT_TRUE(InnerReady) << "a refused submit must resolve at once";
+  ASSERT_EQ(Refusals.size(), 2u);
+  EXPECT_EQ(Refusals[0].Code, FaultCode::SessionRejected);
+  EXPECT_EQ(Refusals[1].Code, FaultCode::SessionRejected);
+  EXPECT_EQ(Refusals[0].Message, Refusals[1].Message)
+      << "submit and runIO must refuse with the same message";
 }
 
 TEST(ServiceRuntime, MaxActiveSessionsBoundsConcurrency) {
@@ -668,6 +740,41 @@ TEST(ServiceRuntime, RecycledTasksLeaveNoTrace) {
   EXPECT_EQ(Reused.Stats.Steals, Fresh.Stats.Steals);
   EXPECT_EQ(Reused.Stats.Parks, Fresh.Stats.Parks);
   EXPECT_EQ(Reused.Stats.Wakes, Fresh.Stats.Wakes);
+}
+
+TEST(ServiceRuntime, EmptySessionsAllocateLittle) {
+  // A session is one object shared by the scheduler and the Runtime: an
+  // empty session allocates it and its node in the session table. The
+  // async path may add a share of a completion-queue chunk. Tasks and
+  // coroutine frames come from the block cache, which NewCalls does not
+  // count (see the replacements above).
+  constexpr int Warmup = 200;
+  constexpr int Count = 1000;
+  service::Runtime RT({.Sched = {.NumWorkers = 1}});
+  auto Empty = [](ParCtx<D> Ctx) -> Par<void> { co_return; };
+  auto AsyncRound = [&RT, &Empty](int N) {
+    for (int I = 0; I < N; ++I) {
+      auto F = RT.submit<D>(Empty);
+      ASSERT_TRUE(F.get().ok());
+    }
+  };
+  auto BlockingRound = [&RT, &Empty](int N) {
+    for (int I = 0; I < N; ++I)
+      ASSERT_TRUE(RT.run<D>(Empty).ok());
+  };
+  AsyncRound(Warmup);
+  BlockingRound(Warmup);
+
+  uint64_t Before = NewCalls.load(std::memory_order_relaxed);
+  AsyncRound(Count);
+  uint64_t Async = NewCalls.load(std::memory_order_relaxed) - Before;
+  Before = NewCalls.load(std::memory_order_relaxed);
+  BlockingRound(Count);
+  uint64_t Blocking = NewCalls.load(std::memory_order_relaxed) - Before;
+  EXPECT_LE(Async, 3u * Count) << "allocations per async session: "
+                               << static_cast<double>(Async) / Count;
+  EXPECT_LE(Blocking, 2u * Count) << "allocations per blocking run: "
+                                  << static_cast<double>(Blocking) / Count;
 }
 
 } // namespace

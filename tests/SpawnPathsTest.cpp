@@ -70,7 +70,7 @@ Seen see(const Task *T) {
   S.SessionId = T->SessionId;
   S.Session = T->Session;
   S.SessionStateId = T->Session->Id;
-  S.SessionCancelRoot = T->Session->CancelRoot.get();
+  S.SessionCancelRoot = &T->Session->CancelRoot;
   S.Pedigree = T->pedigreeString();
   return S;
 }
