@@ -24,6 +24,7 @@
 // Data structures (Data.LVar.* in the paper).
 #include "src/data/AndLV.h"           // IWYU pragma: export
 #include "src/data/Counter.h"         // IWYU pragma: export
+#include "src/data/DenseSet.h"        // IWYU pragma: export
 #include "src/data/IMap.h"            // IWYU pragma: export
 #include "src/data/ISet.h"            // IWYU pragma: export
 #include "src/data/IStructure.h"      // IWYU pragma: export

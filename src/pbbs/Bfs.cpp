@@ -4,31 +4,11 @@
 
 #include "src/core/HandlerPool.h"
 #include "src/core/ParFor.h"
+#include "src/data/DenseSet.h"
 #include "src/data/ISet.h"
-
-#include <deque>
 
 using namespace lvish;
 using namespace lvish::pbbs;
-
-std::vector<uint32_t> pbbs::bfsSeq(const Graph &G, uint32_t Source) {
-  std::vector<uint32_t> Levels(G.NumVertices, UnreachedLevel);
-  if (Source >= G.NumVertices)
-    return Levels;
-  Levels[Source] = 0;
-  std::deque<uint32_t> Queue{Source};
-  while (!Queue.empty()) {
-    uint32_t V = Queue.front();
-    Queue.pop_front();
-    for (const uint32_t *W = G.neighborsBegin(V), *End = G.neighborsEnd(V);
-         W != End; ++W)
-      if (Levels[*W] == UnreachedLevel) {
-        Levels[*W] = Levels[V] + 1;
-        Queue.push_back(*W);
-      }
-  }
-  return Levels;
-}
 
 namespace {
 
@@ -81,15 +61,6 @@ std::vector<uint32_t> pbbs::bfsLevels(const Graph &G, uint32_t Source,
   return Levels;
 }
 
-std::vector<uint32_t> pbbs::bfsReachSeq(const Graph &G, uint32_t Source) {
-  std::vector<uint32_t> Levels = bfsSeq(G, Source);
-  std::vector<uint32_t> Reached;
-  for (uint32_t V = 0; V < G.NumVertices; ++V)
-    if (Levels[V] != UnreachedLevel)
-      Reached.push_back(V);
-  return Reached;
-}
-
 std::vector<uint32_t> pbbs::bfsReach(const Graph &G, uint32_t Source,
                                      const RunOptions &Opts) {
   if (Source >= G.NumVertices)
@@ -97,15 +68,18 @@ std::vector<uint32_t> pbbs::bfsReach(const Graph &G, uint32_t Source,
   constexpr EffectSet E = Eff::Det; // put + get; the freeze is on exit.
   const Graph *GP = &G;
   auto Seen = runParThenFreeze<E>(
-      [GP, Source](ParCtx<E> Ctx) -> Par<std::shared_ptr<ISet<uint32_t>>> {
-        auto S = newISet<uint32_t>(Ctx);
+      [GP, Source](ParCtx<E> Ctx) -> Par<std::shared_ptr<DenseSet>> {
+        // The reached set is a DenseSet over the vertex ids: a repeat
+        // discovery is one load, and the exit reads the set bits in
+        // ascending order with no sort.
+        auto S = newDenseSet(Ctx, GP->NumVertices);
         auto Pool = newPool(Ctx);
         // addHandlerRef: the callback receives the set by reference, so
         // the closure holds no owning pointer back into the LVar (the
         // shared_ptr-cycle hazard of HandlerPool.h). It never awaits, so it
         // is a plain call: the pool batches the reached vertices per worker
         // and one flush task runs them in a loop, with no task per vertex.
-        auto Handler = [GP](ParCtx<E> C, ISet<uint32_t> &SeenRef,
+        auto Handler = [GP](ParCtx<E> C, DenseSet &SeenRef,
                             const uint32_t &V) {
           for (const uint32_t *W = GP->neighborsBegin(V),
                               *End = GP->neighborsEnd(V);

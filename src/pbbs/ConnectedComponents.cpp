@@ -7,37 +7,8 @@
 #include "src/data/MinMap.h"
 #include "src/data/UnionFind.h"
 
-#include <deque>
-
 using namespace lvish;
 using namespace lvish::pbbs;
-
-namespace {
-constexpr uint32_t NoLabel = ~0u;
-} // namespace
-
-std::vector<uint32_t> pbbs::componentsSeq(const Graph &G) {
-  std::vector<uint32_t> Labels(G.NumVertices, NoLabel);
-  for (uint32_t Root = 0; Root < G.NumVertices; ++Root) {
-    if (Labels[Root] != NoLabel)
-      continue; // Already labeled by a smaller root.
-    // BFS from the smallest unlabeled vertex: it is its component's min.
-    Labels[Root] = Root;
-    std::deque<uint32_t> Queue{Root};
-    while (!Queue.empty()) {
-      uint32_t V = Queue.front();
-      Queue.pop_front();
-      for (const uint32_t *W = G.neighborsBegin(V),
-                          *End = G.neighborsEnd(V);
-           W != End; ++W)
-        if (Labels[*W] == NoLabel) {
-          Labels[*W] = Root;
-          Queue.push_back(*W);
-        }
-    }
-  }
-  return Labels;
-}
 
 namespace {
 

@@ -12,14 +12,6 @@
 using namespace lvish;
 using namespace lvish::pbbs;
 
-std::vector<uint64_t> pbbs::histogramSeq(const std::vector<uint64_t> &Keys,
-                                         uint64_t NumBuckets) {
-  std::vector<uint64_t> Counts(NumBuckets, 0);
-  for (uint64_t K : Keys)
-    ++Counts[K % NumBuckets];
-  return Counts;
-}
-
 namespace {
 
 /// bump (the counts), put+get (parallelFor), freeze (the exact read).
@@ -60,14 +52,6 @@ std::vector<uint64_t> pbbs::histogramLVar(const std::vector<uint64_t> &Keys,
         co_return freezeCounterVec(Ctx, *Counts);
       },
       Opts);
-}
-
-std::vector<uint64_t>
-pbbs::removeDuplicatesSeq(const std::vector<uint64_t> &Keys) {
-  std::vector<uint64_t> Out(Keys);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
 }
 
 namespace {

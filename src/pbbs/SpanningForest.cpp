@@ -11,19 +11,6 @@ using namespace lvish::pbbs;
 
 namespace {
 
-/// Path-compressing find over a plain parent array.
-uint32_t findRoot(std::vector<uint32_t> &Parent, uint32_t V) {
-  uint32_t Root = V;
-  while (Parent[Root] != Root)
-    Root = Parent[Root];
-  while (Parent[V] != Root) {
-    uint32_t Next = Parent[V];
-    Parent[V] = Root;
-    V = Next;
-  }
-  return Root;
-}
-
 /// The roots an edge's endpoints had when its round's reserve pass ran.
 struct Roots {
   uint32_t U = 0, V = 0;
@@ -41,22 +28,6 @@ uint64_t reservationKey(uint64_t Round, size_t I) {
 }
 
 } // namespace
-
-std::vector<uint64_t> pbbs::spanningForestSeq(const EdgeList &EL) {
-  std::vector<uint32_t> Parent(EL.NumVertices);
-  for (uint32_t V = 0; V < EL.NumVertices; ++V)
-    Parent[V] = V;
-  std::vector<uint64_t> Accepted;
-  for (size_t I = 0; I < EL.Edges.size(); ++I) {
-    uint32_t RU = findRoot(Parent, EL.Edges[I].first);
-    uint32_t RV = findRoot(Parent, EL.Edges[I].second);
-    if (RU == RV)
-      continue;
-    Parent[RU < RV ? RV : RU] = RU < RV ? RU : RV;
-    Accepted.push_back(I);
-  }
-  return Accepted;
-}
 
 std::vector<uint64_t> pbbs::spanningForestLVar(const EdgeList &EL,
                                                const RunOptions &Opts) {

@@ -4,6 +4,7 @@
 #include "src/core/ParFor.h"
 #include "src/data/AndLV.h"
 #include "src/data/Counter.h"
+#include "src/data/DenseSet.h"
 #include "src/data/IMap.h"
 #include "src/data/ISet.h"
 #include "src/data/IStructure.h"
@@ -12,6 +13,7 @@
 #include "src/data/PureMap.h"
 #include "src/data/Stream.h"
 #include "src/data/UnionFind.h"
+#include "src/obs/Telemetry.h"
 #include "src/support/AsymmetricGate.h"
 #include "src/trans/BulkRetry.h"
 #include "src/trans/Cancel.h"
@@ -312,6 +314,146 @@ TEST(ISet, CascadingHandlersComputeClosure) {
   EXPECT_TRUE(S->containsElem(64));
   EXPECT_TRUE(S->containsElem(96));
   EXPECT_FALSE(S->containsElem(3));
+}
+
+// -- DenseSet --------------------------------------------------------------
+
+TEST(DenseSet, InsertThenGet) {
+  runPar<D>([](ParCtx<D> Ctx) -> Par<void> {
+    auto S = newDenseSet(Ctx, 100);
+    fork(Ctx, [S](ParCtx<D> C) -> Par<void> {
+      insert(C, *S, 42u);
+      co_return;
+    });
+    co_await get(Ctx, *S, 42u);
+    EXPECT_TRUE(S->containsElem(42));
+    EXPECT_FALSE(S->containsElem(41));
+    co_return;
+  });
+}
+
+TEST(DenseSet, WaitSizeUnblocksAtThresholdWithParkedReader) {
+  SchedulerStats Stats;
+  RunOptions O = RunOptions::CollectStats(Stats);
+  O.Config.NumWorkers = 1;
+  bool ResumedEarly = true;
+  runPar<D>(
+      [&ResumedEarly](ParCtx<D> Ctx) -> Par<void> {
+        auto S = newDenseSet(Ctx, 200);
+        auto Resumed = std::make_shared<bool>(false);
+        fork(Ctx, [S, Resumed, &ResumedEarly](ParCtx<D> C) -> Par<void> {
+          co_await yield(C); // To the inject queue: the reader parks.
+          for (uint32_t I = 0; I < 9; ++I)
+            insert(C, *S, I * 20);
+          co_await yield(C); // Nine elements: the reader must stay parked.
+          ResumedEarly = *Resumed;
+          insert(C, *S, 199u);
+        });
+        co_await waitSize(Ctx, *S, 10);
+        *Resumed = true;
+        EXPECT_EQ(S->sizeNow(), 10u);
+        co_return;
+      },
+      O);
+  EXPECT_FALSE(ResumedEarly);
+  EXPECT_EQ(Stats.Parks, 1u);
+}
+
+TEST(DenseSet, DuplicateInsertCountsOneNoOpJoin) {
+  obs::TelemetrySnapshot Before = obs::telemetrySnapshot();
+  auto S = runParThenFreeze<D>(
+      [](ParCtx<D> Ctx) -> Par<std::shared_ptr<DenseSet>> {
+        auto Set = newDenseSet(Ctx, 10);
+        insert(Ctx, *Set, 7u);
+        insert(Ctx, *Set, 7u); // Found by the unlocked load.
+        co_return Set;
+      },
+      SchedulerConfig{1});
+  obs::TelemetrySnapshot After = obs::telemetrySnapshot();
+  auto Delta = [&](obs::Event E) { return After.count(E) - Before.count(E); };
+  EXPECT_EQ(Delta(obs::Event::Puts), 2u);
+  EXPECT_EQ(Delta(obs::Event::NoOpJoins), 1u);
+  EXPECT_EQ(S->toSortedVector(), std::vector<uint32_t>{7});
+}
+
+TEST(DenseSet, CascadingHandlersComputeClosure) {
+  // The closure of {1} under x -> 2x (mod 100), through a plain handler
+  // that re-inserts into the set it watches.
+  auto S = runParThenFreeze<D>(
+      [](ParCtx<D> Ctx) -> Par<std::shared_ptr<DenseSet>> {
+        auto Set = newDenseSet(Ctx, 100);
+        auto Pool = newPool(Ctx);
+        [[maybe_unused]] HandlerHandle H = addHandlerRef(
+            Ctx, Pool, *Set,
+            [](ParCtx<D> C, DenseSet &Self, const uint32_t &V) {
+              insert(C, Self, (V * 2) % 100);
+            });
+        insert(Ctx, *Set, 1u);
+        co_await quiesce(Ctx, Pool);
+        co_return Set;
+      },
+      SchedulerConfig{4});
+  std::vector<uint32_t> Orbit;
+  for (uint32_t V = 1; std::find(Orbit.begin(), Orbit.end(), V) == Orbit.end();
+       V = (V * 2) % 100)
+    Orbit.push_back(V);
+  std::sort(Orbit.begin(), Orbit.end());
+  EXPECT_EQ(S->toSortedVector(), Orbit);
+}
+
+TEST(DenseSet, PutAfterFreezeFaults) {
+  for (unsigned W : {1u, 2u, 4u}) {
+    // A repeat after the freeze changes nothing and is allowed.
+    auto Same = tryRunParIO<Eff::QuasiDet>(
+        [](ParCtx<Eff::QuasiDet> Ctx) -> Par<std::vector<uint32_t>> {
+          auto S = newDenseSet(Ctx, 10);
+          insert(Ctx, *S, 1u);
+          std::vector<uint32_t> Frozen = freezeDenseSet(Ctx, *S);
+          insert(Ctx, *S, 1u);
+          co_return Frozen;
+        },
+        SchedulerConfig{W});
+    ASSERT_TRUE(Same.ok()) << "workers=" << W;
+    EXPECT_EQ(Same.value(), std::vector<uint32_t>{1});
+    // A new element after the freeze is a deterministic Fault, attributed
+    // to the forked writer whatever the schedule.
+    auto New = tryRunParIO<Eff::QuasiDet>(
+        [](ParCtx<Eff::QuasiDet> Ctx) -> Par<void> {
+          auto S = newDenseSet(Ctx, 10);
+          auto Gate = newIVar<bool>(Ctx);
+          insert(Ctx, *S, 1u);
+          fork(Ctx, [S, Gate](ParCtx<Eff::QuasiDet> C) -> Par<void> {
+            co_await get(C, *Gate); // After the freeze...
+            insert(C, *S, 2u);      // ...add an element.
+          });
+          freezeDenseSet(Ctx, *S);
+          put(Ctx, *Gate, true);
+          co_return;
+        },
+        SchedulerConfig{W});
+    ASSERT_FALSE(New.ok()) << "workers=" << W;
+    EXPECT_EQ(New.fault().Code, FaultCode::PutAfterFreeze);
+    EXPECT_EQ(New.fault().Pedigree, "L");
+  }
+}
+
+TEST(DenseSet, FreezeIsAscendingAcrossWordBoundaries) {
+  for (uint32_t N : {128u, 200u}) {
+    const std::vector<uint32_t> Want{0, 63, 64, N - 1};
+    auto Got = runParIO<Eff::QuasiDet>(
+        [N](ParCtx<Eff::QuasiDet> Ctx) -> Par<std::vector<uint32_t>> {
+          auto S = newDenseSet(Ctx, N);
+          for (uint32_t V : {N - 1, 64u, 0u, 63u})
+            fork(Ctx, [S, V](ParCtx<Eff::QuasiDet> C) -> Par<void> {
+              insert(C, *S, V);
+              co_return;
+            });
+          co_await waitSize(Ctx, *S, 4);
+          co_return freezeDenseSet(Ctx, *S);
+        },
+        SchedulerConfig{4});
+    EXPECT_EQ(Got, Want) << "N=" << N;
+  }
 }
 
 // -- IMap -------------------------------------------------------------------
@@ -635,6 +777,9 @@ template <EffectSet E>
 constexpr bool CanInsert =
     requires(ParCtx<E> C, ISet<int> &S) { insert(C, S, 1); };
 template <EffectSet E>
+constexpr bool CanInsertDense =
+    requires(ParCtx<E> C, DenseSet &S) { insert(C, S, 1u); };
+template <EffectSet E>
 constexpr bool CanInsertPure =
     requires(ParCtx<E> C, PureMap<int, int> &M) { insertPure(C, M, 1, 1); };
 template <EffectSet E>
@@ -660,6 +805,7 @@ static_assert(CanPutAndLeft<W> && !CanPutAndLeft<without(W, Put)>);
 static_assert(CanPutAndRight<W> && !CanPutAndRight<without(W, Put)>);
 static_assert(CanPutPureLVar<W> && !CanPutPureLVar<without(W, Put)>);
 static_assert(CanInsert<W> && !CanInsert<without(W, Put)>);
+static_assert(CanInsertDense<W> && !CanInsertDense<without(W, Put)>);
 static_assert(CanInsertPure<W> && !CanInsertPure<without(W, Put)>);
 static_assert(CanCancel<W> && !CanCancel<without(W, Put)>);
 static_assert(CanPutMin<W> && !CanPutMin<without(W, Put)>);
@@ -670,6 +816,9 @@ static_assert(CanUnite<W> && !CanUnite<without(W, Put)>);
 // HasGet: blocking threshold reads.
 template <EffectSet E>
 constexpr bool CanGet = requires(ParCtx<E> C, IVar<int> &V) { get(C, V); };
+template <EffectSet E>
+constexpr bool CanGetDense =
+    requires(ParCtx<E> C, DenseSet &S) { get(C, S, 1u); };
 template <EffectSet E>
 constexpr bool CanWaitSize =
     requires(ParCtx<E> C, ISet<int> &S) { waitSize(C, S, 1); };
@@ -690,6 +839,7 @@ constexpr bool CanGetMemoRO =
 
 constexpr EffectSet R = Eff::ReadOnly;
 static_assert(CanGet<R> && !CanGet<without(R, Get)>);
+static_assert(CanGetDense<R> && !CanGetDense<without(R, Get)>);
 static_assert(CanWaitSize<R> && !CanWaitSize<without(R, Get)>);
 static_assert(CanQuiesce<R> && !CanQuiesce<without(R, Get)>);
 static_assert(CanReadCFuture<R> && !CanReadCFuture<without(R, Get)>);
@@ -721,6 +871,9 @@ template <EffectSet E>
 constexpr bool CanFreezeSet =
     requires(ParCtx<E> C, ISet<int> &S) { freezeSet(C, S); };
 template <EffectSet E>
+constexpr bool CanFreezeDenseSet =
+    requires(ParCtx<E> C, DenseSet &S) { freezeDenseSet(C, S); };
+template <EffectSet E>
 constexpr bool CanFreezePureMap =
     requires(ParCtx<E> C, PureMap<int, int> &M) { freezePureMap(C, M); };
 template <EffectSet E>
@@ -748,6 +901,8 @@ static_assert(CanFreezeCounterVec<Q> &&
               !CanFreezeCounterVec<without(Q, Freeze)>);
 static_assert(CanFreezeMap<Q> && !CanFreezeMap<without(Q, Freeze)>);
 static_assert(CanFreezeSet<Q> && !CanFreezeSet<without(Q, Freeze)>);
+static_assert(CanFreezeDenseSet<Q> &&
+              !CanFreezeDenseSet<without(Q, Freeze)>);
 static_assert(CanFreezePureMap<Q> && !CanFreezePureMap<without(Q, Freeze)>);
 static_assert(CanFreezePureLVar<Q> && !CanFreezePureLVar<without(Q, Freeze)>);
 static_assert(CanFreezeIVar<Q> && !CanFreezeIVar<without(Q, Freeze)>);

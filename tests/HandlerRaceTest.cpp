@@ -1,9 +1,9 @@
 //===- HandlerRaceTest.cpp - Handler registration racing live puts --------===//
 //
-// For every handler-bearing LVar (ISet, IMap, MinMap, PureLVar, Stream):
-// K writer tasks put while another task of the same session registers two
-// handlers, at 1/2/4 workers under several steal seeds. The handler list
-// is guarded by the footnote-6 gate alone (HandledLVar in
+// For every handler-bearing LVar (ISet, DenseSet, IMap, MinMap, PureLVar,
+// Stream): K writer tasks put while another task of the same session
+// registers two handlers, at 1/2/4 workers under several steal seeds. The
+// handler list is guarded by the footnote-6 gate alone (HandledLVar in
 // src/core/LVarBase.h), so every delta must reach each late handler
 // exactly once - through the registration replay if it landed before the
 // registration, through its own put otherwise. The other suites register
@@ -16,6 +16,7 @@
 
 #include "src/core/LVish.h"
 #include "src/data/Counter.h"
+#include "src/data/DenseSet.h"
 #include "src/data/IMap.h"
 #include "src/data/ISet.h"
 #include "src/data/MinMap.h"
@@ -145,6 +146,20 @@ TEST(HandlerRegistrationRace, ISet) {
               [](ParCtx<DB> C) { return newISet<int>(C); },
               [](ParCtx<DB> C, ISet<int> &Set, int I) { insert(C, Set, I); },
               [](int Elem) { return static_cast<size_t>(Elem); }),
+          W, S);
+}
+
+TEST(HandlerRegistrationRace, DenseSet) {
+  for (unsigned W : WorkerCounts)
+    for (uint64_t S : StealSeeds)
+      expectExactlyOnce(
+          race(
+              cfg(W, S), Items,
+              [](ParCtx<DB> C) { return newDenseSet(C, Items); },
+              [](ParCtx<DB> C, DenseSet &Set, int I) {
+                insert(C, Set, static_cast<uint32_t>(I));
+              },
+              [](uint32_t Elem) { return static_cast<size_t>(Elem); }),
           W, S);
 }
 

@@ -10,7 +10,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Lattice.h"
+#include "src/core/RunPar.h"
 #include "src/data/AndLV.h"
+#include "src/data/DenseSet.h"
 #include "src/data/InsertOnlyTable.h"
 #include "src/data/PureMap.h"
 #include "src/support/DenseBitset.h"
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -60,6 +63,29 @@ struct BitsetUnionLattice {
   }
 };
 
+// The DenseSet lattice (src/data/DenseSet.h), checked through the
+// structure itself: a state is a frozen set's contents, and join(A, B) is
+// a fresh set fed A's elements and then B's, one bit-OR per new element.
+// The universe spans three words, so states straddle word boundaries.
+struct DenseSetLattice {
+  using ValueType = std::vector<uint32_t>;
+  static constexpr uint32_t Universe = 150;
+  static ValueType bottom() { return {}; }
+  static ValueType join(const ValueType &A, const ValueType &B) {
+    const ValueType *AP = &A, *BP = &B;
+    auto S = runParThenFreeze<Eff::Det>(
+        [AP, BP](ParCtx<Eff::Det> Ctx) -> Par<std::shared_ptr<DenseSet>> {
+          auto Set = newDenseSet(Ctx, Universe);
+          for (const ValueType *Part : {AP, BP})
+            for (uint32_t V : *Part)
+              insert(Ctx, *Set, V);
+          co_return Set;
+        },
+        SchedulerConfig{1});
+    return S->toSortedVector();
+  }
+};
+
 class LatticeLawsP : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LatticeLawsP, MaxUint64JoinLaws) {
@@ -81,6 +107,20 @@ TEST_P(LatticeLawsP, BitsetUnionJoinLaws) {
     States.push_back(B);
   }
   checkJoinLaws<BitsetUnionLattice>(States);
+}
+
+TEST_P(LatticeLawsP, DenseSetBitOrJoinLaws) {
+  SplitMix64 Rng(GetParam());
+  constexpr uint32_t U = DenseSetLattice::Universe;
+  std::vector<std::vector<uint32_t>> States{DenseSetLattice::bottom(),
+                                            {0, 63, 64, U - 1}};
+  for (int I = 0; I < 2; ++I) {
+    std::set<uint32_t> Elems;
+    for (int K = 0; K < 12; ++K)
+      Elems.insert(static_cast<uint32_t>(Rng.nextBounded(U)));
+    States.emplace_back(Elems.begin(), Elems.end());
+  }
+  checkJoinLaws<DenseSetLattice>(States);
 }
 
 TEST_P(LatticeLawsP, MinUint64JoinLaws) {
