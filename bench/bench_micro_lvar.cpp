@@ -211,8 +211,8 @@ int main(int argc, char **argv) {
                   }),
         Sessions);
 
-  // The async twin: a burst of empty submits, then their gets, so the
-  // admission, completion queue and finalizer thread are in the path.
+  // The async twin: a burst of empty submits, then their gets, so
+  // admission and finalization on the quiescing worker are in the path.
   std::vector<service::SessionFuture<void>> Futures;
   Futures.reserve(Sessions);
   perOp(H.measure("session_submit",

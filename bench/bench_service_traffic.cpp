@@ -7,8 +7,8 @@
 // control shows up in the latency tail exactly as it would in a real
 // service. Session bodies are a seeded mix of shapes (fork-join compute,
 // IVar chatter, ISet fan-out) so concurrent tenants stress the shared
-// waiter table, the per-session inject queues, and the finalizer thread
-// at once.
+// waiter table, the per-session inject queues, and the workers that
+// finalize async sessions at once.
 //
 // Reported per rep: wall time and completed-sessions-per-second; across
 // all reps: the per-session submit-to-outcome latency distribution

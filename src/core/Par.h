@@ -319,10 +319,10 @@ template <EffectSet E, typename F> Par<void> forkBody(F Body) {
 /// root of \p Session - declares its effect mask \p Fx, enters it into
 /// \p Scopes on top of the scopes it inherits, gives it \p FreshCancel
 /// instead of the inherited cancellation node when that is non-null, and
-/// schedules it. fork, both handler dispatch paths, forkCancelable,
-/// forkWithDeadlockDetection and the session launcher all come here;
-/// Scheduler::createTask is private to it. The task may run, and even
-/// retire, before this returns.
+/// schedules it (a session root on its session's inject FIFO). fork, both
+/// handler dispatch paths, forkCancelable, forkWithDeadlockDetection and
+/// the session launcher all come here; Scheduler::createTask is private
+/// to it. The task may run, and even retire, before this returns.
 inline void launchTask(
     Scheduler &Sched, Par<void> Body, Task *Parent, uint8_t Fx,
     std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
@@ -332,7 +332,7 @@ inline void launchTask(
   Task *T = Sched.createTask(H, Parent, Scopes, FreshCancel, Session);
   H.promise().OwnerTask = T;
   check::declareTaskEffects(T, Fx);
-  Sched.schedule(T);
+  Sched.schedule(T, /*Inject=*/Parent == nullptr);
 }
 
 } // namespace detail

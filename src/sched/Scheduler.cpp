@@ -188,6 +188,8 @@ Scheduler::~Scheduler() {
     std::lock_guard<std::mutex> TLock(S->TasksMutex);
     assert(S->TaskHead == nullptr && "tasks leaked past their session");
   }
+  for (auto &W : Workers)
+    assert(!W->QuiescedHead && "a quiescent session's hook never ran");
 #endif
 }
 
@@ -242,11 +244,11 @@ Task *Scheduler::createTask(
   return T;
 }
 
-void Scheduler::schedule(Task *T) {
+void Scheduler::schedule(Task *T, bool Inject) {
   assert(T->DebugQueued.exchange(1, std::memory_order_acq_rel) == 0 &&
          "task scheduled while already queued or running");
   addPending(T);
-  if (WorkerSchedTL == this) {
+  if (WorkerSchedTL == this && !Inject) {
     Worker &W = *Workers[WorkerIndexTL];
     W.Deque.push(T);
     W.Counters.noteDepth(W.Deque.sizeApprox());
@@ -519,18 +521,34 @@ void Scheduler::addPending(Task *T) {
 void Scheduler::removePending(SessionState &S) {
   if (S.Pending.fetch_sub(1, std::memory_order_acq_rel) != 1)
     return;
-  // This session just quiesced. Wake blocking waiters and call the
-  // session's hook, both under S.Mutex so a waiter cannot miss the notify
-  // between its predicate check and its wait. The hook may run under a
-  // park-site lock (the decrement can come from onTaskParked), so it must
-  // only enqueue (see SessionState::onQuiescent). Nothing here touches S
-  // after the unlock: a blocking waiter may free S as soon as it sees
-  // Quiesced, and an async session's hook took its own reference.
+  // This session just quiesced. Wake blocking waiters under S.Mutex, so a
+  // waiter cannot miss the notify between its predicate check and its
+  // wait. Nothing here touches S after the unlock: a blocking waiter may
+  // free S as soon as it sees Quiesced. A session with a hook is instead
+  // linked onto this worker's private list: the decrement can run under a
+  // park-site lock (onTaskParked), and the hook's finalize reaps through
+  // those same locks, so the worker calls it later with no lock held
+  // (runQuiescentHooks). The session table keeps S alive until then.
   std::lock_guard<std::mutex> Lock(S.Mutex);
   assert(!S.Quiesced && "a session quiesced twice");
   S.Quiesced = true;
   S.CV.notify_all();
-  S.onQuiescent();
+  if (S.hasQuiescentHook()) {
+    assert(WorkerSchedTL == this && "a hooked session quiesced off a worker");
+    Worker &Me = *Workers[WorkerIndexTL];
+    S.QuiescedNext = Me.QuiescedHead;
+    Me.QuiescedHead = &S;
+  }
+}
+
+void Scheduler::runQuiescentHooks(Worker &Me) {
+  while (SessionState *S = Me.QuiescedHead) {
+    Me.QuiescedHead = S->QuiescedNext;
+    S->QuiescedNext = nullptr;
+    // The hook may free S (and, once it lets drain() return, its Runtime):
+    // S is not touched again.
+    S->onQuiescent();
+  }
 }
 
 void Scheduler::sliceEnd(Task *T) {
@@ -666,6 +684,12 @@ void Scheduler::workerLoop(unsigned Index) {
     if (!WasLazy)
       T = findWork(Index);
     if (!T) {
+      // findWork's publishLazy may have quiesced a session: run its hook
+      // before idling, not after the sleep's timeout.
+      if (Me.QuiescedHead) {
+        runQuiescentHooks(Me);
+        continue;
+      }
       // Nothing found: spin briefly, then sleep with a timeout (the
       // timeout makes lost wakeups impossible to wedge on).
       if (++IdleSpins < 64) {
@@ -685,6 +709,7 @@ void Scheduler::workerLoop(unsigned Index) {
             T->DebugQueued.exchange(0, std::memory_order_acq_rel) == 1) &&
            "popped task was not queued");
     dispatch(Me, T);
+    runQuiescentHooks(Me);
   }
 }
 

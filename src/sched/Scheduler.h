@@ -33,11 +33,13 @@
 ///      until finishSession; the root task points at it and is scheduled,
 ///      and every task forked under the root borrows the same pointer;
 ///   2. the decrement that takes the session's pending count to zero marks
-///      it Quiesced and calls its onQuiescent() hook, both under its
-///      mutex: no task OF THAT SESSION is runnable or running, while
-///      sibling sessions sharing the pool keep running. A blocking driver
-///      waits for the flag in waitSessionQuiescent(S); an async session's
-///      hook enqueues it for the Runtime's finalizer thread;
+///      it Quiesced under its mutex: no task OF THAT SESSION is runnable or
+///      running, while sibling sessions sharing the pool keep running. A
+///      blocking driver waits for the flag in waitSessionQuiescent(S); a
+///      session with an onQuiescent() hook (an async service session)
+///      goes on the decrementing worker's private list, and that worker
+///      calls the hook - which finalizes the session - with no lock held,
+///      after its current dispatch and before it idles;
 ///   3. finishSession(S) reaps the session's permanently parked tasks -
 ///      exactly the tasks in its registry, which holds a task from the
 ///      park that links it to the wake that unlinks it. A task that is
@@ -134,8 +136,12 @@ public:
   /// HandlerPool to pick the delta batch of the worker running a put.
   unsigned callerBatchIndex() const;
 
-  /// Makes \p T runnable for the first time, or again after a park.
-  void schedule(Task *T);
+  /// Makes \p T runnable for the first time, or again after a park: on
+  /// the calling worker's own deque, or - off this scheduler's workers, or
+  /// with \p Inject - on its session's inject FIFO. A session root is
+  /// launched with \p Inject, so a root a worker launches queues behind
+  /// the sessions admitted before it instead of ahead of them.
+  void schedule(Task *T, bool Inject = false);
 
   /// Wakes a parked task - the only way a task leaves its park - and
   /// unlinks it from its session's registry; \p Waker (may be null) is
@@ -283,6 +289,10 @@ private:
     /// touches them.
     unsigned LazyCount = 0;
     LazyWait Lazy[LazyWaitCap];
+    /// Sessions this worker quiesced whose onQuiescent hook it has yet to
+    /// call (through SessionState::QuiescedNext). Only this worker touches
+    /// them.
+    SessionState *QuiescedHead = nullptr;
   };
 
   void workerLoop(unsigned Index);
@@ -319,9 +329,13 @@ private:
   void pushInjected(Task *T);
   /// Bumps \p T's session pending count.
   void addPending(Task *T);
-  /// Drops \p S's pending count; when it hits zero, marks S Quiesced,
-  /// signals its CV and calls its onQuiescent hook, all under S.Mutex.
+  /// Drops \p S's pending count; when it hits zero, marks S Quiesced and
+  /// signals its CV under S.Mutex, and links a session with a hook onto
+  /// the calling worker's QuiescedHead list.
   void removePending(SessionState &S);
+  /// Calls the onQuiescent hook of every session on \p Me's QuiescedHead
+  /// list, with no lock held.
+  void runQuiescentHooks(Worker &Me);
   /// Destroys \p T (scopes, frame) and returns its storage to the block
   /// cache. \p T must not be in its session's registry.
   void retire(Task *T);

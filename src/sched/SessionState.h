@@ -32,13 +32,15 @@
 ///    (Scheduler::retireAndRelease), so S outlives every task that can
 ///    still decrement it. The last thing that touches S after its last
 ///    decrement is Scheduler::removePending's critical section under
-///    \c Mutex: it sets \c Quiesced and calls \c onQuiescent there, and
+///    \c Mutex: it sets \c Quiesced there, and
 ///    Scheduler::waitSessionQuiescent waits for that flag, not for
 ///    \c Pending == 0. A waiter that read 0 early could free S while the
 ///    notifier was still about to lock it.
 ///  * From quiescence to finalization an async session is held by the
-///    reference its \c onQuiescent pushed onto the Runtime's completion
-///    queue, a blocking one by its driver, which finalizes it itself.
+///    session table: the decrementing worker links it onto its own list
+///    and calls \c onQuiescent, which takes a reference before
+///    finishSession drops the table's. A blocking one is held by its
+///    driver, which finalizes it itself.
 ///  * Every CancelNode a task can point at is either \c CancelRoot or a
 ///    node that forkCancelable registered under its parent's node
 ///    (CancelNode::addChild) before launching the task, so the root's
@@ -104,6 +106,10 @@ public:
   Task *InjectTail = nullptr;
   SessionState *InjectRingNext = nullptr;
 
+  /// Link in the list of quiesced sessions whose hook the worker that
+  /// quiesced them has yet to call; only that worker touches it.
+  SessionState *QuiescedNext = nullptr;
+
   /// The session root's cancellation node: what raiseFault cancels to
   /// contain a fault to this session. Its tree owns every cancellation
   /// node a task of the session points at.
@@ -144,11 +150,15 @@ public:
 protected:
   friend class Scheduler;
 
-  /// Called exactly once, under \c Mutex, by the decrement that took
-  /// Pending to zero. May run under a park-site lock (the last task of a
-  /// session can park while holding one), so it must only enqueue - the
-  /// service runtime pushes an async session onto its completion queue
-  /// here. A no-op for blocking sessions, whose driver waits on \c CV.
+  /// True when quiescence must call onQuiescent. Read under \c Mutex by
+  /// the decrement that took Pending to zero; false for blocking sessions,
+  /// whose driver waits on \c CV.
+  virtual bool hasQuiescentHook() const { return false; }
+
+  /// Called exactly once, after Pending reached zero, on the worker of
+  /// the pool whose decrement got it there, with no lock held - after
+  /// that worker's current dispatch, before it idles. The service runtime
+  /// finalizes an async session here and admits the next one.
   virtual void onQuiescent() {}
 };
 

@@ -7,14 +7,15 @@
 //
 // The untemplated half of the Runtime: admission control (slot
 // accounting, FIFO queueing with deadline/shed refusals, explore
-// exclusivity, graceful stop), the blocking session driver, and the
-// finalizer thread that turns quiescent async sessions into outcomes.
+// exclusivity, graceful stop), the blocking session driver, and the one
+// finalize-then-release sequence that turns a quiescent session into an
+// outcome, on its blocked driver or on the worker that quiesced it.
 //
 // Lock discipline: Mu guards only the Runtime's own bookkeeping (Active,
-// the two queues, stop flags). A session's launch, finalize AND reject
-// always run with Mu RELEASED - launches re-enter the Scheduler, and
-// finalize and reject take the session's own mutex, which an async
-// session holds while its onQuiescent takes Mu to enqueue it.
+// the admission queue, the stop flag) and is a leaf: nothing else is
+// locked under it. A session's launch, finalize AND reject always run
+// with Mu released - launches re-enter the Scheduler, and finalize and
+// reject take the session's own mutex.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,27 +42,17 @@ Runtime::Runtime(RuntimeConfig Config)
       DefaultBudget(Config.DefaultSessionBudget) {}
 
 void service::detail::SessionBase::onQuiescent() {
-  if (Completions)
-    Completions->enqueueCompletion(shared_from_this());
+  Completions->finalizeAndRelease(*this);
 }
 
-Runtime::~Runtime() {
-  drain();
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ShuttingDown = true;
-    WorkCV.notify_all();
-  }
-  if (Finalizer.joinable())
-    Finalizer.join();
-}
+Runtime::~Runtime() { drain(); }
 
 Runtime::AdmitVeto Runtime::acquireSlotOrVeto() {
   std::unique_lock<std::mutex> Lock(Mu);
   if (Stopping)
     return {FaultCode::RuntimeStopping, StoppingReason};
   if (Sched.exploreCtl()) {
-    if (Active > 0 || !AdmitQueue.empty() || !DoneQueue.empty())
+    if (Active > 0 || !AdmitQueue.empty())
       return {FaultCode::SessionRejected,
               "controlled-scheduling sessions need the Runtime to "
               "themselves and it is busy"};
@@ -93,7 +84,21 @@ void Runtime::runBlocking(detail::SessionBase &S) {
   }
   S.launch(Sched);
   Sched.waitSessionQuiescent(S);
-  S.finalize(Sched);
+  finalizeAndRelease(S);
+}
+
+void Runtime::finalizeAndRelease(detail::SessionBase &S) {
+  {
+    // finishSession drops the session table's reference, the only one an
+    // async session whose future is gone still has: hold one through
+    // finalize. It is dropped BEFORE releaseSlot, whose unlock can let
+    // drain() return and the caller free what the session's body holds;
+    // the last reference destroys that body.
+    SessionPtr Hold = S.shared_from_this();
+    S.finalize(Sched);
+  }
+  // From here S may be gone, and once releaseSlot unlocks Mu with no
+  // session left active, so may the Runtime (see Sched).
   releaseSlot();
 }
 
@@ -141,12 +146,10 @@ void Runtime::routeSubmission(SessionPtr S) {
         RefuseCode = FaultCode::Shed;
         RefuseReason = ShedReason;
       } else {
-        ensureFinalizerLocked();
         AdmitQueue.push_back(std::move(S));
         return;
       }
     } else {
-      ensureFinalizerLocked();
       ++Active;
     }
   }
@@ -154,61 +157,6 @@ void Runtime::routeSubmission(SessionPtr S) {
     S->reject(RefuseCode, RefuseReason);
   else
     S->launch(Sched);
-}
-
-void Runtime::enqueueCompletion(SessionPtr S) {
-  // Runs under the session's mutex and maybe a park-site lock (the
-  // session's last pending-count decrement can happen inside
-  // TaskScope/LVar park bookkeeping), so this must only enqueue - never
-  // touch the Scheduler.
-  std::lock_guard<std::mutex> Lock(Mu);
-  DoneQueue.push_back(std::move(S));
-  WorkCV.notify_one();
-}
-
-void Runtime::ensureFinalizerLocked() {
-  if (FinalizerStarted)
-    return;
-  FinalizerStarted = true;
-  Finalizer = std::thread([this] { finalizerLoop(); });
-}
-
-void Runtime::finalizerLoop() {
-  std::unique_lock<std::mutex> Lock(Mu);
-  for (;;) {
-    WorkCV.wait(Lock, [this] { return ShuttingDown || !DoneQueue.empty(); });
-    if (DoneQueue.empty()) {
-      if (ShuttingDown)
-        return;
-      continue;
-    }
-    SessionPtr S = std::move(DoneQueue.front());
-    DoneQueue.pop_front();
-    // The finalized session's slot stays held through finalize
-    // (finishSession, fault take, outcome publication), so drain() cannot
-    // complete while a finalization is mid-flight. Session references
-    // are dropped outside Mu: the last one destroys the user's body.
-    Lock.unlock();
-    S->finalize(Sched);
-    S.reset();
-    SessionPtr Next;
-    std::vector<SessionPtr> Expired;
-    Lock.lock();
-    assert(Active > 0 && "finalized a session without a held slot");
-    --Active;
-    Next = admitNextLocked(Expired);
-    SlotCV.notify_all();
-    if (Next || !Expired.empty()) {
-      Lock.unlock();
-      for (SessionPtr &E : Expired)
-        E->reject(FaultCode::DeadlineExceeded, DeadlineReason);
-      Expired.clear();
-      if (Next)
-        Next->launch(Sched);
-      Next.reset();
-      Lock.lock();
-    }
-  }
 }
 
 void Runtime::drain() {
@@ -224,14 +172,12 @@ void Runtime::drain() {
     S->reject(FaultCode::RuntimeStopping, StoppingReason);
   Rejected.clear();
   std::unique_lock<std::mutex> Lock(Mu);
-  if (Active > 0 || !DoneQueue.empty())
+  if (Active > 0)
     obs::count(obs::Event::DrainWaits);
-  SlotCV.wait(Lock, [this] { return Active == 0 && DoneQueue.empty(); });
+  SlotCV.wait(Lock, [this] { return Active == 0; });
 }
 
 void Runtime::awaitIdle() {
   std::unique_lock<std::mutex> Lock(Mu);
-  SlotCV.wait(Lock, [this] {
-    return Active == 0 && AdmitQueue.empty() && DoneQueue.empty();
-  });
+  SlotCV.wait(Lock, [this] { return Active == 0 && AdmitQueue.empty(); });
 }

@@ -35,17 +35,18 @@
 /// removed in their favor).
 ///
 /// One session object (detail::Submission) holds a session's scheduler
-/// state, body, result and outcome; the SessionFuture, the admission and
-/// completion queues and the scheduler's session table share it.
+/// state, body, result and outcome; the SessionFuture, the admission
+/// queue and the scheduler's session table share it.
 ///
-/// Completion pipeline: a session's last pending-count decrement can
-/// happen under a park-site lock, so an async session's onQuiescent hook
-/// only pushes the session onto the Runtime's completion queue; a lazily
-/// started finalizer thread calls its finalize (finishSession / fault take
-/// / exit freeze / outcome publication), then admits the next queued
-/// session. A blocking run (and every session of an explore-mode Runtime)
-/// goes through Runtime::runBlocking instead: admit, launch, wait for
-/// quiescence, finalize on the calling thread, release the slot.
+/// Completion: a Runtime with N workers runs N threads. The worker whose
+/// decrement quiesces an async session calls its onQuiescent hook once
+/// it holds no lock (the decrement itself can run under a park-site
+/// lock), and the hook runs Runtime::finalizeAndRelease: finalize
+/// (finishSession / fault take / exit freeze / outcome publication), then
+/// release the slot, which launches the next queued session. A blocking
+/// run (and every session of an explore-mode Runtime) goes through
+/// Runtime::runBlocking: admit, launch, wait for quiescence, then the same
+/// finalizeAndRelease on the calling thread, which is idle anyway.
 ///
 /// A Runtime constructed with a schedule controller (controlled
 /// scheduling, DESIGN.md Section 12) explores every session it runs. An
@@ -83,7 +84,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -221,7 +221,7 @@ inline void countRejection(FaultCode Code) {
 
 /// The untyped face of one session: its scheduler state (the base), its
 /// options and timestamps, and the three steps the Runtime drives it
-/// through. The admission and completion queues hold these.
+/// through. The admission queue holds these.
 class SessionBase : public SessionState,
                     public std::enable_shared_from_this<SessionBase> {
 public:
@@ -239,7 +239,7 @@ public:
   /// sibling faulted; otherwise a valueless root is a deterministic
   /// deadlock), applies the exit freeze, delivers the stats delta, and
   /// publishes the outcome. Runs on the submitter (blocking runs) or the
-  /// Runtime's finalizer thread (async submissions) - never under a
+  /// worker that quiesced the session (async submissions) - never under a
   /// park-site lock.
   virtual void finalize(Scheduler &Sched) = 0;
 
@@ -250,8 +250,8 @@ public:
 
   /// The options, with MaxSteps already defaulted to the Runtime's budget.
   const SessionOptions Opts;
-  /// The Runtime whose completion queue takes this session at quiescence;
-  /// null for blocking sessions, whose driver waits on CV instead.
+  /// The Runtime whose worker finalizes this session at quiescence; null
+  /// for blocking sessions, whose driver waits on CV instead.
   Runtime *Completions = nullptr;
   /// Creation time; also the admission queue's deadline clock.
   const uint64_t SubmitNanos;
@@ -259,7 +259,9 @@ public:
   uint64_t DoneNanos = 0;
 
 protected:
-  /// An async session enqueues itself for the finalizer thread.
+  bool hasQuiescentHook() const override { return Completions != nullptr; }
+  /// An async session is finalized, and its slot released, by the worker
+  /// that quiesced it.
   void onQuiescent() override;
 };
 
@@ -517,10 +519,9 @@ public:
       // rejects rather than blocks when the pool is busy).
       runBlocking(*S);
     } else {
-      // Launched now if a slot is free, or later from the finalizer
-      // thread when one frees up; its onQuiescent hook hands it to the
-      // finalizer thread, and admission may refuse it instead (shed,
-      // deadline, stopping).
+      // Launched now if a slot is free, or later by the thread that frees
+      // one; the worker that quiesces it finalizes it (onQuiescent), and
+      // admission may refuse it instead (shed, deadline, stopping).
       S->Completions = this;
       routeSubmission(std::move(S));
     }
@@ -560,8 +561,13 @@ private:
   /// decisions to OS timing).
   AdmitVeto acquireSlotOrVeto();
   /// The one blocking session driver: admit (or reject), launch, wait on
-  /// the session's own quiesce scope, finalize inline, release the slot.
+  /// the session's own quiesce scope, finalizeAndRelease inline.
   void runBlocking(detail::SessionBase &S);
+  /// Finalizes the quiescent \p S, then releaseSlot(): the one completion
+  /// sequence, run by a blocking driver or by the worker that quiesced an
+  /// async session. Touches neither S nor the Runtime after releaseSlot
+  /// unlocks Mu.
+  void finalizeAndRelease(detail::SessionBase &S);
   /// Frees one slot; launches the next in-deadline queued submission.
   void releaseSlot();
   /// Launches now (slot free), queues FIFO, or refuses (stopping / shed).
@@ -571,13 +577,10 @@ private:
   /// \p Expired for the caller to reject OUTSIDE Mu; the first in-deadline
   /// entry claims the slot and is returned for the caller to launch.
   SessionPtr admitNextLocked(std::vector<SessionPtr> &Expired);
-  /// Called by an async session's onQuiescent: queue it for the finalizer
-  /// thread. Safe under park-site locks (enqueue only).
-  void enqueueCompletion(SessionPtr S);
-  void finalizerLoop();
-  /// Caller must hold Mu.
-  void ensureFinalizerLocked();
 
+  /// Declared first, so destroyed last: ~Runtime destroys Mu and SlotCV
+  /// before the Scheduler joins its workers. Hence a worker touches nothing
+  /// of the Runtime once its releaseSlot has unlocked Mu.
   Scheduler Sched;
   const unsigned MaxActive;
   const unsigned MaxQueued;
@@ -587,19 +590,12 @@ private:
   std::mutex Mu;
   /// Signalled on slot release (blocking admission, drain()).
   std::condition_variable SlotCV;
-  /// Wakes the finalizer thread (completions, shutdown).
-  std::condition_variable WorkCV;
   /// Sessions admitted but not yet finalized.
   unsigned Active = 0;
   /// Async submissions waiting for a slot (FIFO admission).
   std::deque<SessionPtr> AdmitQueue;
-  /// Quiescent async sessions awaiting finalization.
-  std::deque<SessionPtr> DoneQueue;
   /// Set by drain(): admission is closed for good.
   bool Stopping = false;
-  bool ShuttingDown = false;
-  bool FinalizerStarted = false;
-  std::thread Finalizer;
 };
 
 } // namespace service

@@ -24,8 +24,8 @@
 ///     sweep still finishes every active session.
 ///
 /// The ci.sh `chaos` stage reruns this binary under ThreadSanitizer: the
-/// doom-delivery thread vs. finalizer vs. admission interleavings are
-/// exactly where a race would hide.
+/// doom-delivery thread vs. finalizing worker vs. admission interleavings
+/// are exactly where a race would hide.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -310,10 +310,17 @@ for stage in "${STAGES[@]}"; do
     service)
       ensure_tree tsan
       echo "==== [service] ServiceRuntimeTest under ThreadSanitizer ===="
-      # Concurrent sessions share the waiter table, the per-session inject
-      # queues, and the finalizer thread - the exact surfaces where a
-      # cross-session data race would hide from the single-session suite.
+      # Concurrent sessions share the waiter table and the per-session
+      # inject queues, and each async session is finalized on the worker
+      # that quiesced it - the exact surfaces where a cross-session data
+      # race would hide from the single-session suite.
       ./build-ci-tsan/tests/ServiceRuntimeTest
+      echo "==== [service] finalizing-worker tests, repeated, under TSan ===="
+      # A worker that touched the session or the Runtime after the slot
+      # release that lets drain() return races ~Runtime only now and then:
+      # repeat the two tests that provoke it.
+      ./build-ci-tsan/tests/ServiceRuntimeTest --gtest_repeat=20 \
+        --gtest_filter='ServiceRuntime.AsyncSessionsQuiescingOnAParkAdmitTheNext:ServiceRuntime.TeardownRacesTheFinalizingWorker'
       ensure_tree release
       echo "==== [service] open-loop traffic smoke ===="
       mkdir -p build-ci-release/bench-json
@@ -334,8 +341,9 @@ for stage in "${STAGES[@]}"; do
     chaos)
       ensure_tree tsan
       echo "==== [chaos] ServiceChaosTest under ThreadSanitizer ===="
-      # The doom-delivery thread vs. finalizer vs. admission machinery is
-      # exactly where a shutdown/cancellation race would hide; the test's
+      # The doom-delivery thread vs. finalizing worker vs. admission
+      # machinery is exactly where a shutdown/cancellation race would hide;
+      # the test's
       # assertions are schedule-independent so TSan timing skew is fine.
       ./build-ci-tsan/tests/ServiceChaosTest
       echo "==== [chaos] ServiceRobustnessTest under ThreadSanitizer ===="
