@@ -126,6 +126,45 @@ int main(int argc, char **argv) {
                   }),
         Loop);
 
+  // One handler registration's cost per delta: Loop inserts into a set
+  // watched by one handler, then a quiesce, in one session at one worker.
+  // A plain callback's deltas are batched into flush tasks; a Par
+  // callback runs as one task per delta.
+  perOp(H.measure("plain_handler_delta",
+                  [&] {
+                    RT.run<D>([Loop](ParCtx<D> Ctx) -> Par<void> {
+                        auto S = newISet<uint64_t>(Ctx);
+                        auto Pool = newPool(Ctx);
+                        auto Handler = [](ParCtx<D>, const uint64_t &V) {
+                          Sink = V;
+                        };
+                        [[maybe_unused]] HandlerHandle Reg =
+                            addHandler(Ctx, Pool, *S, Handler);
+                        for (uint64_t I = 0; I < Loop; ++I)
+                          insert(Ctx, *S, I);
+                        co_await quiesce(Ctx, Pool);
+                      }).valueOrAbort();
+                  }),
+        Loop);
+  perOp(H.measure("task_handler_delta",
+                  [&] {
+                    RT.run<D>([Loop](ParCtx<D> Ctx) -> Par<void> {
+                        auto S = newISet<uint64_t>(Ctx);
+                        auto Pool = newPool(Ctx);
+                        auto Handler = [](ParCtx<D>,
+                                          const uint64_t &V) -> Par<void> {
+                          Sink = V;
+                          co_return;
+                        };
+                        [[maybe_unused]] HandlerHandle Reg =
+                            addHandler(Ctx, Pool, *S, Handler);
+                        for (uint64_t I = 0; I < Loop; ++I)
+                          insert(Ctx, *S, I);
+                        co_await quiesce(Ctx, Pool);
+                      }).valueOrAbort();
+                  }),
+        Loop);
+
   // forSpeculative's own cost per iteration, with bodies that do nothing:
   // its two passes and the retry pack, next to one parallelFor over the
   // same range at the same grain.

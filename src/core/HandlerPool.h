@@ -9,9 +9,11 @@
 /// Handler pools: LVish lets a program "register latent event handlers
 /// that run when puts that change the state of an LVar occur ... these are
 /// equivalent to an implicit set of functions blocked on gets" (Section 2,
-/// footnote 3). A pool groups handler invocations so that \c quiesce can
-/// block until the entire cascade they trigger has drained - the pattern
-/// behind the graph-traversal example in the paper's appendix.
+/// footnote 3). A pool is only the count behind \c quiesce: every handler
+/// task of every registration made with it enters its \c TaskScope, so
+/// \c quiesce can block until the entire cascade they trigger has drained
+/// - the pattern behind the graph-traversal example in the paper's
+/// appendix.
 ///
 /// Any LVar deriving from \c HandledLVar<Delta> (src/core/LVarBase.h) -
 /// which supplies \c DeltaType and \c addHandlerRaw, and asks the
@@ -20,42 +22,49 @@
 /// interface" role that \c ParLVar plays in Section 4's
 /// independent-extensibility discussion.
 ///
-/// Two dispatch paths, picked by the callback's return type alone:
+/// A registration is one object, a \c detail::HandlerReg<Delta> typed on
+/// its callback, which the LVar holds by \c shared_ptr and calls once per
+/// delta. Its kind is picked by the callback's return type alone:
 ///
-///  * A callback returning \c void is a plain call. It cannot \c co_await,
-///    so it can never park, whatever its effect row. Its deltas are
-///    batched: each pool keeps one delta batch per worker (plus one for
-///    external callers), and each plain registration keeps its deltas by
-///    value in one typed vector per batch slot. A put appends the delta to
-///    its worker's slot and spawns a single flush task only when the batch
-///    was idle. The flush task drains the batch - and whatever lands in it
-///    while draining - calling each callback in a loop, then disarms. No
+///  * A callback returning \c void is a plain call (\c PlainHandler). It
+///    cannot \c co_await, so it can never park, whatever its effect row.
+///    Its deltas are batched by value in the registration's own slots, one
+///    per worker plus one for external callers. A put appends the delta to
+///    its worker's slot and spawns a single flush task only when the slot
+///    was idle. The flush task drains the slot - and whatever lands in it
+///    while draining - calling the callback in a loop, then disarms. No
 ///    task, coroutine frame or allocation is made per delta, and the stack
 ///    does not grow with the length of a handler chain. TaskScope
 ///    enter/exit is per *flush*, not per delta, so quiescence still counts
-///    every pending delta (a delta is only ever pending while its batch's
+///    every pending delta (a delta is only ever pending while its slot's
 ///    flush is armed).
 ///  * A callback returning \c Par<void> may await, so it may park. It runs
-///    as its own task, one per delta: a parked handler would otherwise
-///    stall every delta queued behind it in a batch.
+///    as its own task, one per delta (\c TaskHandler): a parked handler
+///    would otherwise stall every delta queued behind it in a batch.
 ///
-/// Either way a handler or flush task is forked from the putting task, so
-/// in a fixpoint (handlers putting into the LVar they watch) it inherits
-/// the pool's scope from its parent. \c Task::addScope then adds nothing: a
+/// Either way the task declares the registration's own effect level, and
+/// its frame owns the registration, so pending deltas still run after the
+/// program drops the LVar. It is forked from the putting task, so in a
+/// fixpoint (handlers putting into the LVar they watch) it inherits the
+/// pool's scope from its parent. \c Task::addScope then adds nothing: a
 /// task N handler generations deep carries the pool once, not N times,
-/// and each spawn costs O(distinct scopes), not O(chain depth).
+/// and each spawn costs O(distinct scopes), not O(chain depth). Its
+/// cancellation node is not the putter's but the registrar's: a handler
+/// belongs to the computation that registered it, so a put from a
+/// cancelled branch (a \c getMemoRO request, say) starts work that the
+/// cancel does not kill, and a flush that such a put armed still runs.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LVISH_CORE_HANDLERPOOL_H
 #define LVISH_CORE_HANDLERPOOL_H
 
+#include "src/core/LVarBase.h"
 #include "src/core/Par.h"
 #include "src/obs/Telemetry.h"
 #include "src/sched/TaskScope.h"
 #include "src/support/Timer.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -64,131 +73,142 @@
 
 namespace lvish {
 
-namespace detail {
-
-/// The deltas of one plain (`void`) registration, held by value in one
-/// typed vector per batch slot. Every call on a slot happens under that
-/// slot's WorkerBatch::Mu, except run, which only the batch's one armed
-/// flush task makes.
-class PlainLane {
-public:
-  PlainLane() = default;
-  PlainLane(const PlainLane &) = delete;
-  PlainLane &operator=(const PlainLane &) = delete;
-  virtual ~PlainLane() = default;
-  /// Moves \p Slot's pending deltas aside for run (batch lock held).
-  virtual void take(unsigned Slot) = 0;
-  /// Calls the callback, as the flush task \p T, on every delta the last
-  /// take moved aside, then drops them.
-  virtual void run(unsigned Slot, Task *T) = 0;
-};
-
-} // namespace detail
-
-/// Groups handler invocations for quiescence; see file comment.
+/// Counts a pool's handler tasks for quiescence; see file comment.
 class HandlerPool {
 public:
-  /// One per-worker delta batch (its own cache line). A put holds Mu just
-  /// long enough to append; the flush task holds it just long enough to
-  /// move the pending deltas aside.
-  struct alignas(64) WorkerBatch {
-    std::mutex Mu;
-    /// The registrations with deltas pending in this slot, each once.
-    std::vector<std::shared_ptr<detail::PlainLane>> Lanes;
-    /// True while a flush task owns this batch (one Scope.enter per arm).
-    bool FlushArmed = false;
-  };
-
-  /// \p NumBatchSlots must be the scheduler's numWorkers() + 1 (the last
-  /// slot serves external, non-worker callers); newPool does this.
-  explicit HandlerPool(unsigned NumBatchSlots)
-      : Scope(TaskScope::Mode::Live),
-        Batches(std::make_unique<WorkerBatch[]>(NumBatchSlots)),
-        NumBatchSlots(NumBatchSlots) {}
-
   /// Counts every handler task spawned under this pool, including the
   /// tasks they transitively fork.
-  TaskScope Scope;
-
-  /// Per-worker delta batches for plain handlers.
-  std::unique_ptr<WorkerBatch[]> Batches;
-  unsigned NumBatchSlots;
-
-  /// Union of the effect masks of every plain registration, whose deltas
-  /// may share a batch; flush tasks declare this (a superset per delta,
-  /// which the audit permits - declared effects bound performed ones).
-  std::atomic<uint8_t> BatchFx{0};
-
-  /// Monotonic registration ordinal source for HandlerHandle.
-  std::atomic<uint64_t> Registrations{0};
+  TaskScope Scope{TaskScope::Mode::Live};
 };
 
 namespace detail {
 
-/// A plain registration's lane: \p F called as `void(ParCtx<E>, const
-/// Delta&)` on each delta, in the order its slot received them.
+/// What both kinds of registration share: the callback, called as
+/// \p E, and where its tasks go.
 template <EffectSet E, typename Delta, typename F>
-class TypedLane final : public PlainLane {
+class PooledHandler : public HandlerReg<Delta> {
 public:
-  TypedLane(F Callback, unsigned NumSlots)
-      : Callback(std::move(Callback)),
-        Slots(std::make_unique<SlotDeltas[]>(NumSlots)) {}
+  PooledHandler(ParCtx<E> Registrar, std::shared_ptr<HandlerPool> Pool,
+                F Callback)
+      : Callback(std::move(Callback)), Sched(Registrar.sched()),
+        Cancel(Registrar.task()->Cancel), Pool(std::move(Pool)) {}
 
-  /// Appends \p D to \p Slot (batch lock held). True when the slot was
-  /// empty, so the lane must be listed in the batch.
-  bool push(unsigned Slot, const Delta &D) {
-    std::vector<Delta> &Pending = Slots[Slot].Pending;
-    Pending.push_back(D);
-    return Pending.size() == 1;
+protected:
+  /// Spawns \p Body as a task of this registration: forked from the
+  /// putting task, declaring \p E, entered into the pool's scope, under
+  /// the registrar's cancellation node (see file comment).
+  void launch(Par<void> Body) {
+    launchTask(*Sched, std::move(Body), Scheduler::currentTask(),
+               check::effectMask(E),
+               {std::shared_ptr<TaskScope>(Pool, &Pool->Scope)}, Cancel);
   }
 
-  void take(unsigned Slot) override {
-    Slots[Slot].Pending.swap(Slots[Slot].Running);
-  }
+  F Callback;
+  Scheduler *Sched;
+  /// Owned by the session's cancel tree, which outlives every put.
+  CancelNode *Cancel;
+  std::shared_ptr<HandlerPool> Pool;
+};
 
-  void run(unsigned Slot, Task *T) override {
-    std::vector<Delta> &Running = Slots[Slot].Running;
-    ParCtx<E> Ctx = CtxAccess::make<E>(T);
-    for (const Delta &D : Running)
-      Callback(Ctx, D);
-    Running.clear(); // Keeps the capacity: the vectors only grow.
+/// A plain registration: \p F called as `void(ParCtx<E>, const Delta&)`
+/// on each delta, in the order its slot received them, by one flush task
+/// per armed slot.
+template <EffectSet E, typename Delta, typename F>
+class PlainHandler final
+    : public PooledHandler<E, Delta, F>,
+      public std::enable_shared_from_this<PlainHandler<E, Delta, F>> {
+public:
+  PlainHandler(ParCtx<E> Registrar, std::shared_ptr<HandlerPool> Pool,
+               F Callback)
+      : PooledHandler<E, Delta, F>(Registrar, std::move(Pool),
+                                   std::move(Callback)),
+        Slots(std::make_unique<Slot[]>(Registrar.sched()->numWorkers() +
+                                        1)) {}
+
+  void operator()(const Delta &D) override {
+    obs::count(obs::Event::HandlerInvocations);
+    unsigned S = this->Sched->callerBatchIndex();
+    Slot &B = Slots[S];
+    HandlerPool &Pool = *this->Pool;
+    {
+      std::lock_guard<std::mutex> Lock(B.Mu);
+      B.Pending.push_back(D);
+      if (B.FlushArmed)
+        return; // The armed flush task will pick the delta up.
+      B.FlushArmed = true;
+      // Enter the scope while still holding B.Mu: the scope count covers
+      // the pending delta before anyone can observe the slot, so quiesce
+      // never sees a transient drain.
+      Pool.Scope.enter();
+    }
+    this->launch(flush(this->shared_from_this(), S));
+    // The task now counts itself (a flush spawned from another task of
+    // this pool inherited the scope and counts through that entry): hand
+    // off the count entered at arming.
+    Pool.Scope.exitOne();
+    obs::count(obs::Event::HandlerBatchFlushes);
   }
 
 private:
-  /// Double-buffered per slot: puts append to Pending while the flush
-  /// runs the deltas it took into Running.
-  struct alignas(64) SlotDeltas {
+  /// One slot's deltas (its own cache line). A put holds Mu just long
+  /// enough to append; the flush task holds it just long enough to swap
+  /// Pending into Running.
+  struct alignas(64) Slot {
+    std::mutex Mu;
     std::vector<Delta> Pending;
+    /// The flush task's alone: the deltas it took and is calling.
     std::vector<Delta> Running;
+    /// True while a flush task owns this slot (one Scope.enter per arm).
+    bool FlushArmed = false;
   };
 
-  F Callback;
-  std::unique_ptr<SlotDeltas[]> Slots;
+  /// Root of a flush task: runs every delta pending in slot \p S - and
+  /// whatever lands in it meanwhile - then disarms the slot.
+  static Par<void> flush(std::shared_ptr<PlainHandler> Self, unsigned S) {
+    Slot &B = Self->Slots[S];
+    ParCtx<E> Ctx = CtxAccess::make<E>(Scheduler::currentTask());
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> Lock(B.Mu);
+        if (B.Pending.empty()) {
+          B.FlushArmed = false;
+          break;
+        }
+        B.Pending.swap(B.Running);
+      }
+      for (const Delta &D : B.Running)
+        Self->Callback(Ctx, D);
+      B.Running.clear(); // Keeps the capacity: the vectors only grow.
+    }
+    co_return;
+  }
+
+  /// numWorkers() + 1 slots: callerBatchIndex() picks one.
+  std::unique_ptr<Slot[]> Slots;
 };
 
-/// Root of a flush task: runs every delta pending in \p Pool's batch
-/// \p Slot - and whatever lands in it meanwhile - then disarms the batch.
-inline Par<void> flushBatch(HandlerPool *Pool, unsigned Slot) {
-  HandlerPool::WorkerBatch &B = Pool->Batches[Slot];
-  Task *T = Scheduler::currentTask();
-  std::vector<std::shared_ptr<PlainLane>> Local;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> Lock(B.Mu);
-      if (B.Lanes.empty()) {
-        B.FlushArmed = false;
-        break;
-      }
-      Local.swap(B.Lanes);
-      for (const auto &Lane : Local)
-        Lane->take(Slot);
-    }
-    for (const auto &Lane : Local)
-      Lane->run(Slot, T);
-    Local.clear();
+/// A task registration: \p F called as `Par<void>(ParCtx<E>, const
+/// Delta&)`, one task per delta, so a parked handler never stalls the
+/// deltas after it.
+template <EffectSet E, typename Delta, typename F>
+class TaskHandler final
+    : public PooledHandler<E, Delta, F>,
+      public std::enable_shared_from_this<TaskHandler<E, Delta, F>> {
+public:
+  using PooledHandler<E, Delta, F>::PooledHandler;
+
+  void operator()(const Delta &D) override {
+    obs::count(obs::Event::HandlerInvocations);
+    this->launch(run(this->shared_from_this(), D));
   }
-  co_return;
-}
+
+private:
+  /// Root of a handler task; its frame owns the registration and \p D.
+  static Par<void> run(std::shared_ptr<TaskHandler> Self, Delta D) {
+    ParCtx<E> Ctx = CtxAccess::make<E>(Scheduler::currentTask());
+    co_await Self->Callback(Ctx, D);
+  }
+};
 
 /// Which of the two callback forms \p F has when called with \p Args: a
 /// plain call (`void`), a task (`Par<void>`), or neither.
@@ -210,28 +230,25 @@ template <typename F, typename... Args> constexpr HandlerForm handlerForm() {
 
 } // namespace detail
 
-/// Names one handler registration (which pool, which ordinal). Returned by
+/// Names the pool a handler registration counts in. Returned by
 /// \c addHandler so callers can tie a registration to its pool - e.g. to
 /// keep the pool alive or to quiesce the right pool later.
 struct HandlerHandle {
   std::shared_ptr<HandlerPool> Pool;
-  uint64_t Registration = 0;
 
   explicit operator bool() const { return Pool != nullptr; }
 };
 
-/// Allocates a handler pool for the current session, sized to the
-/// scheduler's worker count (one delta batch per worker plus one for
-/// external callers).
-template <EffectSet E> std::shared_ptr<HandlerPool> newPool(ParCtx<E> Ctx) {
-  return std::make_shared<HandlerPool>(Ctx.sched()->numWorkers() + 1);
+/// Allocates a handler pool for the current session.
+template <EffectSet E> std::shared_ptr<HandlerPool> newPool(ParCtx<E>) {
+  return std::make_shared<HandlerPool>();
 }
 
 /// Registers \p Callback to run, counted by \p Pool, for the LVar's
 /// current contents and for every subsequent change. The callback is
 /// either `void(ParCtx<E>, const Delta&)`, called in a batch flush loop, or
 /// `Par<void>(ParCtx<E>, const Delta&)`, run as one task per delta (see
-/// file comment). Returns a HandlerHandle naming the registration;
+/// file comment). Returns a HandlerHandle naming the registration's pool;
 /// [[nodiscard]] because dropping it discards the only name the program
 /// has for the registration (and the only way to pass it to a future
 /// deregistration API) - bind it even if only to note the intent.
@@ -254,74 +271,14 @@ template <EffectSet E, typename LVarT, typename F>
                 "handler callback must be callable as "
                 "void(ParCtx<E>, const Delta&) or "
                 "Par<void>(ParCtx<E>, const Delta&)");
-  Scheduler *Sched = Ctx.sched();
-  uint64_t Ordinal =
-      Pool->Registrations.fetch_add(1, std::memory_order_relaxed);
-  if constexpr (Form == detail::HandlerForm::Plain) {
-    // Plain handler: batch deltas per worker, one flush task per armed
-    // batch (see file comment).
-    Pool->BatchFx.fetch_or(check::effectMask(E), std::memory_order_relaxed);
-    // The lane outlives the LVar while a batch lists it, so pending deltas
-    // still run after the program drops the LVar.
-    auto Lane = std::make_shared<detail::TypedLane<E, Delta, F>>(
-        std::move(Callback), Pool->NumBatchSlots);
-    LV.addHandlerRaw(
-        [Sched, Pool, Lane](const Delta &D) {
-          obs::count(obs::Event::HandlerInvocations);
-          unsigned Slot = Sched->callerBatchIndex();
-          HandlerPool::WorkerBatch &B = Pool->Batches[Slot];
-          bool Spawn = false;
-          {
-            std::lock_guard<std::mutex> Lock(B.Mu);
-            if (Lane->push(Slot, D))
-              B.Lanes.push_back(Lane);
-            if (!B.FlushArmed) {
-              B.FlushArmed = true;
-              // Enter the scope while still holding B.Mu: the scope count
-              // covers the pending delta before anyone can observe the
-              // batch, so quiesce never sees a transient drain.
-              Pool->Scope.enter();
-              Spawn = true;
-            }
-          }
-          if (!Spawn)
-            return; // An armed flush task will pick the delta up.
-          // The scope entry pins the pool, and so B, for the flush task.
-          detail::launchTask(
-              *Sched, detail::flushBatch(Pool.get(), Slot),
-              Scheduler::currentTask(),
-              Pool->BatchFx.load(std::memory_order_relaxed),
-              {std::shared_ptr<TaskScope>(Pool, &Pool->Scope)});
-          // The task now counts itself (a flush spawned from another task
-          // of this pool inherited the scope and counts through that
-          // entry): hand off the count entered at arming.
-          Pool->Scope.exitOne();
-          obs::count(obs::Event::HandlerBatchFlushes);
-        },
-        Ctx.task());
-  } else {
-    // Task handler: one task per delta, so a parked handler never stalls
-    // deltas queued behind it.
-    LV.addHandlerRaw(
-        [Sched, Pool, Callback](const Delta &D) {
-          // Runs synchronously inside the put (or registration); spawn the
-          // user callback as its own task so the put does not block.
-          obs::count(obs::Event::HandlerInvocations);
-          // A plain adaptor, not a coroutine: forkBody's frame owns it, so
-          // Callback and D outlive the callback's own frame.
-          auto Invoke = [Callback, D](ParCtx<E> C) -> Par<void> {
-            return Callback(C, D);
-          };
-          // A handler spawned from another task of this pool (the
-          // fixpoint idiom) already inherited the scope.
-          detail::launchTask(
-              *Sched, detail::forkBody<E>(std::move(Invoke)),
-              Scheduler::currentTask(), check::effectMask(E),
-              {std::shared_ptr<TaskScope>(Pool, &Pool->Scope)});
-        },
-        Ctx.task());
-  }
-  return HandlerHandle{std::move(Pool), Ordinal};
+  using Reg = std::conditional_t<Form == detail::HandlerForm::Plain,
+                                 detail::PlainHandler<E, Delta, F>,
+                                 detail::TaskHandler<E, Delta, F>>;
+  HandlerHandle H{Pool};
+  LV.addHandlerRaw(
+      std::make_shared<Reg>(Ctx, std::move(Pool), std::move(Callback)),
+      Ctx.task());
+  return H;
 }
 
 /// Like \c addHandler, but the callback receives the LVar by reference

@@ -80,7 +80,7 @@
 #include <atomic>
 #include <concepts>
 #include <coroutine>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -627,6 +627,25 @@ private:
                             LV ? LV->debugName() : nullptr);
 }
 
+namespace detail {
+
+/// One handler registration: what a put that changed a handled LVar's
+/// state calls with its delta. HandlerPool.h has the two kinds addHandler
+/// makes; each is typed on its callback, so a delivery is one virtual
+/// call and no type-erased wrapper.
+template <typename Delta> class HandlerReg {
+public:
+  HandlerReg() = default;
+  HandlerReg(const HandlerReg &) = delete;
+  HandlerReg &operator=(const HandlerReg &) = delete;
+  virtual ~HandlerReg() = default;
+  /// Runs inside the put's gate fast section, or inside the registration
+  /// replay, on the putting (or registering) task's thread.
+  virtual void operator()(const Delta &D) = 0;
+};
+
+} // namespace detail
+
 /// An LVar with latent event handlers over deltas of type \p Delta: the
 /// handler half of the one core. A put that changed the state calls
 /// \c deliver inside its gate fast section; \c addHandlerRaw appends on
@@ -635,18 +654,18 @@ private:
 template <typename Delta> class HandledLVar : public LVarBase {
 public:
   using DeltaType = Delta;
-  using Handler = std::function<void(const Delta &)>;
+  using Handler = detail::HandlerReg<Delta>;
 
   using LVarBase::LVarBase;
 
   /// Registers \p H and delivers every state already present to it once;
   /// every later change then reaches it through \c deliver. Exactly-once:
   /// no put is between its state change and its delivery while this runs.
-  void addHandlerRaw(Handler H, Task *Registrar) {
+  void addHandlerRaw(std::shared_ptr<Handler> H, Task *Registrar) {
     checkSession(Registrar);
     AsymmetricGate::SlowGuard Gate(HandlerGate);
     Handlers.push_back(std::move(H));
-    replayTo(Handlers.back());
+    replayTo(*Handlers.back());
   }
 
 protected:
@@ -656,7 +675,7 @@ protected:
 
   /// Delivers the current contents to a newly registered handler. Runs on
   /// the gate's slow side, so no put is in flight.
-  virtual void replayTo(const Handler &H) = 0;
+  virtual void replayTo(Handler &H) = 0;
 
   /// Lets a put skip building a delta nobody receives.
   bool hasHandlers() const { return !Handlers.empty(); }
@@ -664,8 +683,8 @@ protected:
   /// Hands \p D to every registered handler. Call only between the put's
   /// \c AsymmetricGate::FastGuard and its release.
   void deliver(const Delta &D) const {
-    for (const Handler &H : Handlers)
-      H(D);
+    for (const std::shared_ptr<Handler> &H : Handlers)
+      (*H)(D);
   }
 
 private:
@@ -676,15 +695,16 @@ private:
   /// registration sees the appended handler; \c exitFast's release
   /// decrement pairs with the seq_cst slot scan in \c enterSlow, so a
   /// registration appends only after every earlier put's reads of the
-  /// list are done.
-  std::vector<Handler> Handlers;
+  /// list are done. Shared, not owned: a pending flush or handler task
+  /// keeps its registration alive after the LVar is gone.
+  std::vector<std::shared_ptr<Handler>> Handlers;
 };
 
 /// The one blocking threshold read. \p ProbeT is a callable evaluating the
 /// threshold against the LVar's current state: it returns \c bool (the
 /// read yields nothing) or \c std::optional<R> (the read yields the R it
-/// captured). It is a template parameter, not a std::function, because
-/// parks sit on hot paths (one per blocked get).
+/// captured). It is a template parameter, not a type-erased callable,
+/// because parks sit on hot paths (one per blocked get).
 ///
 /// The probe runs under the lock of the waiter bucket the read parks in
 /// (parkGet's re-check and every notify's scan). For the default bucket

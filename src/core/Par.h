@@ -47,10 +47,10 @@
 ///   co_await parallelFor(Ctx, 0, N, 1, Body);
 ///
 /// Only prvalue temporaries with non-trivial destructors are affected
-/// (capturing lambdas, std::function, containers, shared_ptr). Named
-/// lvalues - even passed by value - and stateless lambdas are safe, and
-/// plain awaiter-returning operations (get, waitSize, quiesce, ...) are
-/// safe with any argument shape.
+/// (capturing lambdas, type-erased function wrappers, containers,
+/// shared_ptr). Named lvalues - even passed by value - and stateless
+/// lambdas are safe, and plain awaiter-returning operations (get,
+/// waitSize, quiesce, ...) are safe with any argument shape.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -165,7 +165,7 @@ public:
   }
 
 private:
-  void replayTo(const Handler &H) override {
+  void replayTo(Handler &H) override {
     D Current = peek();
     if (!(Current == L::bottom()))
       H(Current);

@@ -92,7 +92,7 @@ public:
   }
 
 private:
-  void replayTo(const Handler &H) override { forEachSet(H); }
+  void replayTo(Handler &H) override { forEachSet(H); }
 
   /// Applies \p Fn to every set bit, lowest first.
   template <typename FnT> void forEachSet(FnT &Fn) const {

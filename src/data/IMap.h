@@ -135,7 +135,7 @@ private:
                               this->debugName());
   }
 
-  void replayTo(const Handler &H) override {
+  void replayTo(Handler &H) override {
     Table.forEach([&H](const K &Key, const V &Val) {
       H(DeltaType(Key, Val));
     });

@@ -90,7 +90,7 @@ public:
   }
 
 private:
-  void replayTo(const Handler &H) override {
+  void replayTo(Handler &H) override {
     Table.forEach([&H](const T &Elem, const Unit &) { H(Elem); });
   }
 

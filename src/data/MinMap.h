@@ -133,7 +133,7 @@ public:
 
 private:
   /// Delivers the current label of every existing key.
-  void replayTo(const Handler &H) override {
+  void replayTo(Handler &H) override {
     Table.forEach([&H](const K &Key, const Cell *C) {
       H(DeltaType{Key, C->load(std::memory_order_acquire)});
     });

@@ -241,7 +241,7 @@ private:
   /// Delivers every already-filled cell, including out-of-order cells
   /// beyond the current prefix; copied out under the state lock, then
   /// delivered outside it.
-  void replayTo(const Handler &H) override {
+  void replayTo(Handler &H) override {
     std::vector<DeltaType> Replay;
     {
       StateGuard Lock(WaitMutex);

@@ -133,7 +133,8 @@ public:
 
   /// Index of the calling worker's per-worker slot in a [0, numWorkers()]
   /// array, with numWorkers() for external (non-worker) callers. Used by
-  /// HandlerPool to pick the delta batch of the worker running a put.
+  /// a plain handler registration to pick the delta slot of the worker
+  /// running a put.
   unsigned callerBatchIndex() const;
 
   /// Makes \p T runnable for the first time, or again after a park: on

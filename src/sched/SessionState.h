@@ -42,9 +42,10 @@
 ///    finishSession drops the table's. A blocking one is held by its
 ///    driver, which finalizes it itself.
 ///  * Every CancelNode a task can point at is either \c CancelRoot or a
-///    node that forkCancelable registered under its parent's node
-///    (CancelNode::addChild) before launching the task, so the root's
-///    tree - owned by S - owns them all.
+///    node that forkCancelable registered in the tree
+///    (CancelNode::addChild) before launching a task on it, so the root's
+///    tree - owned by S - owns them all. A handler task borrows its
+///    registrar's node, which is in the tree by the same rule.
 ///
 //===----------------------------------------------------------------------===//
 

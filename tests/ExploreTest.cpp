@@ -412,6 +412,47 @@ TEST(ExploreTest, HandlerQuiesceProgramIsDeterministicUnderExploration) {
   }
 }
 
+TEST(ExploreTest, CancelledBranchsFlushStillDeliversLiveDeltas) {
+  // A cancelled forkCancelableND branch's put arms a plain handler's
+  // flush; the root then cancels the branch and puts a live delta, which
+  // at one virtual worker lands in the same slot. The flush runs under
+  // the registrar's (the root's) cancellation node, so the cancel cannot
+  // reap it with the slot left armed, and both deltas reach the handler
+  // on every schedule.
+  auto Program = [](const RunOptions &Opts) {
+    return tryRunParIO<IOE>(
+        [](ParCtx<IOE> Ctx) -> Par<int> {
+          auto S = newISet<int>(Ctx);
+          auto Echo = newISet<int>(Ctx);
+          auto Pool = newPool(Ctx);
+          auto Handler = [Echo](ParCtx<IOE> C, const int &V) {
+            insert(C, *Echo, V);
+          };
+          [[maybe_unused]] HandlerHandle H = addHandler(Ctx, Pool, *S, Handler);
+          auto Branch = forkCancelableND(Ctx, [S](ParCtx<IOE> C) -> Par<int> {
+            insert(C, *S, 1);
+            co_return 0;
+          });
+          co_await waitSize(Ctx, *S, 1);
+          cancel(Ctx, Branch);
+          insert(Ctx, *S, 2);
+          co_await quiesce(Ctx, Pool);
+          int Sum = 0;
+          for (int V : freezeSet(Ctx, *Echo))
+            Sum += V;
+          co_return Sum;
+        },
+        Opts);
+  };
+  const unsigned Budget = scheduleBudget(200);
+  for (unsigned Workers : {1u, 2u})
+    for (uint64_t Seed = 0; Seed < Budget; ++Seed) {
+      explore::Engine Eng = explore::Engine::random(Seed, Workers);
+      ParOutcome<int> O = Program(explore::sessionOptions(Eng));
+      ASSERT_EQ(sig(O), "ok:3") << "workers=" << Workers << " seed=" << Seed;
+    }
+}
+
 // -- Composition with LVISH_CHECK and LVISH_FAULTS -------------------------
 
 TEST(ExploreTest, ComposesWithFaultInjection) {

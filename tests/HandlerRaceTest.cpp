@@ -49,6 +49,27 @@ SchedulerConfig cfg(unsigned Workers, uint64_t StealSeed) {
   return C;
 }
 
+/// A bare registration calling \p Fn on each delta inside the put (or the
+/// registration replay) itself: no pool and no task, so the tallies count
+/// deliveries alone.
+template <typename Delta, typename FnT>
+class FnReg final : public detail::HandlerReg<Delta> {
+public:
+  explicit FnReg(FnT Fn) : Fn(std::move(Fn)) {}
+  void operator()(const Delta &D) override { Fn(D); }
+
+private:
+  FnT Fn;
+};
+
+/// Registers \p Fn on \p LV as the task \p Registrar.
+template <typename LVarT, typename FnT>
+void addRaw(LVarT &LV, FnT Fn, Task *Registrar) {
+  using Delta = typename LVarT::DeltaType;
+  LV.addHandlerRaw(std::make_shared<FnReg<Delta, FnT>>(std::move(Fn)),
+                   Registrar);
+}
+
 /// Delivery counts per slot, one row per late handler.
 using Tallies = std::vector<std::vector<int>>;
 
@@ -96,7 +117,8 @@ Tallies race(SchedulerConfig Cfg, size_t Slots, MakeT Make, PutT Put,
               co_await get(C, *Resumed, 1);
             }
             std::vector<std::atomic<int>> *Row = &(*Counts)[H];
-            LV->addHandlerRaw(
+            addRaw(
+                *LV,
                 [Row, SlotOf](const auto &Delta) {
                   (*Row)[SlotOf(Delta)].fetch_add(1,
                                                  std::memory_order_relaxed);
@@ -191,7 +213,8 @@ TEST(HandlerRegistrationRace, ISetRegistrationWhileTableGrows) {
                 co_await waitSize(C, *Set,
                                   static_cast<uint64_t>((H + 1) * Big / 4));
                 std::vector<std::atomic<int>> *Row = &(*Counts)[H];
-                Set->addHandlerRaw(
+                addRaw(
+                    *Set,
                     [Row](const int &Elem) {
                       (*Row)[static_cast<size_t>(Elem)].fetch_add(
                           1, std::memory_order_relaxed);

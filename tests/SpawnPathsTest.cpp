@@ -10,13 +10,16 @@
 //    unused otherwise);
 //  * its exact scope list: the parent's, plus the spawn site's own;
 //  * its cancellation node: inherited, except under forkCancelable, where
-//    it is the future's fresh node;
+//    it is the future's fresh node, and for a handler or flush task, where
+//    it is its registrar's, whichever task put the delta;
 //  * its session id, and its pedigree: L appended to the child's, R to
 //    the parent's.
 //
-// A last case drops every user reference to a handler pool while handler
-// tasks are still pending: the tasks' scope lists must keep the pool alive
-// until they have run, and release it after.
+// Two plain registrations at two effect levels share one pool: each gets
+// every delta once and its flush tasks declare its own mask. A last case
+// drops every user reference to a handler pool while handler tasks are
+// still pending: the tasks' scope lists must keep the pool alive until
+// they have run, and release it after.
 //
 // tools/ci.sh's tsan stage re-runs this binary on its own.
 //
@@ -43,6 +46,7 @@ using namespace lvish;
 namespace {
 
 constexpr EffectSet D = Eff::Det;
+constexpr EffectSet IOE = Eff::FullIO;
 
 /// What a task carried at one point of its run. The pointers only name
 /// objects for comparison: the run has freed them by the time the test
@@ -210,7 +214,7 @@ template <bool Plain, EffectSet HE, typename B> auto handlerOf(B Body) {
 }
 
 /// One handler task per delta (a Par callback), or one flush task per
-/// armed batch (a plain one). Either way the task declares the handler's
+/// armed slot (a plain one). Either way the task declares the handler's
 /// effect level.
 template <bool Plain> void expectHandlerSpawn() {
   Spawn S;
@@ -235,12 +239,102 @@ template <bool Plain> void expectHandlerSpawn() {
   EXPECT_EQ(S.Child.Cancel, S.Before.Cancel);
 }
 
+/// A handler or flush task runs under its registrar's cancellation node,
+/// not under the putter's: here every put comes from a forkCancelableND
+/// branch, which has a fresh node of its own.
+template <bool Plain> void expectRegistrarsCancelNode() {
+  Seen Registrar, Putter, Child;
+  runParIO<IOE>(
+      [&Registrar, &Putter, &Child](ParCtx<IOE> Ctx) -> Par<void> {
+        auto Set = newISet<uint64_t>(Ctx);
+        auto Pool = newPool(Ctx);
+        [[maybe_unused]] HandlerHandle H = addHandler(
+            Ctx, Pool, *Set, handlerOf<Plain, IOE>([&Child](ParCtx<IOE> C) {
+              Child = see(C.task());
+            }));
+        Registrar = see(Ctx.task());
+        auto Branch = forkCancelableND(
+            Ctx, [Set, &Putter](ParCtx<IOE> C) -> Par<int> {
+              Putter = see(C.task());
+              insert(C, *Set, uint64_t{7});
+              co_return 0;
+            });
+        int R = co_await readCFuture(Ctx, Branch);
+        (void)R;
+        co_await quiesce(Ctx, Pool);
+      },
+      SchedulerConfig{1});
+  EXPECT_NE(Putter.Cancel, Registrar.Cancel);
+  EXPECT_EQ(Child.Cancel, Registrar.Cancel);
+  EXPECT_EQ(Child.Pedigree, Putter.Pedigree + "L");
+}
+
+TEST(SpawnPaths, HandlerTaskTakesItsRegistrarsCancelNode) {
+  expectRegistrarsCancelNode</*Plain=*/false>();
+}
+
+TEST(SpawnPaths, FlushTaskTakesItsRegistrarsCancelNode) {
+  expectRegistrarsCancelNode</*Plain=*/true>();
+}
+
 TEST(SpawnPaths, PerDeltaHandlerTaskEntersThePoolScope) {
   expectHandlerSpawn</*Plain=*/false>();
 }
 
 TEST(SpawnPaths, BatchedFlushTaskEntersThePoolScope) {
   expectHandlerSpawn</*Plain=*/true>();
+}
+
+/// Two plain registrations on one pool, one at Det and one at WriteOnly,
+/// each counting per delta and OR-ing its flush tasks' declared masks.
+/// Each must get every delta exactly once, quiesce must wait for both,
+/// and each flush declares its own registration's mask, not the union.
+TEST(SpawnPaths, PlainRegistrationsShareAPoolButNotAFlush) {
+  constexpr EffectSet WO = Eff::WriteOnly;
+  constexpr uint64_t N = 256;
+  for (unsigned W : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << W);
+    std::vector<std::atomic<int>> DetSeen(N), WOSeen(N);
+    std::atomic<uint8_t> DetFx{0}, WOFx{0};
+    std::atomic<uint64_t> Calls{0};
+    uint64_t CallsAtQuiesce = 0;
+    runPar<D>(
+        [&](ParCtx<D> Ctx) -> Par<void> {
+          auto Set = newISet<uint64_t>(Ctx);
+          auto Pool = newPool(Ctx);
+          [[maybe_unused]] HandlerHandle HD = addHandler(
+              Ctx, Pool, *Set, [&](ParCtx<D> C, const uint64_t &V) {
+                DetSeen[V].fetch_add(1);
+                DetFx.fetch_or(C.task()->DeclaredFx);
+                Calls.fetch_add(1);
+              });
+          ParCtx<WO> WCtx = Ctx;
+          [[maybe_unused]] HandlerHandle HW = addHandler(
+              WCtx, Pool, *Set, [&](ParCtx<WO> C, const uint64_t &V) {
+                WOSeen[V].fetch_add(1);
+                WOFx.fetch_or(C.task()->DeclaredFx);
+                Calls.fetch_add(1);
+              });
+          for (uint64_t I = 0; I < N; ++I)
+            fork(Ctx, [Set, I](ParCtx<D> C) -> Par<void> {
+              insert(C, *Set, I);
+              co_return;
+            });
+          co_await waitSize(Ctx, *Set, N);
+          co_await quiesce(Ctx, Pool);
+          CallsAtQuiesce = Calls.load();
+        },
+        SchedulerConfig{W});
+    EXPECT_EQ(CallsAtQuiesce, 2 * N);
+    for (uint64_t I = 0; I < N; ++I) {
+      EXPECT_EQ(DetSeen[I].load(), 1) << "delta " << I;
+      EXPECT_EQ(WOSeen[I].load(), 1) << "delta " << I;
+    }
+    if (LVISH_CHECK) {
+      EXPECT_EQ(int{DetFx.load()}, int{check::effectMask(D)});
+      EXPECT_EQ(int{WOFx.load()}, int{check::effectMask(WO)});
+    }
+  }
 }
 
 /// Pending handler tasks keep their pool alive once the program has

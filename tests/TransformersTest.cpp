@@ -598,4 +598,37 @@ TEST(Memo, GetMemoROWorksInsideCancellableComputation) {
   EXPECT_EQ(Evaluations.load(), 1); // Shared between branch and main.
 }
 
+TEST(Memo, CancelledRequestStillFillsTheEntry) {
+  // Section 6.2: entries a cancelled branch requested stay reusable. The
+  // branch's getMemoRO starts the job for key 5; the job waits on Gate,
+  // which opens only after the cancel, so the cancel always lands while
+  // the job is pending. The job belongs to the memo's registrar, not to
+  // the branch whose put started it, so it survives, and the live
+  // getMemo - whose request is a duplicate and starts nothing - reads it.
+  for (unsigned W : {1u, 2u, 4u}) {
+    ParOutcome<int> O = tryRunPar<D>(
+        [](ParCtx<D> Ctx) -> Par<int> {
+          auto Gate = newIVar<int>(Ctx);
+          auto M = makeMemo<int>(
+              Ctx, [Gate](ParCtx<Eff::ReadOnly> C, int K) -> Par<int> {
+                int G = co_await get(C, *Gate);
+                co_return K + G;
+              });
+          auto Fut =
+              forkCancelable(Ctx, [M](ParCtx<Eff::ReadOnly> C) -> Par<int> {
+                int V = co_await getMemoRO(C, M, 5);
+                co_return V;
+              });
+          co_await waitSize(Ctx, *M->Requests, 1);
+          cancel(Ctx, Fut);
+          put(Ctx, *Gate, 1);
+          int V = co_await getMemo(Ctx, M, 5);
+          co_return V;
+        },
+        SchedulerConfig{W});
+    ASSERT_TRUE(O.ok()) << "workers=" << W << ": " << O.fault().Message;
+    EXPECT_EQ(O.value(), 6) << "workers=" << W;
+  }
+}
+
 } // namespace

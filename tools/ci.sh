@@ -22,9 +22,9 @@
 #              LatticeLawsTest for the insert-only table's lock-free
 #              probes racing its growth, and SpawnPathsTest and
 #              ComplexityTest for the scope lists that forks copy across
-#              workers and for the typed per-worker delta vectors that
-#              plain handlers append to while a flush drains them, and
-#              SchedulerTest and ServiceRuntimeTest for lazy waits
+#              workers and for the per-slot delta vectors that each plain
+#              handler registration appends to while its flush drains
+#              them, and SchedulerTest and ServiceRuntimeTest for lazy waits
 #              re-probed and published under the bucket locks puts take.
 #              TSan does not model atomic_thread_fence (GCC prints a
 #              -Wtsan warning for each one), so LVarBase's
@@ -33,15 +33,19 @@
 #              pop/steal race are checked only by the stress tests'
 #              outcome checks, not by TSan.
 #   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
-#              the first report. AddressSanitizer has no stage yet. The
-#              batched handler flush calls plain callbacks in a loop, so
-#              it no longer nests a frame per delta, and the full-size
-#              components bench passes under ASan. But a long chain of
-#              `co_await`s on synchronously completing children still
-#              nests one resume frame per child there, because GCC drops
-#              the symmetric-transfer tail call under ASan:
-#              Stress.DeepSequentialAwaitChain (20,000 deep) overflows.
-#              The stage waits for a `Par` trampoline.
+#              the first report.
+#   asan     - AddressSanitizer with LeakSanitizer (RelWithDebInfo): runs
+#              the binaries that check handler and flush lifetimes -
+#              SpawnPathsTest (pending handler and flush tasks pin their
+#              pool and registration after the program drops them),
+#              HandlerRaceTest, CoreParTest, DataStructuresTest and
+#              TransformersTest (memo jobs that outlive a cancelled
+#              branch). The full suite waits for a `Par` trampoline
+#              (ROADMAP): a long chain of `co_await`s on synchronously
+#              completing children nests one resume frame per child
+#              under ASan, because GCC drops the symmetric-transfer tail
+#              call there, and Stress.DeepSequentialAwaitChain (20,000
+#              deep) overflows the stack.
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints non-fatal bench-report
@@ -102,9 +106,9 @@
 #              stage list (instrumented builds are slow).
 #
 # Usage: tools/ci.sh
-#        [debug|release|tsan|ubsan|bench|faults|explore|pbbs|streams|
+#        [debug|release|tsan|ubsan|asan|bench|faults|explore|pbbs|streams|
 #         service|chaos|analyze|coverage]...
-#        (default: debug release tsan ubsan bench faults explore pbbs
+#        (default: debug release tsan ubsan asan bench faults explore pbbs
 #         streams service chaos analyze)
 #
 #===------------------------------------------------------------------------===#
@@ -115,8 +119,8 @@ cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] && \
-  STAGES=(debug release tsan ubsan bench faults explore pbbs streams \
-          service chaos analyze)
+  STAGES=(debug release tsan ubsan asan bench faults explore pbbs \
+          streams service chaos analyze)
 
 # ensure_tree NAME [BUILD-ARGS...]: configures build-ci-NAME with its
 # flags (spelled here once; re-applied to an existing tree, which is
@@ -139,6 +143,9 @@ ensure_tree() {
     ubsan)    flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
                      -DCMAKE_CXX_FLAGS=-Werror
                      -DLVISH_SANITIZE=undefined) ;;
+    asan)     flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+                     -DCMAKE_CXX_FLAGS=-Werror
+                     -DLVISH_SANITIZE=address) ;;
     faults)   flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
                      -DCMAKE_CXX_FLAGS=-Werror -DLVISH_FAULTS=ON) ;;
     coverage) flags=(-DCMAKE_BUILD_TYPE=Debug -DLVISH_COVERAGE=ON) ;;
@@ -201,6 +208,18 @@ for stage in "${STAGES[@]}"; do
       ;;
     ubsan)
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 run_stage ubsan
+      ;;
+    asan)
+      # Not the whole suite: see the stage comment in the header.
+      asan_tests=(SpawnPathsTest HandlerRaceTest CoreParTest
+                  DataStructuresTest TransformersTest)
+      targets=()
+      for t in "${asan_tests[@]}"; do targets+=(--target "$t"); done
+      ensure_tree asan "${targets[@]}"
+      echo "==== [asan] handler and flush lifetimes ===="
+      for t in "${asan_tests[@]}"; do
+        ./build-ci-asan/tests/"$t"
+      done
       ;;
     bench)
       ensure_tree release
@@ -401,8 +420,8 @@ for stage in "${STAGES[@]}"; do
       ;;
     *)
       echo "unknown stage '$stage' (expected debug, release, tsan, ubsan," \
-           "bench, faults, explore, pbbs, streams, service, chaos, analyze," \
-           "or coverage)" >&2
+           "asan, bench, faults, explore, pbbs, streams, service, chaos," \
+           "analyze, or coverage)" >&2
       exit 2
       ;;
   esac
