@@ -97,7 +97,7 @@ protected:
   /// Spawns \p Body as a task of this registration: forked from the
   /// putting task, declaring \p E, entered into the pool's scope, under
   /// the registrar's cancellation node (see file comment).
-  void launch(Par<void> Body) {
+  void launch(TaskRoot Body) {
     launchTask(*Sched, std::move(Body), Scheduler::currentTask(),
                check::effectMask(E),
                {std::shared_ptr<TaskScope>(Pool, &Pool->Scope)}, Cancel);
@@ -164,7 +164,7 @@ private:
 
   /// Root of a flush task: runs every delta pending in slot \p S - and
   /// whatever lands in it meanwhile - then disarms the slot.
-  static Par<void> flush(std::shared_ptr<PlainHandler> Self, unsigned S) {
+  static TaskRoot flush(std::shared_ptr<PlainHandler> Self, unsigned S) {
     Slot &B = Self->Slots[S];
     ParCtx<E> Ctx = CtxAccess::make<E>(Scheduler::currentTask());
     for (;;) {
@@ -204,7 +204,7 @@ public:
 
 private:
   /// Root of a handler task; its frame owns the registration and \p D.
-  static Par<void> run(std::shared_ptr<TaskHandler> Self, Delta D) {
+  static TaskRoot run(std::shared_ptr<TaskHandler> Self, Delta D) {
     ParCtx<E> Ctx = CtxAccess::make<E>(Scheduler::currentTask());
     co_await Self->Callback(Ctx, D);
   }

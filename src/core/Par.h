@@ -61,7 +61,6 @@
 #include "src/core/Effects.h"
 #include "src/fault/FaultInject.h"
 #include "src/sched/BlockCache.h"
-#include "src/sched/FaultSignal.h"
 #include "src/sched/Scheduler.h"
 #include "src/support/Assert.h"
 
@@ -86,14 +85,14 @@ struct CtxAccess {
   }
 };
 
-/// Shared final-awaiter: transfer to the awaiting parent coroutine, or
-/// retire the task when this coroutine is a task root.
+/// Shared final-awaiter: transfer to the awaiting coroutine. A Par is
+/// always awaited - a task's outermost coroutine is a TaskRoot - so only
+/// a fault retires a task here.
 template <typename Promise> struct FinalAwaiter {
   bool await_ready() const noexcept { return false; }
 
   std::coroutine_handle<>
   await_suspend(std::coroutine_handle<Promise> H) noexcept {
-    Promise &P = H.promise();
     Task *Cur = Scheduler::currentTask();
     if (Cur && Cur->FaultPoisoned) {
       // A FaultSignal unwound this coroutine (see FaultSignal.h): the
@@ -104,26 +103,20 @@ template <typename Promise> struct FinalAwaiter {
       Cur->Sched->onTaskFinished(Cur);
       return std::noop_coroutine();
     }
-    if (P.Continuation)
-      return P.Continuation;
-    Task *T = P.OwnerTask;
-    assert(T && "finished coroutine with no continuation and no task");
-    // onTaskFinished destroys H's frame; nothing below may touch it.
-    T->Sched->onTaskFinished(T);
-    return std::noop_coroutine();
+    assert(H.promise().Continuation && "finished Par with no awaiter");
+    return H.promise().Continuation;
   }
 
   void await_resume() const noexcept {}
 };
 
-/// Promise bits shared between Par<T> and Par<void>.
+/// What every Par promise shares.
 struct PromiseBase {
   std::coroutine_handle<> Continuation; ///< Awaiting coroutine (same task).
-  Task *OwnerTask = nullptr;            ///< Set when installed as task root.
 
-  /// Coroutine frames come from the per-thread block cache, like Task
-  /// storage: a fork's frames are freed and reused on the worker that
-  /// joins it instead of going through the allocator.
+  /// Coroutine frames come from the per-thread block cache, like task
+  /// roots: a fork's frames are freed and reused on the worker that joins
+  /// it instead of going through the allocator.
   static void *operator new(std::size_t Bytes) {
     return blockcache::allocate(Bytes);
   }
@@ -133,41 +126,33 @@ struct PromiseBase {
 
   std::suspend_always initial_suspend() const noexcept { return {}; }
 
-  void unhandled_exception() {
-    try {
-      throw; // lvish-lint: allow(no-throw) - rethrow to classify.
-    } catch (const FaultSignal &) {
-      // A contract violation already recorded the session fault (see
-      // FaultSignal.h); mark the task so the final awaiter retires it.
-      Task *T = Scheduler::currentTask();
-      assert(T && "FaultSignal outside a scheduled task");
-      if (T)
-        T->FaultPoisoned = true;
-    } catch (...) {
-      // User exceptions have no deterministic containment story; the
-      // legacy abort stands. lvish-lint: allow(fatal)
-      fatalError("exception escaped a Par computation (lvish-cpp library "
-                 "code never throws; check user code)");
-    }
-  }
+  void unhandled_exception() { containException(); }
+};
+
+/// Where a Par's promise keeps its result: the value, or nothing for
+/// Par<void>.
+template <typename T> struct ParResult {
+  std::optional<T> Value;
+  void return_value(T V) { Value.emplace(std::move(V)); }
+};
+template <> struct ParResult<void> {
+  void return_void() const noexcept {}
 };
 
 } // namespace detail
 
-/// A lazy parallel computation returning \p T; see file comment. Move-only;
-/// consumed by `co_await` or by \c fork / \c runPar.
+/// A lazy parallel computation returning \p T - \c void for forked bodies
+/// and effect-only computations; see file comment. Move-only; consumed by
+/// `co_await`, or by \c runPar as a session's body.
 template <typename T> class Par {
 public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> Value;
-
+  struct promise_type : detail::PromiseBase, detail::ParResult<T> {
     Par get_return_object() {
       return Par(std::coroutine_handle<promise_type>::from_promise(*this));
     }
     detail::FinalAwaiter<promise_type> final_suspend() const noexcept {
       return {};
     }
-    void return_value(T V) { Value.emplace(std::move(V)); }
   };
 
   Par() = default;
@@ -198,69 +183,13 @@ public:
   }
 
   T await_resume() {
-    assert(Handle.promise().Value && "Par finished without a value");
-    return std::move(*Handle.promise().Value);
-  }
-
-  /// Releases ownership of the coroutine (fork/runPar internals only).
-  std::coroutine_handle<promise_type> release() {
-    return std::exchange(Handle, nullptr);
-  }
-  std::coroutine_handle<promise_type> handle() const { return Handle; }
-
-private:
-  void destroy() {
-    if (Handle) {
-      Handle.destroy();
-      Handle = nullptr;
+    if constexpr (std::is_void_v<T>) {
+      return;
+    } else {
+      assert(Handle.promise().Value && "Par finished without a value");
+      return std::move(*Handle.promise().Value);
     }
   }
-  std::coroutine_handle<promise_type> Handle;
-};
-
-/// Par<void>: forked bodies and effect-only computations.
-template <> class Par<void> {
-public:
-  struct promise_type : detail::PromiseBase {
-    Par get_return_object() {
-      return Par(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    detail::FinalAwaiter<promise_type> final_suspend() const noexcept {
-      return {};
-    }
-    void return_void() const noexcept {}
-  };
-
-  Par() = default;
-  explicit Par(std::coroutine_handle<promise_type> H) : Handle(H) {}
-
-  Par(Par &&O) noexcept : Handle(std::exchange(O.Handle, nullptr)) {}
-  Par &operator=(Par &&O) noexcept {
-    if (this != &O) {
-      destroy();
-      Handle = std::exchange(O.Handle, nullptr);
-    }
-    return *this;
-  }
-  Par(const Par &) = delete;
-  Par &operator=(const Par &) = delete;
-  ~Par() { destroy(); }
-
-  bool valid() const { return Handle != nullptr; }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<>
-  await_suspend(std::coroutine_handle<> Awaiting) noexcept {
-    assert(Handle && "co_await on an empty Par");
-    Handle.promise().Continuation = Awaiting;
-    return Handle;
-  }
-  void await_resume() const noexcept {}
-
-  std::coroutine_handle<promise_type> release() {
-    return std::exchange(Handle, nullptr);
-  }
-  std::coroutine_handle<promise_type> handle() const { return Handle; }
 
 private:
   void destroy() {
@@ -307,32 +236,33 @@ private:
 
 namespace detail {
 
-/// Trampoline that materializes the child's own context once the child
-/// task actually runs (Scheduler::currentTask() is then the child).
-template <EffectSet E, typename F> Par<void> forkBody(F Body) {
+/// The root of a forked task: materializes the child's own context once
+/// the child actually runs (Scheduler::currentTask() is then the child).
+/// Its frame is the task and holds the closure; \p Body's own frame is
+/// the fork's one other allocation.
+template <EffectSet E, typename F> TaskRoot forkBody(F Body) {
   ParCtx<E> Ctx = CtxAccess::make<E>(Scheduler::currentTask());
   co_await Body(Ctx);
 }
 
-/// The one routine that spawns a task: creates it with \p Body as its
-/// root coroutine under \p Parent - or, when \p Parent is null, as the
-/// root of \p Session - declares its effect mask \p Fx, enters it into
-/// \p Scopes on top of the scopes it inherits, gives it \p FreshCancel
-/// instead of the inherited cancellation node when that is non-null, and
-/// schedules it (a session root on its session's inject FIFO). fork, both
-/// handler dispatch paths, forkCancelable, forkWithDeadlockDetection and
-/// the session launcher all come here; Scheduler::createTask is private
-/// to it. The task may run, and even retire, before this returns.
+/// The one routine that spawns a task: initialises \p Body's task in
+/// place under \p Parent - or, when \p Parent is null, as the root of
+/// \p Session - declares its effect mask \p Fx, enters it into \p Scopes
+/// on top of the scopes it inherits, gives it \p FreshCancel instead of
+/// the inherited cancellation node when that is non-null, and schedules
+/// it (a session root on its session's inject FIFO). fork, both handler
+/// dispatch paths, forkCancelable, forkWithDeadlockDetection and the
+/// session launcher all come here with a TaskRoot, whose frame already
+/// holds the task; Scheduler::createTask is private to it. The task may
+/// run, and even retire, before this returns.
 inline void launchTask(
-    Scheduler &Sched, Par<void> Body, Task *Parent, uint8_t Fx,
+    Scheduler &Sched, TaskRoot Body, Task *Parent, uint8_t Fx,
     std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
     CancelNode *FreshCancel, SessionState *Session) {
-  auto H = Body.release();
-  assert(H && "launching an empty Par as a task");
-  Task *T = Sched.createTask(H, Parent, Scopes, FreshCancel, Session);
-  H.promise().OwnerTask = T;
-  check::declareTaskEffects(T, Fx);
-  Sched.schedule(T, /*Inject=*/Parent == nullptr);
+  Task &T = Body.release();
+  Sched.createTask(&T, Parent, Scopes, FreshCancel, Session);
+  check::declareTaskEffects(&T, Fx);
+  Sched.schedule(&T, /*Inject=*/Parent == nullptr);
 }
 
 } // namespace detail

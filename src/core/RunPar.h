@@ -22,9 +22,8 @@
 /// Runtime's single session, and tears the pool down. Long-lived callers
 /// - benches amortizing worker startup, services multiplexing concurrent
 /// sessions - should hold a service::Runtime and use Runtime::run /
-/// Runtime::submit directly. (The pre-Runtime borrowed-scheduler surface
-/// - RunOptions::Borrowed/::On and the *On wrappers - is gone; the
-/// compiler rejects those names.)
+/// Runtime::submit directly. Each entry point takes one RunOptions, which
+/// a bare SchedulerConfig converts to.
 ///
 /// Sessions run to *full* quiescence before returning: every forked task
 /// has either finished or is permanently blocked (and is then reaped; see
@@ -62,13 +61,19 @@
 
 namespace lvish {
 
-/// Session parameters orthogonal to the effect level. Aggregate-initialize
-/// the fields you need, or start from one of the named factories:
+/// Session parameters orthogonal to the effect level. Set the fields you
+/// need, pass a SchedulerConfig where only the pool matters, or start
+/// from one of the named factories:
 ///
 ///   SchedulerStats Stats;
 ///   auto R = runPar(Body, RunOptions::CollectStats(Stats));
 ///   // Stats.TasksCreated, Stats.Steals, ... now describe the run.
+///   auto S = runPar(Body, SchedulerConfig{4}); // four workers
 struct RunOptions {
+  RunOptions() = default;
+  /// Options whose only setting is the pool's \p Config.
+  RunOptions(SchedulerConfig Config) : Config(Config) {}
+
   /// Configuration for the session's private scheduler pool.
   SchedulerConfig Config{};
   /// After quiescence, markFrozen() the returned LVar handle - the
@@ -138,65 +143,35 @@ auto runParOnImpl(const RunOptions &Opts, F Body) {
 /// failure mode these entry points exist to surface (use the runPar*
 /// forms if aborting on Fault is acceptable).
 template <EffectSet E = Eff::Det, typename F>
-[[nodiscard]] auto tryRunPar(F Body, const RunOptions &Opts) {
+[[nodiscard]] auto tryRunPar(F Body, const RunOptions &Opts = RunOptions()) {
   static_assert(noFreeze(E) && noIO(E),
                 "runPar requires NoFreeze and NoIO; use runParIO or "
                 "runParThenFreeze");
   return detail::runParOnImpl<E>(Opts, std::move(Body));
 }
 
-/// tryRunPar on a fresh one-shot Runtime.
-template <EffectSet E = Eff::Det, typename F>
-[[nodiscard]] auto tryRunPar(F Body, SchedulerConfig Config = SchedulerConfig()) {
-  RunOptions Opts;
-  Opts.Config = Config;
-  return tryRunPar<E>(std::move(Body), Opts);
-}
-
 /// Fault-aware runParIO: like tryRunPar but without the purity
 /// restriction (quasi-deterministic freezes and IO-bit operations
 /// allowed).
 template <EffectSet E = Eff::FullIO, typename F>
-[[nodiscard]] auto tryRunParIO(F Body, const RunOptions &Opts) {
+[[nodiscard]] auto tryRunParIO(F Body, const RunOptions &Opts = RunOptions()) {
   return detail::runParOnImpl<E>(Opts, std::move(Body));
 }
 
-template <EffectSet E = Eff::FullIO, typename F>
-[[nodiscard]] auto tryRunParIO(F Body, SchedulerConfig Config = SchedulerConfig()) {
-  RunOptions Opts;
-  Opts.Config = Config;
-  return tryRunParIO<E>(std::move(Body), Opts);
-}
-
-/// Runs \p Body with explicit options and returns its pure result,
-/// aborting the process on any session Fault (the classic LVish
-/// signature). All failure paths funnel through ParOutcome::valueOrAbort,
-/// the single fatalError choke point of the library.
+/// Runs \p Body and returns its pure result, aborting the process on any
+/// session Fault (the classic LVish signature). All failure paths funnel
+/// through ParOutcome::valueOrAbort, the single fatalError choke point of
+/// the library.
 template <EffectSet E = Eff::Det, typename F>
-auto runPar(F Body, const RunOptions &Opts) {
+auto runPar(F Body, const RunOptions &Opts = RunOptions()) {
   return tryRunPar<E>(std::move(Body), Opts).valueOrAbort();
-}
-
-/// Runs \p Body on a fresh one-shot Runtime and returns its pure result.
-template <EffectSet E = Eff::Det, typename F>
-auto runPar(F Body, SchedulerConfig Config = SchedulerConfig()) {
-  RunOptions Opts;
-  Opts.Config = Config;
-  return runPar<E>(std::move(Body), Opts);
 }
 
 /// Like runPar but without the purity restriction: quasi-deterministic
 /// freezes and nondeterministic (IO-bit) operations are allowed.
 template <EffectSet E = Eff::FullIO, typename F>
-auto runParIO(F Body, const RunOptions &Opts) {
+auto runParIO(F Body, const RunOptions &Opts = RunOptions()) {
   return tryRunParIO<E>(std::move(Body), Opts).valueOrAbort();
-}
-
-template <EffectSet E = Eff::FullIO, typename F>
-auto runParIO(F Body, SchedulerConfig Config = SchedulerConfig()) {
-  RunOptions Opts;
-  Opts.Config = Config;
-  return runParIO<E>(std::move(Body), Opts);
 }
 
 /// Fault-aware runParThenFreeze: quiesce, freeze the returned LVar handle
@@ -215,22 +190,10 @@ template <EffectSet E = Eff::Det, typename F>
 /// Runs \p Body (which returns a shared_ptr to an LVar data structure),
 /// waits for full quiescence, then freezes the structure "on the way out"
 /// so its exact contents can be read - the always-deterministic freezing
-/// pattern (runParThenFreeze in LVish).
+/// pattern (runParThenFreeze in LVish). Aborts on a session Fault like
+/// the classic signature.
 template <EffectSet E = Eff::Det, typename F>
-auto runParThenFreeze(F Body, SchedulerConfig Config = SchedulerConfig()) {
-  static_assert(noFreeze(E) && noIO(E),
-                "the computation under runParThenFreeze must not freeze "
-                "explicitly");
-  RunOptions Opts;
-  Opts.Config = Config;
-  Opts.FreezeOnExit = true;
-  return detail::runParOnImpl<E>(Opts, std::move(Body)).valueOrAbort();
-}
-
-/// runParThenFreeze with explicit options (explore mode, stats); aborts
-/// on a session Fault like the classic signature.
-template <EffectSet E = Eff::Det, typename F>
-auto runParThenFreeze(F Body, RunOptions Opts) {
+auto runParThenFreeze(F Body, RunOptions Opts = RunOptions()) {
   return tryRunParThenFreeze<E>(std::move(Body), std::move(Opts))
       .valueOrAbort();
 }

@@ -67,7 +67,7 @@ thread_local Reaper ReaperTL;
 
 void *blockcache::allocate(std::size_t Bytes) {
   if (Bytes > MaxBytes)
-    return ::operator new(Bytes);
+    return ::operator new(Bytes, std::align_val_t(ClassBytes));
   const unsigned Cls = classOf(Bytes);
   Cache &C = CacheTL;
   if (C.Count[Cls]) {
@@ -80,7 +80,7 @@ void *blockcache::allocate(std::size_t Bytes) {
 
 void blockcache::release(void *P, std::size_t Bytes) noexcept {
   if (Bytes > MaxBytes) {
-    ::operator delete(P, Bytes);
+    ::operator delete(P, Bytes, std::align_val_t(ClassBytes));
     return;
   }
   const unsigned Cls = classOf(Bytes);

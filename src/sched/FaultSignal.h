@@ -19,9 +19,10 @@
 ///      retired at their next poll point), and
 ///   3. throws \c FaultSignal, unwinding the faulting coroutine.
 ///
-/// \c PromiseBase::unhandled_exception (src/core/Par.h) catches the signal
-/// and marks the task \c FaultPoisoned; the final awaiter then retires the
-/// whole task. Outside a session (no current task) the helper falls back
+/// The promise's \c unhandled_exception (a \c Par's or a task root's)
+/// catches the signal and \c detail::containException
+/// (src/sched/Scheduler.h) marks the task \c FaultPoisoned; the final
+/// awaiter then retires the whole task. Outside a session (no current task) the helper falls back
 /// to the legacy process abort: there is no session to contain into.
 ///
 /// FaultSignal is the one exception type lvish library code ever throws,

@@ -4,12 +4,11 @@
 
 #include "src/fault/FaultPlan.h"
 #include "src/obs/Telemetry.h"
-#include "src/sched/BlockCache.h"
 #include "src/support/Assert.h"
 #include "src/support/Timer.h"
 
 #include <cassert>
-#include <new>
+#include <cstdint>
 #include <utility>
 
 using namespace lvish;
@@ -193,16 +192,13 @@ Scheduler::~Scheduler() {
 #endif
 }
 
-Task *Scheduler::createTask(
-    std::coroutine_handle<> Root, Task *Parent,
+void Scheduler::createTask(
+    Task *T, Task *Parent,
     std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
     CancelNode *FreshCancel, SessionState *Session) {
-  static_assert(sizeof(Task) <= blockcache::MaxBytes &&
-                    alignof(Task) <= blockcache::ClassBytes,
-                "Task storage must come from the block cache");
-  Task *T = new (blockcache::allocate(sizeof(Task))) Task();
-  T->Root = Root;
-  T->Resume = Root;
+  assert(reinterpret_cast<uintptr_t>(T) % alignof(Task) == 0 &&
+         "task root frame is under-aligned");
+  T->Resume = detail::TaskRoot::frameOf(*T);
   T->Sched = this;
   if (Parent) {
     assert(Parent->Sched == this && "cross-scheduler fork");
@@ -241,7 +237,6 @@ Task *Scheduler::createTask(
         Parent ? sliceCut(Parent) : TraceRecorder::None;
     T->TraceId = Recorder.onTaskCreated(ParentSlice);
   }
-  return T;
 }
 
 void Scheduler::schedule(Task *T, bool Inject) {
@@ -361,10 +356,9 @@ void Scheduler::retire(Task *T) {
   T->scopesOnFinish();
   // No registry work: a task is linked only while parked, and the one
   // path that retires a parked task, finishSession, unlinks it first.
-  if (T->Root)
-    T->Root.destroy();
-  T->~Task();
-  blockcache::release(T, sizeof(Task));
+  // Destroying the root frame unwinds the suspended chain, destroys T and
+  // returns the block to the cache.
+  detail::TaskRoot::frameOf(*T).destroy();
 }
 
 void Scheduler::waitSessionQuiescent(SessionState &S) {

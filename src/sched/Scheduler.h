@@ -66,17 +66,21 @@
 #define LVISH_SCHED_SCHEDULER_H
 
 #include "src/obs/SchedulerStats.h"
+#include "src/sched/BlockCache.h"
 #include "src/sched/ExploreHooks.h"
+#include "src/sched/FaultSignal.h"
 #include "src/sched/SessionState.h"
 #include "src/sched/Task.h"
 #include "src/sched/Trace.h"
 #include "src/sched/WorkStealingDeque.h"
+#include "src/support/Assert.h"
 #include "src/support/Fault.h"
 #include "src/support/SplitMix.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -84,19 +88,21 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace lvish {
 
 class TaskScope;
-template <typename T> class Par;
 
 namespace detail {
+
+class TaskRoot;
 
 /// The one routine that spawns a task; see its definition in
 /// src/core/Par.h. The defaults live on this first declaration.
 inline void launchTask(
-    Scheduler &Sched, Par<void> Body, Task *Parent, uint8_t Fx,
+    Scheduler &Sched, TaskRoot Body, Task *Parent, uint8_t Fx,
     std::initializer_list<std::shared_ptr<TaskScope>> Scopes = {},
     CancelNode *FreshCancel = nullptr, SessionState *Session = nullptr);
 
@@ -171,8 +177,8 @@ public:
   /// bucket lock, right after canParkLazily() held.
   void waitLazily(const LazyWait &W);
 
-  /// Called from a root coroutine's final awaiter: retires the finished
-  /// task, destroying its frame.
+  /// Called from a task root's final awaiter: retires the finished task,
+  /// destroying its frame.
   void onTaskFinished(Task *T);
 
   /// Defers destruction of the (currently suspended) cancelled task to the
@@ -257,19 +263,19 @@ public:
 private:
   /// Only launchTask creates tasks: it also declares and schedules them.
   friend void detail::launchTask(
-      Scheduler &, Par<void>, Task *, uint8_t,
+      Scheduler &, detail::TaskRoot, Task *, uint8_t,
       std::initializer_list<std::shared_ptr<TaskScope>>, CancelNode *,
       SessionState *);
 
-  /// Creates (but does not schedule) a task owning coroutine \p Root. A
-  /// child of \p Parent inherits its session, cancellation node (unless
+  /// Initialises \p T, the promise of a task root that has not started,
+  /// in place: it allocates nothing, and schedules nothing. A child of
+  /// \p Parent inherits its session, cancellation node (unless
   /// \p FreshCancel replaces it), scopes and a split of every transformer
   /// layer; a session root (null \p Parent) takes \p Session's id and
-  /// CancelRoot. The task then enters \p Scopes. Its storage comes from
-  /// the calling thread's block cache (src/sched/BlockCache.h).
-  Task *createTask(std::coroutine_handle<> Root, Task *Parent,
-                   std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
-                   CancelNode *FreshCancel, SessionState *Session);
+  /// CancelRoot. The task then enters \p Scopes.
+  void createTask(Task *T, Task *Parent,
+                  std::initializer_list<std::shared_ptr<TaskScope>> Scopes,
+                  CancelNode *FreshCancel, SessionState *Session);
 
   /// Lazy waits one worker may hold; beyond it a missed read parks. A
   /// constant, like the block cache's bounds: a fork-join nest deeper
@@ -337,8 +343,8 @@ private:
   /// Calls the onQuiescent hook of every session on \p Me's QuiescedHead
   /// list, with no lock held.
   void runQuiescentHooks(Worker &Me);
-  /// Destroys \p T (scopes, frame) and returns its storage to the block
-  /// cache. \p T must not be in its session's registry.
+  /// Leaves \p T's scopes and destroys its root frame, \p T with it.
+  /// \p T must not be in its session's registry.
   void retire(Task *T);
   /// Retires a finished or cancelled \p T, then drops it from its
   /// session's pending count.
@@ -384,6 +390,93 @@ private:
   std::unordered_map<uint64_t, std::shared_ptr<SessionState>> Sessions;
 };
 
+namespace detail {
+
+/// Classifies the exception a coroutine of the current task is unwinding
+/// with: a FaultSignal (the session fault is already recorded; see
+/// FaultSignal.h) marks the task so that a final awaiter retires it, and
+/// anything else aborts. Every Par and task-root promise calls it from
+/// unhandled_exception.
+inline void containException() {
+  try {
+    throw; // lvish-lint: allow(no-throw) - rethrow to classify.
+  } catch (const FaultSignal &) {
+    Task *T = Scheduler::currentTask();
+    assert(T && "FaultSignal outside a scheduled task");
+    if (T)
+      T->FaultPoisoned = true;
+  } catch (...) {
+    // User exceptions have no deterministic containment story; the
+    // legacy abort stands. lvish-lint: allow(fatal)
+    fatalError("exception escaped a Par computation (lvish-cpp library "
+               "code never throws; check user code)");
+  }
+}
+
+/// A task's root coroutine. Its promise is the Task, so the task lives in
+/// the frame that also holds the root's arguments (a fork's closure, a
+/// handler's registration, a session's pointer): one block from the
+/// calling thread's block cache, freed by the one destroy() in
+/// Scheduler::retire. Every spawn site returns one and hands it to
+/// launchTask before it starts.
+class TaskRoot {
+  static_assert(alignof(Task) <= blockcache::ClassBytes,
+                "a root frame's Task needs the block cache's alignment");
+
+public:
+  struct promise_type final : Task {
+    static void *operator new(std::size_t Bytes) {
+      return blockcache::allocate(Bytes);
+    }
+    static void operator delete(void *P, std::size_t Bytes) noexcept {
+      blockcache::release(P, Bytes);
+    }
+
+    /// A root has no continuation: finishing retires the task.
+    struct FinalAwaiter {
+      bool await_ready() const noexcept { return false; }
+      std::coroutine_handle<>
+      await_suspend(std::coroutine_handle<promise_type> H) noexcept {
+        Task &T = H.promise();
+        // onTaskFinished destroys H's frame, T included; nothing below
+        // may touch either.
+        T.Sched->onTaskFinished(&T);
+        return std::noop_coroutine();
+      }
+      void await_resume() const noexcept {}
+    };
+
+    TaskRoot get_return_object() {
+      return TaskRoot(
+          std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() const noexcept { return {}; }
+    FinalAwaiter final_suspend() const noexcept { return {}; }
+    void return_void() const noexcept {}
+    void unhandled_exception() { containException(); }
+  };
+
+  /// The root frame of \p T: every task is a TaskRoot's promise.
+  static std::coroutine_handle<promise_type> frameOf(Task &T) {
+    return std::coroutine_handle<promise_type>::from_promise(
+        static_cast<promise_type &>(T));
+  }
+
+  TaskRoot(TaskRoot &&O) noexcept : Frame(std::exchange(O.Frame, nullptr)) {}
+  ~TaskRoot() {
+    if (Frame)
+      Frame.destroy();
+  }
+
+  /// Gives up the unstarted frame; its task is now the caller's to launch.
+  Task &release() { return std::exchange(Frame, nullptr).promise(); }
+
+private:
+  explicit TaskRoot(std::coroutine_handle<promise_type> H) : Frame(H) {}
+  std::coroutine_handle<promise_type> Frame;
+};
+
+} // namespace detail
 } // namespace lvish
 
 #endif // LVISH_SCHED_SCHEDULER_H

@@ -47,7 +47,7 @@ void lvish::detail::raiseSessionFault(Task *T, FaultCode Code,
   F.Message += "]";
 
   T->Sched->raiseFault(std::move(F));
-  // Unwind the faulting coroutine; PromiseBase::unhandled_exception marks
+  // Unwind the faulting coroutine; its promise's unhandled_exception marks
   // the task FaultPoisoned and the final awaiter retires it.
   throw FaultSignal{}; // lvish-lint: allow(no-throw)
 }

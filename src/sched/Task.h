@@ -55,21 +55,19 @@ public:
   virtual const void *typeKey() const = 0;
 };
 
-/// The scheduler's unit of work; see file comment. Tasks are owned by the
-/// scheduler from creation to retirement; their storage comes from the
-/// per-thread block cache (src/sched/BlockCache.h) that Par coroutine
-/// frames also draw from, and every creation constructs a fresh Task in
-/// it.
+/// The scheduler's unit of work; see file comment. A Task is the promise
+/// of its root coroutine (detail::TaskRoot, src/sched/Scheduler.h), so it
+/// lives in the root frame, next to the root's arguments, and that frame
+/// is one block from the per-thread block cache (src/sched/BlockCache.h)
+/// that Par frames also draw from. The scheduler owns it from creation to
+/// retirement; destroying the root frame unwinds the whole suspended
+/// chain (inner coroutines are owned by Par objects living in their
+/// awaiters' frames) and destroys the Task with it.
 class alignas(64) Task {
 public:
   Task() = default;
   Task(const Task &) = delete;
   Task &operator=(const Task &) = delete;
-
-  /// The outermost coroutine of this task; destroying it unwinds the whole
-  /// suspended chain (inner coroutines are owned by Par objects living in
-  /// their awaiters' frames).
-  std::coroutine_handle<> Root;
 
   /// The innermost suspended coroutine - what a worker resumes next.
   /// Updated by parking awaiters before the task becomes wakeable.
@@ -150,8 +148,8 @@ public:
   std::string pedigreeString() const { return Ped.render(); }
 
   // -- Fault containment (see src/sched/FaultSignal.h) --------------------
-  /// Set by PromiseBase::unhandled_exception when a FaultSignal unwound
-  /// this task's coroutine chain; the final awaiter then retires the task
+  /// Set by detail::containException when a FaultSignal unwound this
+  /// task's coroutine chain; a Par's final awaiter then retires the task
   /// instead of resuming a continuation.
   bool FaultPoisoned = false;
   /// LVISH_FAULTS: this task was chosen by the active FaultPlan and raises

@@ -31,8 +31,7 @@
 ///   ParOutcome<int> P = RT.run(Body);  // blocking, same outcome type
 ///
 /// runPar / tryRunPar* (src/core/RunPar.h) are one-shot wrappers that spin
-/// up a private Runtime (the pre-Runtime borrowed-scheduler surface was
-/// removed in their favor).
+/// up a private Runtime.
 ///
 /// One session object (detail::Submission) holds a session's scheduler
 /// state, body, result and outcome; the SessionFuture, the admission
@@ -93,8 +92,8 @@ namespace service {
 
 /// Runtime construction parameters.
 struct RuntimeConfig {
-  /// The shared worker pool's configuration (worker count, fairness
-  /// stride, tracing, explore controller).
+  /// The shared worker pool's configuration (worker count, tracing,
+  /// steal seed, explore controller).
   SchedulerConfig Sched{};
   /// Admission bound: at most this many sessions active (launched, not
   /// yet finalized) at once; further submissions queue FIFO and launch as
@@ -345,9 +344,10 @@ public:
   }
 
 private:
-  /// Root coroutine: materializes the session context and deposits the
-  /// body's result in the session's slot.
-  static Par<void> root(Submission *S) {
+  /// The session's root task: materializes the session context and
+  /// deposits the body's result in the session's slot. Its frame is the
+  /// root Task, so a session launch allocates one block.
+  static lvish::detail::TaskRoot root(Submission *S) {
     ParCtx<E> Ctx =
         lvish::detail::CtxAccess::make<E>(Scheduler::currentTask());
     if constexpr (std::is_void_v<R>) {

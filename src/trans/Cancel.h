@@ -58,10 +58,25 @@ private:
 
 namespace detail {
 
+/// Root of a cancellable child: runs \p Body at \p ChildE and funnels its
+/// result into \p Result. The internal result-put is trusted code
+/// (blessed), like the hidden put inside getMemoRO.
+template <EffectSet ChildE, typename T, typename F>
+TaskRoot cancelableRoot(std::shared_ptr<IVar<T>> Result, F Body) {
+  ParCtx<ChildE> C = CtxAccess::make<ChildE>(Scheduler::currentTask());
+  T V = co_await Body(C);
+  // Trusted: materialize a put-capable context to fill the future. A
+  // cancellable future "must have no visible effect but its result"; this
+  // is that result.
+  constexpr EffectSet Blessed{true, true, false, false, false, false};
+  ParCtx<Blessed> Full = CtxAccess::make<Blessed>(C.task());
+  check::BlessScope Bless(C.task(), check::FxPut);
+  put(Full, *Result, V);
+}
+
 /// Spawns \p Body as a new task under a fresh cancellation node, funneling
 /// its result into an IVar. \p ChildE is the effect level handed to the
-/// child's body; the internal result-put is trusted code (blessed), like
-/// the hidden put inside getMemoRO.
+/// child's body.
 template <EffectSet ChildE, typename T, EffectSet E, typename F>
 CFuture<T> forkCancelableImpl(ParCtx<E> Ctx, F Body) {
   auto Result = std::make_shared<IVar<T>>(Ctx.sessionId());
@@ -69,20 +84,10 @@ CFuture<T> forkCancelableImpl(ParCtx<E> Ctx, F Body) {
   // cancel tree owns the node the child task borrows.
   auto Node = std::make_shared<CancelNode>();
   Ctx.task()->Cancel->addChild(Node);
-  Par<void> Wrapper = forkBody<ChildE>(
-      [Result, B = std::move(Body)](ParCtx<ChildE> C) mutable -> Par<void> {
-        T V = co_await B(C);
-        // Trusted: materialize a put-capable context to fill the future.
-        // A cancellable future "must have no visible effect but its
-        // result"; this is that result.
-        constexpr EffectSet Blessed{true, true, false, false, false, false};
-        ParCtx<Blessed> Full = CtxAccess::make<Blessed>(C.task());
-        check::BlessScope Bless(C.task(), check::FxPut);
-        put(Full, *Result, V);
-      });
   // The fresh node replaces the inherited one: a new cancellable scope.
-  launchTask(*Ctx.sched(), std::move(Wrapper), Ctx.task(),
-             check::effectMask(ChildE), /*Scopes=*/{}, Node.get());
+  launchTask(*Ctx.sched(), cancelableRoot<ChildE>(Result, std::move(Body)),
+             Ctx.task(), check::effectMask(ChildE), /*Scopes=*/{},
+             Node.get());
   return CFuture<T>(std::move(Result), std::move(Node));
 }
 

@@ -16,11 +16,13 @@
 /// Finishing a session reaps its leftovers from its own registry of
 /// parked tasks without touching a sibling's tasks; a task sits in that
 /// registry only while parked; the session state the tasks borrow
-/// outlives every retire; and a pool whose Task storage was recycled
+/// outlives every retire; and a pool whose root frames were recycled
 /// through faulted, cancelled, and layered sessions runs the next
 /// session exactly like a fresh one. An empty session allocates its
-/// session object and its session-table node and nothing else (this binary
-/// replaces the global operator new with a counting one), and an
+/// session object, its session-table node and one block for its root
+/// task, and a burst of forked children takes one block per pending child
+/// (this binary replaces the global operator new, plain and over-aligned,
+/// with counting ones), and an
 /// explore-mode Runtime runs a submitted session inline. An async session
 /// that quiesces on a park is finalized by its worker, which then admits
 /// the next queued session, and a Runtime torn down right after its last
@@ -55,18 +57,30 @@
 #include <thread>
 #include <vector>
 
-// Counting replacements of the global (unaligned) allocation functions:
-// every plain heap allocation in this process, on any thread, bumps
-// NewCalls. The nothrow forms call these by default. The over-aligned
-// forms stay the library's: the block cache (src/sched/BlockCache.h)
-// draws task and frame blocks through them, and it is not the session
-// object's allocation.
+// Counting replacements of the global allocation functions: every plain
+// heap allocation in this process, on any thread, bumps NewCalls, and
+// every over-aligned one bumps AlignedNewCalls. The nothrow forms call
+// these by default. The block cache (src/sched/BlockCache.h) takes the
+// blocks it does not have cached - task roots, whose frame holds the
+// Task, and Par frames - through the over-aligned form, so
+// AlignedNewCalls counts the frames a thread's cache could not serve.
 namespace {
 std::atomic<uint64_t> NewCalls{0};
+std::atomic<uint64_t> AlignedNewCalls{0};
 
 void *countedAlloc(std::size_t N) {
   NewCalls.fetch_add(1, std::memory_order_relaxed);
   if (void *P = std::malloc(N ? N : 1))
+    return P;
+  throw std::bad_alloc();
+}
+
+void *countedAlignedAlloc(std::size_t N, std::align_val_t A) {
+  AlignedNewCalls.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t Align = static_cast<std::size_t>(A);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t Bytes = N ? (N + Align - 1) / Align * Align : Align;
+  if (void *P = std::aligned_alloc(Align, Bytes))
     return P;
   throw std::bad_alloc();
 }
@@ -78,6 +92,20 @@ void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void *operator new(std::size_t N, std::align_val_t A) {
+  return countedAlignedAlloc(N, A);
+}
+void *operator new[](std::size_t N, std::align_val_t A) {
+  return countedAlignedAlloc(N, A);
+}
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
 
 using namespace lvish;
 
@@ -720,11 +748,12 @@ PlainRun runPlainSession(service::Runtime &RT) {
 }
 
 TEST(ServiceRuntime, RecycledTasksLeaveNoTrace) {
-  // Task storage is recycled through a per-thread cache. Dirty it with
-  // every retire path - a faulted session, a budget-cancelled one with a
-  // cancelled future, and one under a handler pool, a deadlock scope and
-  // a ParST layer, all leaving parked tasks to reap - then check that a
-  // plain session on that pool matches one on a fresh pool exactly.
+  // Root frames, and the tasks in them, are recycled through a per-thread
+  // cache. Dirty it with every retire path - a faulted session, a
+  // budget-cancelled one with a cancelled future, and one under a handler
+  // pool, a deadlock scope and a ParST layer, all leaving parked tasks to
+  // reap - then check that a plain session on that pool matches one on a
+  // fresh pool exactly.
   PlainRun Fresh;
   {
     service::Runtime RT({.Sched = {.NumWorkers = 1}});
@@ -836,8 +865,9 @@ TEST(ServiceRuntime, RecycledTasksLeaveNoTrace) {
 TEST(ServiceRuntime, EmptySessionsAllocateLittle) {
   // A session is one object shared by the scheduler and the Runtime: an
   // empty session allocates it and its node in the session table, async
-  // or blocking. Tasks and coroutine frames come from the block cache,
-  // which NewCalls does not count (see the replacements above).
+  // or blocking. Its root task is its root frame, the one block a
+  // submitter's cache cannot serve (a worker retires it into its own):
+  // one over-aligned allocation per session.
   constexpr int Warmup = 200;
   constexpr int Count = 1000;
   service::Runtime RT({.Sched = {.NumWorkers = 1}});
@@ -856,15 +886,53 @@ TEST(ServiceRuntime, EmptySessionsAllocateLittle) {
   BlockingRound(Warmup);
 
   uint64_t Before = NewCalls.load(std::memory_order_relaxed);
+  uint64_t AlignedBefore = AlignedNewCalls.load(std::memory_order_relaxed);
   AsyncRound(Count);
   uint64_t Async = NewCalls.load(std::memory_order_relaxed) - Before;
+  uint64_t AsyncAligned =
+      AlignedNewCalls.load(std::memory_order_relaxed) - AlignedBefore;
   Before = NewCalls.load(std::memory_order_relaxed);
+  AlignedBefore = AlignedNewCalls.load(std::memory_order_relaxed);
   BlockingRound(Count);
   uint64_t Blocking = NewCalls.load(std::memory_order_relaxed) - Before;
+  uint64_t BlockingAligned =
+      AlignedNewCalls.load(std::memory_order_relaxed) - AlignedBefore;
   EXPECT_LE(Async, 2u * Count) << "allocations per async session: "
                                << static_cast<double>(Async) / Count;
   EXPECT_LE(Blocking, 2u * Count) << "allocations per blocking run: "
                                   << static_cast<double>(Blocking) / Count;
+  EXPECT_LE(AsyncAligned, 1u * Count)
+      << "aligned allocations per async session: "
+      << static_cast<double>(AsyncAligned) / Count;
+  EXPECT_LE(BlockingAligned, 1u * Count)
+      << "aligned allocations per blocking run: "
+      << static_cast<double>(BlockingAligned) / Count;
+}
+
+TEST(ServiceRuntime, ForkBurstTakesOneBlockPerPendingChild) {
+  // A fresh Runtime's worker starts with an empty block cache. The root
+  // forks K children before any can run (one worker, and the root never
+  // suspends in between), so K root frames are live at once and each is
+  // an aligned allocation; a child's task lives in its root frame and
+  // takes no block of its own. The bodies' frames run one at a time and
+  // reuse what the worker freed.
+  constexpr unsigned K = 64;
+  service::Runtime RT({.Sched = {.NumWorkers = 1}});
+  std::atomic<unsigned> Ran{0};
+  auto Burst = [&Ran](ParCtx<D> Ctx) -> Par<void> {
+    for (unsigned I = 0; I < K; ++I)
+      fork(Ctx, [&Ran](ParCtx<D>) -> Par<void> {
+        Ran.fetch_add(1, std::memory_order_relaxed);
+        co_return;
+      });
+    co_return;
+  };
+  uint64_t Before = AlignedNewCalls.load(std::memory_order_relaxed);
+  ASSERT_TRUE(RT.run<D>(Burst).ok());
+  uint64_t Aligned = AlignedNewCalls.load(std::memory_order_relaxed) - Before;
+  EXPECT_EQ(Ran.load(), K);
+  EXPECT_LE(Aligned, K + 4u) << "aligned allocations for " << K
+                             << " pending children: " << Aligned;
 }
 
 } // namespace

@@ -19,7 +19,8 @@
 // every delta once and its flush tasks declare its own mask. A last case
 // drops every user reference to a handler pool while handler tasks are
 // still pending: the tasks' scope lists must keep the pool alive until
-// they have run, and release it after.
+// they have run, and release it after. A fork and a forkCancelable whose
+// closures are about 1 KB each still get an alignof(Task)-aligned task.
 //
 // tools/ci.sh's tsan stage re-runs this binary on its own.
 //
@@ -35,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -388,6 +390,45 @@ template <bool Plain> void expectPendingHandlersPinThePool() {
     EXPECT_EQ(Pinned.load(), N);
     EXPECT_TRUE(Weak.expired());
   }
+}
+
+TEST(SpawnPaths, LargeClosuresKeepTheTaskAligned) {
+  // A fork's root frame holds its task and its closure. A closure of about
+  // 1 KB puts that frame past the block cache's largest size class, on its
+  // global-allocator path, and the task inside must still be
+  // alignof(Task)-aligned there; the ubsan stage checks every member
+  // access too.
+  std::array<uint64_t, 128> Payload{};
+  for (size_t I = 0; I < Payload.size(); ++I)
+    Payload[I] = I;
+  const uint64_t Want = 127 * 128 / 2;
+  struct {
+    uintptr_t ForkTask = 1, CancelTask = 1;
+    uint64_t ForkSum = 0;
+  } Out;
+  uint64_t CancelSum =
+      runPar<D>([&Out, Payload](ParCtx<D> Ctx) -> Par<uint64_t> {
+        fork(Ctx, [&Out, Payload](ParCtx<D> C) -> Par<void> {
+          Out.ForkTask = reinterpret_cast<uintptr_t>(C.task());
+          for (uint64_t X : Payload)
+            Out.ForkSum += X;
+          co_return;
+        });
+        auto F = forkCancelable(
+            Ctx, [&Out, Payload](ParCtx<Eff::ReadOnly> C) -> Par<uint64_t> {
+              Out.CancelTask = reinterpret_cast<uintptr_t>(C.task());
+              uint64_t Sum = 0;
+              for (uint64_t X : Payload)
+                Sum += X;
+              co_return Sum;
+            });
+        uint64_t R = co_await readCFuture(Ctx, F);
+        co_return R;
+      });
+  EXPECT_EQ(Out.ForkSum, Want);
+  EXPECT_EQ(CancelSum, Want);
+  EXPECT_EQ(Out.ForkTask % alignof(Task), 0u);
+  EXPECT_EQ(Out.CancelTask % alignof(Task), 0u);
 }
 
 TEST(SpawnPaths, PendingHandlerTasksPinTheirPool) {

@@ -35,17 +35,23 @@
 #   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo), halting on
 #              the first report.
 #   asan     - AddressSanitizer with LeakSanitizer (RelWithDebInfo): runs
-#              the binaries that check handler and flush lifetimes -
+#              the binaries that check handler, flush and task lifetimes -
 #              SpawnPathsTest (pending handler and flush tasks pin their
 #              pool and registration after the program drops them),
 #              HandlerRaceTest, CoreParTest, DataStructuresTest and
 #              TransformersTest (memo jobs that outlive a cancelled
-#              branch). The full suite waits for a `Par` trampoline
-#              (ROADMAP): a long chain of `co_await`s on synchronously
-#              completing children nests one resume frame per child
-#              under ASan, because GCC drops the symmetric-transfer tail
-#              call there, and Stress.DeepSequentialAwaitChain (20,000
-#              deep) overflows the stack.
+#              branch), and the paths where a task's storage dies with
+#              its root frame: ServiceRuntimeTest and SchedulerTest (parked
+#              tasks reaped at finishSession, cancelled tasks retired
+#              before they run), ExploreTest (the same under controlled
+#              schedules) and ServiceRobustnessTest (sessions killed by
+#              their step budget). The full suite waits for a `Par`
+#              trampoline (ROADMAP): a long chain of `co_await`s on
+#              synchronously completing children nests one resume frame
+#              per child under ASan, because GCC drops the
+#              symmetric-transfer tail call there, and
+#              Stress.DeepSequentialAwaitChain (20,000 deep) overflows
+#              the stack.
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints non-fatal bench-report
@@ -212,11 +218,12 @@ for stage in "${STAGES[@]}"; do
     asan)
       # Not the whole suite: see the stage comment in the header.
       asan_tests=(SpawnPathsTest HandlerRaceTest CoreParTest
-                  DataStructuresTest TransformersTest)
+                  DataStructuresTest TransformersTest ServiceRuntimeTest
+                  SchedulerTest ExploreTest ServiceRobustnessTest)
       targets=()
       for t in "${asan_tests[@]}"; do targets+=(--target "$t"); done
       ensure_tree asan "${targets[@]}"
-      echo "==== [asan] handler and flush lifetimes ===="
+      echo "==== [asan] handler, flush and task lifetimes ===="
       for t in "${asan_tests[@]}"; do
         ./build-ci-asan/tests/"$t"
       done
