@@ -10,7 +10,7 @@
 /// 13): a structure supplies only its lattice state and its join, and
 /// inherits the rest from here, written once -
 ///  * the put prologue (\c enterPut: session check, effect audit, the
-///    LVISH_FAULTS put poll, the Puts count) and \c noOpPut for joins that
+///    fault-injection put poll, the Puts count) and \c noOpPut for joins that
 ///    change nothing;
 ///  * \c freezeFor, the prologue of every freeze* entry point;
 ///  * the handler list (\c HandledLVar), guarded by the footnote-6
@@ -234,7 +234,7 @@ protected:
 
   /// The prologue of every state-changing entry point, run before the
   /// state is touched: session check, effect audit (\p Fx is FxPut or
-  /// FxBump), the LVISH_FAULTS put poll (a doomed writer fails here, so
+  /// FxBump), the fault-injection put poll (a doomed writer fails here, so
   /// its write never lands), and the Puts count. \p Counted = false
   /// leaves the count to the caller, for an entry point whose fast path
   /// is not a put (IMap::modifyKey finding its key bound).
@@ -285,7 +285,7 @@ protected:
                WaitSlot Slot = WaitSlot()) {
     checkSession(T);
     check::auditEffect(T, check::FxGet, "blocking threshold read");
-    // LVISH_FAULTS park-point poll (no-op otherwise). A raise here throws
+    // Fault-injection park-point poll (no-op with no plan). A raise throws
     // out of await_suspend, which resumes the coroutine and rethrows in
     // its body - reaching unhandled_exception as usual.
     fault::injectPoint(fault::Point::Park, T);

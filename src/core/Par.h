@@ -274,7 +274,7 @@ inline void launchTask(
 template <EffectSet E, typename F> void fork(ParCtx<E> Ctx, F Body) {
   static_assert(std::is_invocable_r_v<Par<void>, F, ParCtx<E>>,
                 "fork body must be callable as Par<void>(ParCtx<E>)");
-  // LVISH_FAULTS allocation-failure shim (no-op otherwise).
+  // Fault-injection allocation-failure shim (no-op with no plan installed).
   fault::injectSpawn(Ctx.task());
   detail::launchTask(*Ctx.sched(), detail::forkBody<E>(std::move(Body)),
                      Ctx.task(), check::effectMask(E));

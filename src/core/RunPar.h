@@ -61,37 +61,26 @@
 
 namespace lvish {
 
-/// Session parameters orthogonal to the effect level. Set the fields you
-/// need, pass a SchedulerConfig where only the pool matters, or start
-/// from one of the named factories:
+/// Session parameters orthogonal to the effect level: the session's own
+/// options (service::SessionOptions: FreezeOnExit, StatsOut, MaxSteps)
+/// plus the configuration of its private pool. Set the fields you need,
+/// pass a SchedulerConfig where only the pool matters, or start from one
+/// of the named factories:
 ///
 ///   SchedulerStats Stats;
 ///   auto R = runPar(Body, RunOptions::CollectStats(Stats));
 ///   // Stats.TasksCreated, Stats.Steals, ... now describe the run.
 ///   auto S = runPar(Body, SchedulerConfig{4}); // four workers
-struct RunOptions {
+///
+/// The pool lives for one session, so StatsOut's delta is its whole
+/// history, and MaxSteps = 0 means unlimited.
+struct RunOptions : service::SessionOptions {
   RunOptions() = default;
   /// Options whose only setting is the pool's \p Config.
   RunOptions(SchedulerConfig Config) : Config(Config) {}
 
   /// Configuration for the session's private scheduler pool.
   SchedulerConfig Config{};
-  /// After quiescence, markFrozen() the returned LVar handle - the
-  /// always-deterministic freeze-on-the-way-out of runParThenFreeze.
-  /// Requires the body to return a (shared_ptr to an) LVar structure.
-  bool FreezeOnExit = false;
-  /// When non-null, receives the session's scheduler-stats DELTA after it
-  /// quiesces: the pool's counters at session start subtracted from the
-  /// counters at session end (Scheduler::sessionStats). For the one-shot
-  /// wrappers the delta equals the private pool's whole history; on a
-  /// shared Runtime it isolates this session (exactly, when no other
-  /// session overlaps it).
-  SchedulerStats *StatsOut = nullptr;
-  /// Deterministic step budget forwarded to SessionOptions::MaxSteps: the
-  /// session is killed with FaultCode::BudgetExceeded after this many
-  /// scheduler decisions. Steps, not wall clock, so budget kills replay
-  /// bit-for-bit under Explore (DESIGN.md Section 16). 0 = unlimited.
-  uint64_t SessionBudget = 0;
 
   /// Options that deposit the session's stats delta into \p Out.
   static RunOptions CollectStats(SchedulerStats &Out) {
@@ -118,18 +107,14 @@ struct RunOptions {
 namespace detail {
 
 /// The one session front door every runPar* wrapper funnels into.
-/// Translates RunOptions into a session on a private one-shot Runtime and
+/// Runs the body as the one session of a private one-shot Runtime and
 /// returns the body's value or the session's deterministic Fault.
 template <EffectSet E, typename F>
 auto runParOnImpl(const RunOptions &Opts, F Body) {
-  service::SessionOptions SOpts;
-  SOpts.FreezeOnExit = Opts.FreezeOnExit;
-  SOpts.StatsOut = Opts.StatsOut;
-  SOpts.MaxSteps = Opts.SessionBudget;
   service::RuntimeConfig RC;
   RC.Sched = Opts.Config;
   service::Runtime RT(RC);
-  return RT.runSession<E>(std::move(Body), SOpts);
+  return RT.runSession<E>(std::move(Body), Opts);
 }
 
 } // namespace detail

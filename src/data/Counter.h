@@ -60,13 +60,9 @@ public:
     // seq_cst RMW: on common targets no dearer than acq_rel (still one
     // locked/LL-SC op), and it lets notifyWaiters order its no-waiter
     // probe against this write without a standalone fence.
-#if LVISH_CHECK
     uint64_t Old = Value.fetch_add(Amount, std::memory_order_seq_cst);
     if (check::sampleHit())
       check::checkBumpInflates(Old, Amount, "Counter");
-#else
-    Value.fetch_add(Amount, std::memory_order_seq_cst);
-#endif
     notifyWaiters(Writer, NotifyOrder::StateSeqCst);
   }
 
@@ -133,13 +129,9 @@ public:
     }
     if (isFrozen())
       putAfterFreezeError(Writer, this);
-#if LVISH_CHECK
     uint64_t Old = Cells[I].V.fetch_add(Amount, std::memory_order_seq_cst);
     if (check::sampleHit())
       check::checkBumpInflates(Old, Amount, "CounterVec");
-#else
-    Cells[I].V.fetch_add(Amount, std::memory_order_seq_cst);
-#endif
     // Threshold waiters on CounterVec are rare (the PhyBin pattern is
     // bump-then-freeze); skip the waiter scan when nobody waits. The
     // seq_cst RMW above stands in for the notify fence.

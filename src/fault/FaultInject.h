@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Task-aware half of the LVISH_FAULTS harness: thin inline hooks the
-/// runtime drops at its schedule points (fork, park, put; the scheduler's
-/// steal point uses FaultPlan.h directly). Each hook is a no-op unless the
-/// build was configured with -DLVISH_FAULTS=ON *and* a FaultPlan is
-/// installed, so tier-1 builds pay nothing.
+/// The Task-aware half of the fault-injection harness: thin inline hooks
+/// the runtime drops at its schedule points (fork, park, put; the
+/// scheduler's steal point uses FaultPlan.h directly). Every build
+/// compiles them in; each is a no-op unless a FaultPlan is installed, and
+/// an unarmed hook costs one load and one not-taken branch.
 ///
 /// Doomed-task failures raise through the same raiseSessionFault path as
 /// real contract violations, so an injected failure exercises exactly the
@@ -30,26 +30,37 @@
 namespace lvish {
 namespace fault {
 
+/// The armed halves of the hooks below, kept out of line so an unarmed
+/// hook inlines to one load and one not-taken branch.
+[[gnu::cold, gnu::noinline]] inline void injectPointArmed(Point P, Task *T) {
+  maybeDelay(P);
+  if (T && T->InjectDoomed) {
+    T->InjectDoomed = false;
+    obs::count(obs::Event::InjectedFaults);
+    detail::raiseSessionFault(T, FaultCode::InjectedFailure,
+                              "injected task failure (fault-injection "
+                              "plan)");
+  }
+}
+
+[[gnu::cold, gnu::noinline]] inline void injectSpawnArmed(Task *Parent) {
+  maybeDelay(Point::Spawn);
+  uint64_t Clock = Parent->InjectClock++;
+  if (shouldFailSpawn(Parent->Ped, Clock)) {
+    obs::count(obs::Event::InjectedFaults);
+    detail::raiseSessionFault(Parent, FaultCode::InjectedFailure,
+                              "injected allocation failure at task spawn "
+                              "(fault-injection plan)");
+  }
+}
+
 /// Injection poll at a schedule point executed *by* task \p T (put or
 /// park). Applies plan delays, then raises InjectedFailure if \p T was
 /// doomed at creation. Must be called before the point's state change so
 /// a doomed task's put never lands.
 inline void injectPoint(Point P, Task *T) {
-  if constexpr (InjectionEnabled) {
-    if (!planActive())
-      return;
-    maybeDelay(P);
-    if (T && T->InjectDoomed) {
-      T->InjectDoomed = false;
-      obs::count(obs::Event::InjectedFaults);
-      detail::raiseSessionFault(T, FaultCode::InjectedFailure,
-                                "injected task failure (LVISH_FAULTS "
-                                "fault-injection plan)");
-    }
-  } else {
-    (void)P;
-    (void)T;
-  }
+  if (planActive())
+    injectPointArmed(P, T);
 }
 
 /// Allocation-failure shim at fork, called in the forking \p Parent
@@ -57,20 +68,8 @@ inline void injectPoint(Point P, Task *T) {
 /// (per parent pedigree and spawn clock) as if the task allocation had
 /// failed.
 inline void injectSpawn(Task *Parent) {
-  if constexpr (InjectionEnabled) {
-    if (!planActive() || !Parent)
-      return;
-    maybeDelay(Point::Spawn);
-    uint64_t Clock = Parent->InjectClock++;
-    if (shouldFailSpawn(Parent->Ped, Clock)) {
-      obs::count(obs::Event::InjectedFaults);
-      detail::raiseSessionFault(Parent, FaultCode::InjectedFailure,
-                                "injected allocation failure at task spawn "
-                                "(LVISH_FAULTS fault-injection plan)");
-    }
-  } else {
-    (void)Parent;
-  }
+  if (planActive() && Parent)
+    injectSpawnArmed(Parent);
 }
 
 } // namespace fault

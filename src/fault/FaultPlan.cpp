@@ -11,29 +11,22 @@
 #include "src/support/Hashing.h"
 #include "src/support/Timer.h"
 
-#include <atomic>
-
 using namespace lvish;
 using namespace lvish::fault;
 
 namespace {
 
 FaultPlan GPlan;
-std::atomic<bool> GActive{false};
 
 } // namespace
 
 void fault::setFaultPlan(const FaultPlan &Plan) {
   GPlan = Plan;
-  GActive.store(true, std::memory_order_release);
+  PlanArmed.store(true, std::memory_order_release);
 }
 
 void fault::clearFaultPlan() {
-  GActive.store(false, std::memory_order_release);
-}
-
-bool fault::planActive() {
-  return GActive.load(std::memory_order_acquire);
+  PlanArmed.store(false, std::memory_order_release);
 }
 
 bool fault::shouldDoomTask(const Pedigree &Ped) {

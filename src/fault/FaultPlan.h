@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The decision core of the LVISH_FAULTS injection harness: a process-wide
+/// The decision core of the fault-injection harness: a process-wide
 /// \c FaultPlan describing which tasks fail, where artificial delays land,
 /// and how often spawn allocation is simulated to fail. Every decision is
 /// a pure SplitMix-style hash of (plan seed, task pedigree, per-task
@@ -17,9 +17,10 @@
 ///
 /// This header depends only on src/support/ so the scheduler can consult
 /// it without a layering cycle; the Task-aware raising glue lives in
-/// src/fault/FaultInject.h. Build with -DLVISH_FAULTS=ON to arm the hooks
-/// (\c InjectionEnabled); the plan API itself always compiles so tests can
-/// configure and skip cleanly.
+/// src/fault/FaultInject.h. The hooks are compiled into every build and
+/// armed only while a plan is installed: an unarmed hook costs one acquire
+/// load (planActive) and one not-taken branch; the decisions behind it
+/// stay out of line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,21 +29,12 @@
 
 #include "src/support/Pedigree.h"
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
-#ifndef LVISH_FAULTS
-#define LVISH_FAULTS 0
-#endif
-
 namespace lvish {
 namespace fault {
-
-#if LVISH_FAULTS
-inline constexpr bool InjectionEnabled = true;
-#else
-inline constexpr bool InjectionEnabled = false;
-#endif
 
 /// Schedule points where injection decisions are polled.
 enum class Point : unsigned {
@@ -91,8 +83,11 @@ void setFaultPlan(const FaultPlan &Plan);
 /// Disarms the active plan.
 void clearFaultPlan();
 
-/// True while a plan is installed (relaxed probe; hot paths bail early).
-bool planActive();
+/// Set by setFaultPlan, cleared by clearFaultPlan; read through planActive.
+inline std::atomic<bool> PlanArmed{false};
+
+/// True while a plan is installed: the one load every hook pays unarmed.
+inline bool planActive() { return PlanArmed.load(std::memory_order_acquire); }
 
 /// RAII plan installation for tests.
 class PlanScope {

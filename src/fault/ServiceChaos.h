@@ -23,8 +23,7 @@
 ///     queue's deadline/shed machinery.
 ///   * worker stall shim: stallPlan() derives a FaultPlan whose
 ///     steal/park/put delays (fault::maybeDelay) stutter the workers
-///     under the sessions; armed via PlanScope in LVISH_FAULTS builds and
-///     inert otherwise.
+///     under the sessions while a PlanScope installs it.
 ///
 /// WHICH sessions are doomed/delayed is a pure SplitMix hash of
 /// (plan seed, submission index) - reproducible per seed. WHEN a doom
@@ -33,8 +32,7 @@
 /// assertions only state schedule-independent facts (neighbor values
 /// exact, doomed outcomes well-formed).
 ///
-/// Header-only and always compiled (the background thread is plain
-/// library code); only the stall shim needs -DLVISH_FAULTS.
+/// Header-only; the background thread is plain library code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +74,7 @@ struct ServiceChaosPlan {
   uint32_t AdmitDelayPeriod = 0;
   uint64_t AdmitDelayNanos = 50'000;
   /// Worker stall shim: forwarded into stallPlan()'s FaultPlan delay
-  /// knobs (active only in LVISH_FAULTS builds). 0 disables.
+  /// knobs. 0 disables.
   uint32_t StallDelayPeriod = 0;
   uint32_t StallDelayNanos = 2000;
 };
@@ -154,7 +152,7 @@ public:
   /// The worker stall shim: a FaultPlan carrying only this chaos plan's
   /// delay knobs, for installation via fault::PlanScope around the sweep.
   /// Delays are non-semantic (they perturb interleavings, never
-  /// outcomes) and fire only in -DLVISH_FAULTS builds.
+  /// outcomes).
   FaultPlan stallPlan() const {
     FaultPlan P;
     P.Seed = Plan.Seed;

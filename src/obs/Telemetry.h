@@ -47,7 +47,7 @@ enum class Event : unsigned {
   MemoMisses,         ///< getMemo calls that requested a fresh key.
   FaultsRaised,       ///< Contract violations recorded as session Faults.
   FaultsContained,    ///< Sessions that returned a Fault instead of a value.
-  InjectedFaults,     ///< Failures raised by the LVISH_FAULTS harness.
+  InjectedFaults,     ///< Failures raised by the fault-injection harness.
   ExploreSchedules,   ///< Explorer sessions started (one per Engine run).
   ExploreSteps,       ///< Tasks resumed under a controlled schedule.
   ExploreShrinkRuns,  ///< Candidate replays executed while shrinking.

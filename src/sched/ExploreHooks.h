@@ -69,13 +69,9 @@ public:
   /// Called when a capacity credit (a BoundedStream consumer's advance)
   /// releases N >= 2 parked producers at once: returns which of the N
   /// remaining producers resumes first (selection order, like onPick).
-  /// Defaults to the first option so ScheduleCtl implementations predating
-  /// bounded streams keep compiling; the explore engines override it with
-  /// a recorded decision of its own kind so replays stay bit-for-bit.
-  virtual unsigned onBackpressure(unsigned N) {
-    (void)N;
-    return 0;
-  }
+  /// The explore engine records it as a decision of its own kind so
+  /// replays stay bit-for-bit.
+  virtual unsigned onBackpressure(unsigned N) = 0;
 
   /// Called just before a chosen task is resumed (or reaped, when it was
   /// cancelled in the queue) with its fork-tree pedigree; engines fold

@@ -222,10 +222,8 @@ void Scheduler::createTask(
     T->Cancel = &Session->CancelRoot;
     T->Session = Session;
   }
-  if constexpr (fault::InjectionEnabled) {
-    if (fault::planActive())
-      T->InjectDoomed = fault::shouldDoomTask(T->Ped);
-  }
+  if (fault::planActive())
+    T->InjectDoomed = fault::shouldDoomTask(T->Ped);
   T->scopesOnCreate();
   for (const std::shared_ptr<TaskScope> &S : Scopes)
     T->addScope(S);
@@ -612,12 +610,10 @@ Task *Scheduler::tryInjected() {
 
 Task *Scheduler::findWork(unsigned Index) {
   Worker &Me = *Workers[Index];
-  if constexpr (fault::InjectionEnabled) {
-    // Artificial scheduling jitter at the steal point (non-semantic: it
-    // perturbs interleavings, never outcomes).
-    if (fault::planActive())
-      fault::maybeDelay(fault::Point::Steal);
-  }
+  // Artificial scheduling jitter at the steal point (non-semantic: it
+  // perturbs interleavings, never outcomes).
+  if (fault::planActive())
+    fault::maybeDelay(fault::Point::Steal);
   // Multi-session fairness: periodically let injected work (session
   // roots, yields - round-robin across sessions) preempt the local
   // deque, so one session's deep fan-out cannot starve its siblings'

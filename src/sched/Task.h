@@ -134,8 +134,8 @@ public:
   // A compact twin of the PedigreeT transformer layer (trans/Pedigree.h):
   // bit I is the I-th branch taken from the session root, 0 = Left (a
   // forked child), 1 = Right (the parent's continuation). Faults use it as
-  // the task's deterministic identity; the LVISH_FAULTS harness uses it to
-  // target injections; the explorer (src/explore) keys replay logs on it.
+  // the task's deterministic identity; fault injection (src/fault) uses it
+  // to target injections; the explorer (src/explore) keys replay logs on it.
   // Maintained by Scheduler::createTask; mutating the parent there is safe
   // because fork runs on the parent's own thread. 256 recorded bits with
   // explicit saturation - see src/support/Pedigree.h.
@@ -152,10 +152,10 @@ public:
   /// task's coroutine chain; a Par's final awaiter then retires the task
   /// instead of resuming a continuation.
   bool FaultPoisoned = false;
-  /// LVISH_FAULTS: this task was chosen by the active FaultPlan and raises
-  /// an InjectedFailure at its next injection poll (put/park point).
+  /// Fault injection: this task was chosen by the active FaultPlan and
+  /// raises an InjectedFailure at its next injection poll (put/park point).
   bool InjectDoomed = false;
-  /// LVISH_FAULTS: per-task deterministic decision counter (spawn shims).
+  /// Fault injection: per-task deterministic decision counter (spawn shims).
   uint64_t InjectClock = 0;
 
   // -- Effect-audit bookkeeping (see src/check/EffectAuditor.h) -----------

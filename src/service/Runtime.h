@@ -120,7 +120,8 @@ struct RuntimeConfig {
   uint64_t DefaultSessionBudget = 0;
 };
 
-/// Per-session options, the session-scoped successor of RunOptions.
+/// Per-session options. The one-shot runPar* wrappers take RunOptions,
+/// which adds the private pool's configuration to these.
 struct SessionOptions {
   /// After quiescence, markFrozen() the returned LVar handle - the
   /// always-deterministic freeze-on-the-way-out of runParThenFreeze.

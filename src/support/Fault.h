@@ -52,7 +52,7 @@ enum class FaultCode : uint8_t {
   DeadlockDrained,     ///< Root blocked forever; every other task finished.
   DeadlockLeakedTasks, ///< Root blocked forever; other tasks also blocked.
   CheckerViolation,    ///< A dynamic checker (src/check) fired in-session.
-  InjectedFailure,     ///< Raised by the LVISH_FAULTS injection harness.
+  InjectedFailure,     ///< Raised by the fault-injection harness.
   SessionRejected,     ///< Runtime admission refused the session (e.g. an
                        ///< explore-mode session on a busy shared Runtime).
   BudgetExceeded,      ///< The session burned through its deterministic

@@ -11,7 +11,7 @@
 /// parent's continuation). The original single-uint64_t packing silently
 /// stopped recording bits past depth 64, so two distinct tasks deeper than
 /// 64 forks could share a pedigree - which breaks the least-fault winner
-/// rule and LVISH_FAULTS targeting. This type widens storage to 256
+/// rule and fault-injection targeting. This type widens storage to 256
 /// recorded bits (4 inline words, no heap), which covers every fork chain
 /// the repo's stress tests produce with a wide margin; beyond that the
 /// path *explicitly* saturates: depth keeps counting, \c overflowed()

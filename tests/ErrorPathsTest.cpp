@@ -463,33 +463,28 @@ TEST(FaultOutcomeTest, CheckerViolationContained) {
 #endif
 
 TEST(FaultOutcomeTest, InjectedFailureContained) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "LVISH_FAULTS is off; see FaultStressTest in the "
-                    "faults CI stage";
-  } else {
-    fault::FaultPlan Plan;
-    Plan.Seed = 42;
-    Plan.HaveFailPedigree = true;
-    Plan.FailPedigree = "L"; // Doom the first forked child.
-    fault::PlanScope Scope(Plan);
-    expectStableFault(
-        [](SchedulerConfig C) {
-          auto O = tryRunPar<D>(
-              [](ParCtx<D> Ctx) -> Par<int> {
-                auto IV = newIVar<int>(Ctx);
-                auto ForkBody = [IV](ParCtx<D> C2) -> Par<void> {
-                  put(C2, *IV, 7); // Raises at the put injection poll.
-                  co_return;
-                };
-                fork(Ctx, ForkBody);
-                co_return co_await get(Ctx, *IV);
-              },
-              C);
-          EXPECT_FALSE(O.ok());
-          return O.fault();
-        },
-        FaultCode::InjectedFailure, "L");
-  }
+  fault::FaultPlan Plan;
+  Plan.Seed = 42;
+  Plan.HaveFailPedigree = true;
+  Plan.FailPedigree = "L"; // Doom the first forked child.
+  fault::PlanScope Scope(Plan);
+  expectStableFault(
+      [](SchedulerConfig C) {
+        auto O = tryRunPar<D>(
+            [](ParCtx<D> Ctx) -> Par<int> {
+              auto IV = newIVar<int>(Ctx);
+              auto ForkBody = [IV](ParCtx<D> C2) -> Par<void> {
+                put(C2, *IV, 7); // Raises at the put injection poll.
+                co_return;
+              };
+              fork(Ctx, ForkBody);
+              co_return co_await get(Ctx, *IV);
+            },
+            C);
+        EXPECT_FALSE(O.ok());
+        return O.fault();
+      },
+      FaultCode::InjectedFailure, "L");
 }
 
 TEST(FaultOutcomeTest, SuccessfulSessionReturnsValue) {

@@ -152,7 +152,7 @@ ParOutcome<int> wakeOrderConflict(const RunOptions &Opts) {
 /// replays bit-for-bit: same code, same pedigree, same schedule hash.
 ParOutcome<int> budgetBlown(const RunOptions &Opts) {
   RunOptions Budgeted = Opts;
-  Budgeted.SessionBudget = 6;
+  Budgeted.MaxSteps = 6;
   return tryRunParIO<IOE>(
       [](ParCtx<IOE> Ctx) -> Par<int> {
         for (int I = 0; I < 1'000'000; ++I)

@@ -453,48 +453,44 @@ TEST(ExploreTest, CancelledBranchsFlushStillDeliversLiveDeltas) {
     }
 }
 
-// -- Composition with LVISH_CHECK and LVISH_FAULTS -------------------------
+// -- Composition with LVISH_CHECK and fault injection ----------------------
 
 TEST(ExploreTest, ComposesWithFaultInjection) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
-  } else {
-    // A doomed pedigree must be hit under every adversarial schedule the
-    // explorer produces: injection targets the fork TREE, which the
-    // schedule cannot change.
-    auto FanOut = [](const RunOptions &Opts) {
-      return tryRunParIO<IOE>(
-          [](ParCtx<IOE> Ctx) -> Par<int> {
-            auto A = newIVar<int>(Ctx, "a");
-            auto B = newIVar<int>(Ctx, "b");
-            auto PutA = [A](ParCtx<IOE> C) -> Par<void> {
-              put(C, *A, 1);
-              co_return;
-            };
-            auto PutB = [B](ParCtx<IOE> C) -> Par<void> {
-              put(C, *B, 2);
-              co_return;
-            };
-            fork(Ctx, PutA); // "L"
-            fork(Ctx, PutB); // "RL"
-            int VA = co_await get(Ctx, *A);
-            int VB = co_await get(Ctx, *B);
-            co_return VA + VB;
-          },
-          Opts);
-    };
-    fault::FaultPlan Plan;
-    Plan.Seed = 7;
-    Plan.HaveFailPedigree = true;
-    Plan.FailPedigree = "RL";
-    fault::PlanScope Scope(Plan);
-    for (uint64_t Seed = 0; Seed < 16; ++Seed) {
-      explore::Engine Eng = explore::Engine::random(Seed, 2);
-      ParOutcome<int> O = FanOut(explore::sessionOptions(Eng));
-      ASSERT_FALSE(O.ok()) << "seed=" << Seed;
-      EXPECT_EQ(explore::failureSig(O.fault()), "injected_failure@RL")
-          << "seed=" << Seed;
-    }
+  // A doomed pedigree must be hit under every adversarial schedule the
+  // explorer produces: injection targets the fork TREE, which the
+  // schedule cannot change.
+  auto FanOut = [](const RunOptions &Opts) {
+    return tryRunParIO<IOE>(
+        [](ParCtx<IOE> Ctx) -> Par<int> {
+          auto A = newIVar<int>(Ctx, "a");
+          auto B = newIVar<int>(Ctx, "b");
+          auto PutA = [A](ParCtx<IOE> C) -> Par<void> {
+            put(C, *A, 1);
+            co_return;
+          };
+          auto PutB = [B](ParCtx<IOE> C) -> Par<void> {
+            put(C, *B, 2);
+            co_return;
+          };
+          fork(Ctx, PutA); // "L"
+          fork(Ctx, PutB); // "RL"
+          int VA = co_await get(Ctx, *A);
+          int VB = co_await get(Ctx, *B);
+          co_return VA + VB;
+        },
+        Opts);
+  };
+  fault::FaultPlan Plan;
+  Plan.Seed = 7;
+  Plan.HaveFailPedigree = true;
+  Plan.FailPedigree = "RL";
+  fault::PlanScope Scope(Plan);
+  for (uint64_t Seed = 0; Seed < 16; ++Seed) {
+    explore::Engine Eng = explore::Engine::random(Seed, 2);
+    ParOutcome<int> O = FanOut(explore::sessionOptions(Eng));
+    ASSERT_FALSE(O.ok()) << "seed=" << Seed;
+    EXPECT_EQ(explore::failureSig(O.fault()), "injected_failure@RL")
+        << "seed=" << Seed;
   }
 }
 

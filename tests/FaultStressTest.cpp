@@ -6,9 +6,8 @@
 // value, or the same Fault (code + pedigree), with the process never
 // aborting.
 //
-// The outcome-identity sweeps always run (they need no injection); the
-// plan-driven tests are armed by configuring with -DLVISH_FAULTS=ON (the
-// `faults` stage of tools/ci.sh) and skip cleanly otherwise.
+// The outcome-identity sweeps need no injection; the plan-driven tests
+// install a FaultPlan, which arms the hooks compiled into every build.
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,7 +81,7 @@ ParOutcome<int> fanOut(SchedulerConfig C, int Kids) {
 }
 
 /// Writes a doomed child can make without touching an IVar; each put entry
-/// point must poll the LVISH_FAULTS plan itself.
+/// point must poll the fault plan itself.
 enum class PollTarget {
   ISetAndCounter,
   MinMap,
@@ -220,162 +219,138 @@ TEST(FaultStressTest, FaultIdenticalAcrossWorkersAndSeeds) {
                  "fault:conflicting_put:pedigree=L:lvar=contested");
 }
 
-// -- Plan-driven injection (LVISH_FAULTS builds; the `faults` CI stage) ----
+// -- Plan-driven injection (armed by a PlanScope) --------------------------
 
 TEST(FaultStressTest, TargetedFailureIdenticalAcrossSeeds) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
-  } else {
-    // Doom exactly child #2 of the fan-out ("RRL"); every plan seed and
-    // every worker count must contain the identical Fault, even with the
-    // seeded delays perturbing the schedule around it.
+  // Doom exactly child #2 of the fan-out ("RRL"); every plan seed and
+  // every worker count must contain the identical Fault, even with the
+  // seeded delays perturbing the schedule around it.
+  for (unsigned W : WorkerCounts)
+    for (uint64_t S : PlanSeeds) {
+      fault::FaultPlan Plan;
+      Plan.Seed = S;
+      Plan.HaveFailPedigree = true;
+      Plan.FailPedigree = "RRL";
+      Plan.DelayPeriod = 3;
+      Plan.DelayNanos = 1000;
+      fault::PlanScope Scope(Plan);
+      ParOutcome<int> O = fanOut(cfg(W, S), 6);
+      EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=RRL:lvar=")
+          << "workers=" << W << " seed=" << S;
+    }
+}
+
+TEST(FaultStressTest, DoomedWriterFailsAtEveryPutEntryPoint) {
+  // Child #2 ("RRL") writes only to structures other than IVar; its
+  // first put must still poll the plan and fail, identically for every
+  // worker count and plan seed.
+  const PollTarget Targets[] = {PollTarget::ISetAndCounter,
+                                PollTarget::MinMap, PollTarget::MinVec,
+                                PollTarget::CounterVec,
+                                PollTarget::Advance,
+                                PollTarget::UnionFind,
+                                PollTarget::ParallelForLeaf,
+                                PollTarget::PlainHandler};
+  for (PollTarget Target : Targets) {
+    const int T = static_cast<int>(Target);
+    EXPECT_EQ(sig(pollFanOut(cfg(2, 1), 6, Target)),
+              Target == PollTarget::ISetAndCounter ? "ok:15" : "ok:6")
+        << "target=" << T << " without a plan";
     for (unsigned W : WorkerCounts)
       for (uint64_t S : PlanSeeds) {
         fault::FaultPlan Plan;
         Plan.Seed = S;
         Plan.HaveFailPedigree = true;
         Plan.FailPedigree = "RRL";
-        Plan.DelayPeriod = 3;
-        Plan.DelayNanos = 1000;
         fault::PlanScope Scope(Plan);
-        ParOutcome<int> O = fanOut(cfg(W, S), 6);
+        ParOutcome<int> O = pollFanOut(cfg(W, S), 6, Target);
         EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=RRL:lvar=")
-            << "workers=" << W << " seed=" << S;
+            << "target=" << T << " workers=" << W << " seed=" << S;
       }
-  }
-}
-
-TEST(FaultStressTest, DoomedWriterFailsAtEveryPutEntryPoint) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
-  } else {
-    // Child #2 ("RRL") writes only to structures other than IVar; its
-    // first put must still poll the plan and fail, identically for every
-    // worker count and plan seed.
-    const PollTarget Targets[] = {PollTarget::ISetAndCounter,
-                                  PollTarget::MinMap, PollTarget::MinVec,
-                                  PollTarget::CounterVec,
-                                  PollTarget::Advance,
-                                  PollTarget::UnionFind,
-                                  PollTarget::ParallelForLeaf,
-                                  PollTarget::PlainHandler};
-    for (PollTarget Target : Targets) {
-      const int T = static_cast<int>(Target);
-      EXPECT_EQ(sig(pollFanOut(cfg(2, 1), 6, Target)),
-                Target == PollTarget::ISetAndCounter ? "ok:15" : "ok:6")
-          << "target=" << T << " without a plan";
-      for (unsigned W : WorkerCounts)
-        for (uint64_t S : PlanSeeds) {
-          fault::FaultPlan Plan;
-          Plan.Seed = S;
-          Plan.HaveFailPedigree = true;
-          Plan.FailPedigree = "RRL";
-          fault::PlanScope Scope(Plan);
-          ParOutcome<int> O = pollFanOut(cfg(W, S), 6, Target);
-          EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=RRL:lvar=")
-              << "target=" << T << " workers=" << W << " seed=" << S;
-        }
-    }
   }
 }
 
 TEST(FaultStressTest, DelayOnlyPlanPreservesValues) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
-  } else {
-    // Pure schedule perturbation: delays at steal/park/put points must
-    // never change the value (they are non-semantic by construction).
-    for (uint64_t S : PlanSeeds) {
-      fault::FaultPlan Plan;
-      Plan.Seed = S;
-      Plan.DelayPeriod = 2;
-      Plan.DelayNanos = 2000;
-      fault::PlanScope Scope(Plan);
-      ParOutcome<int> O = fanOut(cfg(4, S), 6);
-      EXPECT_EQ(sig(O), "ok:55") << "seed=" << S;
-    }
+  // Pure schedule perturbation: delays at steal/park/put points must
+  // never change the value (they are non-semantic by construction).
+  for (uint64_t S : PlanSeeds) {
+    fault::FaultPlan Plan;
+    Plan.Seed = S;
+    Plan.DelayPeriod = 2;
+    Plan.DelayNanos = 2000;
+    fault::PlanScope Scope(Plan);
+    ParOutcome<int> O = fanOut(cfg(4, S), 6);
+    EXPECT_EQ(sig(O), "ok:55") << "seed=" << S;
   }
 }
 
 TEST(FaultStressTest, ChaosPlanOutcomesAreWellFormed) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
-  } else {
-    // Chaos mode dooms tasks by seeded pedigree hash. When several doomed
-    // tasks race, cancellation may keep some from reaching their raise
-    // point, so the *winning* fault is not schedule-identical (DESIGN.md
-    // Section 8); what IS guaranteed is a well-formed outcome: the exact
-    // fan-out value, or a contained injected failure. Never an abort.
-    for (uint64_t S : PlanSeeds) {
-      fault::FaultPlan Plan;
-      Plan.Seed = S;
-      Plan.FailHashPeriod = 2; // Doom roughly every second task.
-      fault::PlanScope Scope(Plan);
-      ParOutcome<int> O = fanOut(cfg(4, S), 6);
-      if (O.ok()) {
-        EXPECT_EQ(O.value(), 55) << "seed=" << S;
-      } else {
-        EXPECT_EQ(O.fault().Code, FaultCode::InjectedFailure)
-            << "seed=" << S << " msg: " << O.fault().Message;
-        EXPECT_NE(O.fault().Message.find("injected"), std::string::npos);
-      }
-    }
-    // Same seed, same worker count: the doom set is a pure function of
-    // the plan, so repeated runs of the single-doomed-task configuration
-    // stay identical (covered by TargetedFailureIdenticalAcrossSeeds);
-    // here we only re-run one chaos seed to confirm containment holds
-    // under repetition.
+  // Chaos mode dooms tasks by seeded pedigree hash. When several doomed
+  // tasks race, cancellation may keep some from reaching their raise
+  // point, so the *winning* fault is not schedule-identical (DESIGN.md
+  // Section 8); what IS guaranteed is a well-formed outcome: the exact
+  // fan-out value, or a contained injected failure. Never an abort.
+  for (uint64_t S : PlanSeeds) {
     fault::FaultPlan Plan;
-    Plan.Seed = 7;
-    Plan.FailHashPeriod = 2;
-    for (int I = 0; I < 4; ++I) {
-      fault::PlanScope Scope(Plan);
-      ParOutcome<int> O = fanOut(cfg(4, 7), 6);
-      EXPECT_TRUE(O.ok() || O.fault().Code == FaultCode::InjectedFailure);
+    Plan.Seed = S;
+    Plan.FailHashPeriod = 2; // Doom roughly every second task.
+    fault::PlanScope Scope(Plan);
+    ParOutcome<int> O = fanOut(cfg(4, S), 6);
+    if (O.ok()) {
+      EXPECT_EQ(O.value(), 55) << "seed=" << S;
+    } else {
+      EXPECT_EQ(O.fault().Code, FaultCode::InjectedFailure)
+          << "seed=" << S << " msg: " << O.fault().Message;
+      EXPECT_NE(O.fault().Message.find("injected"), std::string::npos);
     }
+  }
+  // Same seed, same worker count: the doom set is a pure function of
+  // the plan, so repeated runs of the single-doomed-task configuration
+  // stay identical (covered by TargetedFailureIdenticalAcrossSeeds);
+  // here we only re-run one chaos seed to confirm containment holds
+  // under repetition.
+  fault::FaultPlan Plan;
+  Plan.Seed = 7;
+  Plan.FailHashPeriod = 2;
+  for (int I = 0; I < 4; ++I) {
+    fault::PlanScope Scope(Plan);
+    ParOutcome<int> O = fanOut(cfg(4, 7), 6);
+    EXPECT_TRUE(O.ok() || O.fault().Code == FaultCode::InjectedFailure);
   }
 }
 
 TEST(FaultStressTest, SpawnAllocationFailureIsDeterministic) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
-  } else {
-    // AllocFailPeriod = 1 fails every spawn: the root's very first fork
-    // raises in the root (pedigree ""), identically for every seed and
-    // worker count.
-    for (unsigned W : WorkerCounts)
-      for (uint64_t S : PlanSeeds) {
-        fault::FaultPlan Plan;
-        Plan.Seed = S;
-        Plan.AllocFailPeriod = 1;
-        fault::PlanScope Scope(Plan);
-        ParOutcome<int> O = fanOut(cfg(W, S), 6);
-        EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=:lvar=")
-            << "workers=" << W << " seed=" << S;
-      }
-  }
+  // AllocFailPeriod = 1 fails every spawn: the root's very first fork
+  // raises in the root (pedigree ""), identically for every seed and
+  // worker count.
+  for (unsigned W : WorkerCounts)
+    for (uint64_t S : PlanSeeds) {
+      fault::FaultPlan Plan;
+      Plan.Seed = S;
+      Plan.AllocFailPeriod = 1;
+      fault::PlanScope Scope(Plan);
+      ParOutcome<int> O = fanOut(cfg(W, S), 6);
+      EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=:lvar=")
+          << "workers=" << W << " seed=" << S;
+    }
 }
 
 TEST(FaultStressTest, InjectionCountsInTelemetry) {
-  if constexpr (!fault::InjectionEnabled) {
-    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
-  } else {
-    obs::TelemetrySnapshot Before = obs::telemetrySnapshot();
-    fault::FaultPlan Plan;
-    Plan.Seed = 3;
-    Plan.HaveFailPedigree = true;
-    Plan.FailPedigree = "L";
-    fault::PlanScope Scope(Plan);
-    ParOutcome<int> O = fanOut(cfg(2, 3), 3);
-    EXPECT_FALSE(O.ok());
-    obs::TelemetrySnapshot After = obs::telemetrySnapshot();
-    EXPECT_GE(After.count(obs::Event::InjectedFaults),
-              Before.count(obs::Event::InjectedFaults) + 1);
-    EXPECT_GE(After.count(obs::Event::FaultsRaised),
-              Before.count(obs::Event::FaultsRaised) + 1);
-    EXPECT_GE(After.count(obs::Event::FaultsContained),
-              Before.count(obs::Event::FaultsContained) + 1);
-  }
+  obs::TelemetrySnapshot Before = obs::telemetrySnapshot();
+  fault::FaultPlan Plan;
+  Plan.Seed = 3;
+  Plan.HaveFailPedigree = true;
+  Plan.FailPedigree = "L";
+  fault::PlanScope Scope(Plan);
+  ParOutcome<int> O = fanOut(cfg(2, 3), 3);
+  EXPECT_FALSE(O.ok());
+  obs::TelemetrySnapshot After = obs::telemetrySnapshot();
+  EXPECT_GE(After.count(obs::Event::InjectedFaults),
+            Before.count(obs::Event::InjectedFaults) + 1);
+  EXPECT_GE(After.count(obs::Event::FaultsRaised),
+            Before.count(obs::Event::FaultsRaised) + 1);
+  EXPECT_GE(After.count(obs::Event::FaultsContained),
+            Before.count(obs::Event::FaultsContained) + 1);
 }
 
 } // namespace

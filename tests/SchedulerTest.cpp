@@ -258,7 +258,7 @@ TEST(LazyWait, StepBudgetIsUnchanged) {
   auto Run = [](bool Eager, uint64_t Budget) {
     SchedulerStats Stats;
     RunOptions O = oneWorker(Eager, Stats);
-    O.SessionBudget = Budget;
+    O.MaxSteps = Budget;
     return tryRunPar<D>(
         [](ParCtx<D> Ctx) -> Par<uint64_t> {
           uint64_t V = co_await forkJoinTree(Ctx, 4, 0);

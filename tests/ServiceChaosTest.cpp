@@ -8,9 +8,9 @@
 /// \file
 /// The service chaos harness (src/fault/ServiceChaos.h) pointed at a live
 /// Runtime: seeded mid-flight session dooms, admission delay injection,
-/// and (in LVISH_FAULTS builds) the worker stall shim - all at once. The
-/// timing of each attack is deliberately non-deterministic, so every
-/// assertion here is schedule-INDEPENDENT:
+/// and the worker stall shim - all at once. The timing of each attack is
+/// deliberately non-deterministic, so every assertion here is
+/// schedule-INDEPENDENT:
 ///
 ///   * a session the plan did not doom completes with EXACTLY its
 ///     sequential value - faulted and shed tenants never corrupt a
@@ -79,10 +79,9 @@ TEST(ServiceChaos, DoomedTenantsNeverPerturbNeighbors) {
     Plan.Seed = Seed;
     Plan.DoomPeriod = 4;          // ~1 in 4 sessions doomed.
     Plan.AdmitDelayPeriod = 5;    // ~1 in 5 submissions jittered.
-    Plan.StallDelayPeriod = 13;   // Worker stutter (LVISH_FAULTS only).
+    Plan.StallDelayPeriod = 13;   // Worker stutter.
     fault::ServiceChaos Chaos(RT.scheduler(), Plan);
-    // The stall shim perturbs interleavings, never outcomes; inert
-    // without -DLVISH_FAULTS.
+    // The stall shim perturbs interleavings, never outcomes.
     fault::PlanScope Stalls(Chaos.stallPlan());
 
     std::vector<service::SessionFuture<uint64_t>> Futures;

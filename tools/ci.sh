@@ -44,11 +44,14 @@
 #              its root frame: ServiceRuntimeTest and SchedulerTest (parked
 #              tasks reaped at finishSession, cancelled tasks retired
 #              before they run), ExploreTest (the same under controlled
-#              schedules) and ServiceRobustnessTest (sessions killed by
-#              their step budget). The full suite waits for a `Par`
-#              trampoline (ROADMAP): a long chain of `co_await`s on
-#              synchronously completing children nests one resume frame
-#              per child under ASan, because GCC drops the
+#              schedules), ServiceRobustnessTest (sessions killed by
+#              their step budget), FaultStressTest (injected failures
+#              unwinding a FaultSignal through coroutine frames and
+#              retiring the poisoned task) and ServiceChaosTest (chaos
+#              dooms killing sessions mid-flight). The full suite waits
+#              for a `Par` trampoline (ROADMAP): a long chain of
+#              `co_await`s on synchronously completing children nests one
+#              resume frame per child under ASan, because GCC drops the
 #              symmetric-transfer tail call there, and
 #              Stress.DeepSequentialAwaitChain (20,000 deep) overflows
 #              the stack.
@@ -57,12 +60,14 @@
 #              tools/bench-report, then prints non-fatal bench-report
 #              diffs of every committed bench/baselines/*_pre.json
 #              against its *_post.json twin. Reuses the release build.
-#   faults   - RelWithDebInfo with the fault-injection harness armed
-#              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
-#              failures, delays, and allocation-failure shims across >= 8
-#              seeds and several worker counts, asserting the contained
-#              outcomes are identical, then the full suite re-runs to
-#              prove injection hooks do not perturb passing programs.
+#   faults   - seeded fault injection (src/fault/): re-runs
+#              FaultStressTest, which drives task failures, delays, and
+#              allocation-failure shims across >= 8 seeds and several
+#              worker counts, asserting the contained outcomes are
+#              identical, and ServiceChaosTest. The hooks are compiled
+#              into every build and armed only by an installed FaultPlan,
+#              so every other stage's suite runs with them too. Reuses
+#              the release build.
 #   explore  - controlled-schedule smoke (src/explore/): re-runs
 #              ExploreTest + ExploreRegressionTest + the explored
 #              determinism sweeps under a reduced schedule budget
@@ -152,8 +157,6 @@ ensure_tree() {
     asan)     flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
                      -DCMAKE_CXX_FLAGS=-Werror
                      -DLVISH_SANITIZE=address) ;;
-    faults)   flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
-                     -DCMAKE_CXX_FLAGS=-Werror -DLVISH_FAULTS=ON) ;;
     coverage) flags=(-DCMAKE_BUILD_TYPE=Debug -DLVISH_COVERAGE=ON) ;;
   esac
   echo "==== [$name] configure ===="
@@ -219,7 +222,8 @@ for stage in "${STAGES[@]}"; do
       # Not the whole suite: see the stage comment in the header.
       asan_tests=(SpawnPathsTest HandlerRaceTest CoreParTest
                   DataStructuresTest TransformersTest ServiceRuntimeTest
-                  SchedulerTest ExploreTest ServiceRobustnessTest)
+                  SchedulerTest ExploreTest ServiceRobustnessTest
+                  FaultStressTest ServiceChaosTest)
       targets=()
       for t in "${asan_tests[@]}"; do targets+=(--target "$t"); done
       ensure_tree asan "${targets[@]}"
@@ -255,9 +259,10 @@ for stage in "${STAGES[@]}"; do
       done
       ;;
     faults)
-      run_stage faults
+      ensure_tree release
       echo "==== [faults] seeded fault-injection stress ===="
-      ./build-ci-faults/tests/FaultStressTest
+      ./build-ci-release/tests/FaultStressTest
+      ./build-ci-release/tests/ServiceChaosTest
       ;;
     explore)
       ensure_tree release
